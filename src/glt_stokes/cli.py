@@ -27,9 +27,8 @@ from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
 from .mesh import StructuredMesh, build_mesh, saddle_dimension
 from .precond import STRATEGIES, build_saddle_preconditioner
 from .solvers import gmres, minres
-from .spectra import (DEFAULT_GRID, SpectrumReport, sample_saddle_symbol,
-                      sample_symbol, singular_values, symmetric_eigenvalues,
-                      weyl_distance)
+from .spectra import (DEFAULT_GRID, sample_saddle_symbol, sample_symbol,
+                      singular_values, symmetric_eigenvalues, weyl_distance)
 from .symbols import default_symbol_set
 
 GROUPS = (1, 2, 3)
@@ -276,44 +275,47 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
     return rows
 
 
+def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
+    """Sorted matrix values of a spectrum target (eigenvalues of A and M,
+    singular values of Bx and By) and the sampler of its symbol, a
+    function of the sampling grid."""
+    if target == "A":
+        return (symmetric_eigenvalues(assemble_stiffness(mesh, mu)),
+                lambda grid: sample_symbol(default_symbol_set().stiffness,
+                                           mu, grid))
+    if target in ("Bx", "By"):
+        pick = ("Bx", "By").index(target)
+
+        def sampler(grid):
+            nx, ny, nt1, nt2 = grid
+            syms = default_symbol_set()
+            return sample_symbol((syms.div_x, syms.div_y)[pick], None,
+                                 (1, 1, nx * nt1, ny * nt2))
+        return singular_values(assemble_divergence(mesh)[pick]), sampler
+    if target == "M":
+        return (symmetric_eigenvalues(assemble_saddle(mesh, mu).full_matrix()),
+                lambda grid: sample_saddle_symbol(mu, grid))
+    raise ValueError(f"unknown target {target!r}; pick A, Bx, By or M")
+
+
 def emit_adherence_data(target: str, cfg: ExperimentConfig,
                         out_path: Path) -> float:
     """Rank-aligned matrix spectrum vs symbol quantiles, plus the KS
     distance; targets: A, Bx, By, M."""
     cfg.validate()
-    mu = cfg.viscosity()
-    mesh = build_mesh(cfg.n)
-    syms = default_symbol_set()
-    if target == "A":
-        values = symmetric_eigenvalues(assemble_stiffness(mesh, mu))
-        pool = sample_symbol(syms.stiffness, mu, cfg.grid)
-    elif target in ("Bx", "By"):
-        B = assemble_divergence(mesh)[0 if target == "Bx" else 1]
-        values = singular_values(B)
-        nx, ny, nt1, nt2 = cfg.grid
-        pool = sample_symbol(syms.div_x if target == "Bx" else syms.div_y,
-                             None, (1, 1, nx * nt1, ny * nt2))
-    elif target == "M":
-        system = assemble_saddle(mesh, mu)
-        values = symmetric_eigenvalues(system.full_matrix())
-        pool = sample_saddle_symbol(mu, cfg.grid)
-    else:
-        raise ValueError(f"unknown target {target!r}; pick A, Bx, By or M")
-
-    report = SpectrumReport(
-        matrix_values=values, symbol_samples=pool,
-        ks_distance=weyl_distance(values, pool),
-        metadata={"target": target, "n": cfg.n, "group": cfg.group,
-                  "gamma": cfg.gamma, "grid": list(cfg.grid)})
+    values, sampler = target_spectrum(target, build_mesh(cfg.n),
+                                      cfg.viscosity())
+    pool = sampler(cfg.grid)
+    ks_distance = weyl_distance(values, pool)
     ranks = (np.arange(len(values)) + 0.5) / len(values)
     quantiles = np.quantile(pool, ranks)
     rows = [[i, f"{values[i]:.12e}", f"{quantiles[i]:.12e}"]
             for i in range(len(values))]
     header = cfg.header_lines() + [f"# target: {target}",
-                                   f"# ks_distance={report.ks_distance:.6f}"]
+                                   f"# ks_distance={ks_distance:.6f}"]
     _write_csv(out_path, header, ["index", "matrix_value", "symbol_quantile"],
                rows)
-    return report.ks_distance
+    return ks_distance
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +475,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         out = Path(cfg.output_dir) / args.out
         if args.command == "spectrum":
-            mu = cfg.viscosity()
-            mesh = build_mesh(cfg.n)
-            if args.target == "A":
-                vals = symmetric_eigenvalues(assemble_stiffness(mesh, mu))
-            elif args.target in ("Bx", "By"):
-                B = assemble_divergence(mesh)[0 if args.target == "Bx" else 1]
-                vals = singular_values(B)
-            else:
-                vals = symmetric_eigenvalues(
-                    assemble_saddle(mesh, mu).full_matrix())
+            vals, _ = target_spectrum(args.target, build_mesh(cfg.n),
+                                      cfg.viscosity())
             _write_csv(out, cfg.header_lines() + [f"# target: {args.target}"],
                        ["index", "value"],
                        [[i, f"{v:.12e}"] for i, v in enumerate(vals)])
@@ -500,8 +494,7 @@ def main(argv=None) -> int:
         mesh = build_mesh(cfg.n)
         system = assemble_saddle(mesh, mu)
         prec = build_saddle_preconditioner(mesh, mu, system, cfg.strategy)
-        M = system.full_matrix().toarray()
-        PM = np.column_stack([prec.apply(col) for col in M.T]).T
+        PM = prec.apply(system.full_matrix().toarray())
         sv = np.sort(np.linalg.svd(PM, compute_uv=False))
         out = Path(cfg.output_dir) / args.out
         inside = np.mean((sv >= 0.5) & (sv <= 2.0))

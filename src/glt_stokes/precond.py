@@ -13,6 +13,13 @@ of the adjacent element viscosities), so positive definiteness follows by
 congruence from the positive semidefinite algebra member.  The pressure
 block is the explicit Schur complement of the preconditioner, deflated on
 the constant-pressure kernel before factorization.
+
+Every sparse SPD block is factored one way, by `SPDSolver`: sparse LU
+under the symmetric minimum-degree ordering of A + A^T with diagonal
+pivots only.  Without row interchanges that LU is an LDL^T factorization,
+so by Sylvester's law of inertia the matrix is positive definite exactly
+when every pivot is positive; the pivots are checked instead of a
+separate eigenvalue estimate.
 """
 
 from __future__ import annotations
@@ -44,8 +51,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("tau_block", "frozen_sparse")
-
-_DENSE_CHOLESKY_LIMIT = 2100
 
 
 def _flat_bands(n: int) -> dict:
@@ -148,35 +153,28 @@ def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
 class SPDSolver:
     """SPD sparse matrix with a factorized apply-inverse.
 
-    Small systems use dense Cholesky (failure reports the offending leading
-    minor); larger ones use sparse LU with a shift-invert check of the
-    smallest eigenvalue.
+    The factorization is LDL^T in the form of a symmetric-mode sparse LU;
+    the matrix is rejected unless the LU needed no row interchange and
+    every pivot is positive.  `min_pivot` is the smallest pivot.
     """
 
     def __init__(self, matrix: sp.spmatrix):
         self.matrix = matrix.tocsc()
-        nrows = self.matrix.shape[0]
-        if nrows <= _DENSE_CHOLESKY_LIMIT:
-            try:
-                self._cho = sla.cho_factor(self.matrix.toarray(), lower=True)
-            except sla.LinAlgError as exc:
-                raise ValueError(f"not positive definite: {exc}") from exc
-            self._lu = None
-        else:
-            self._cho = None
-            self._lu = spla.splu(self.matrix)
-            op = spla.LinearOperator((nrows, nrows), matvec=self._lu.solve)
-            wmin = spla.eigsh(self.matrix, k=1, sigma=0, OPinv=op,
-                              which="LM", return_eigenvectors=False,
-                              tol=1e-8)[0]
-            if wmin <= 0:
-                raise ValueError(
-                    f"not positive definite: smallest eigenvalue {wmin:.3e}")
-            self.min_eigenvalue = float(wmin)
+        try:
+            self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise ValueError(f"not positive definite: {exc}") from exc
+        if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
+            raise ValueError("not positive definite: a zero diagonal pivot "
+                             "forced a row interchange")
+        self.min_pivot = float(self._lu.U.diagonal().min())
+        if self.min_pivot <= 0:
+            raise ValueError(
+                f"not positive definite: pivot {self.min_pivot:.3e}")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._cho is not None:
-            return sla.cho_solve(self._cho, rhs)
         return self._lu.solve(np.asarray(rhs))
 
 
@@ -256,18 +254,20 @@ class SaddlePreconditioner:
         return 2 * self.velocity_count + self.schur.shape[0]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Blockwise inverse; the pressure solve is the deflated
-        pseudo-inverse and annihilates the constant direction."""
+        """Blockwise inverse of a (dim,) residual or a (dim, k) block of
+        them; the pressure solve is the deflated pseudo-inverse and
+        annihilates the constant direction."""
         nvel = self.velocity_count
         npres = self.schur.shape[0]
         if len(r) != 2 * nvel + npres:
             raise ValueError(
                 f"residual length {len(r)} != saddle dimension {2 * nvel + npres}")
-        out = np.empty(len(r), dtype=float)
+        out = np.empty(np.shape(r), dtype=float)
         out[:nvel] = self.velocity_solver.solve(r[:nvel])
         out[nvel:2 * nvel] = self.velocity_solver.solve(r[nvel:2 * nvel])
         rp = r[2 * nvel:]
-        out[2 * nvel:] = sla.cho_solve(self.schur_cho, rp - rp.sum() / npres)
+        out[2 * nvel:] = sla.cho_solve(self.schur_cho,
+                                       rp - rp.sum(axis=0) / npres)
         return out
 
     def __call__(self, r: np.ndarray) -> np.ndarray:

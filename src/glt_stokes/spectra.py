@@ -8,8 +8,6 @@ the Kolmogorov-Smirnov distance between the two empirical distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -19,7 +17,6 @@ from .assembly import ViscosityField
 from .glt_core import BlockSymbol
 
 __all__ = [
-    "SpectrumReport",
     "symmetric_eigenvalues",
     "singular_values",
     "sample_symbol",
@@ -27,7 +24,6 @@ __all__ = [
     "weyl_distance",
     "outlier_check",
     "preconditioned_spectrum",
-    "preconditioned_extremes",
     "saddle_pencil_eigenvalues",
     "wathen_condition_number",
     "DEFAULT_GRID",
@@ -37,14 +33,6 @@ __all__ = [
 # 18^4 ~ 1.05e5 symbol evaluation points
 DEFAULT_GRID = (18, 18, 18, 18)
 DENSE_LIMIT = 20000
-
-
-@dataclass
-class SpectrumReport:
-    matrix_values: np.ndarray
-    symbol_samples: np.ndarray
-    ks_distance: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _dense(M) -> np.ndarray:
@@ -198,29 +186,6 @@ def preconditioned_spectrum(M, P, nullspace: np.ndarray,
     nonzero = mags[mags > cutoff]
     cond = float(nonzero.max() / nonzero.min()) if len(nonzero) else np.inf
     return eigs, cond
-
-
-def preconditioned_extremes(M, P, sigma: float = 1e-10, k_small: int = 4):
-    """Extreme eigenvalues of M u = lambda P u by sparse Lanczos.
-
-    Returns (largest magnitude, smallest nonzero magnitude, condition
-    number); intended for systems too large for the dense route.  The
-    kernel direction shows up as the eigenvalue closest to zero and is
-    dropped.
-    """
-    Ms = sp.csc_matrix(M)
-    Ps = sp.csc_matrix(P)
-    big = spla.eigsh(Ms, k=1, M=Ps, which="LM",
-                     return_eigenvectors=False, tol=1e-8)
-    lam_max = float(np.abs(big).max())
-    small = spla.eigsh(Ms, k=k_small, M=Ps, sigma=sigma, which="LM",
-                       return_eigenvectors=False, tol=1e-10)
-    mags = np.sort(np.abs(small))
-    nonzero = mags[mags > 1e-8 * lam_max]
-    if len(nonzero) == 0:
-        raise RuntimeError("no nonzero eigenvalue found near zero")
-    lam_min = float(nonzero[0])
-    return lam_max, lam_min, lam_max / lam_min
 
 
 def saddle_pencil_eigenvalues(system, pa_solve=None) -> np.ndarray:

@@ -6,9 +6,10 @@ from glt_stokes.assembly import (ViscosityField, assemble_saddle,
                                  assemble_stiffness, viscosity_for_group)
 from glt_stokes.glt_core import zero_distribution_fraction
 from glt_stokes.mesh import build_mesh
-from glt_stokes.precond import (STRATEGIES, build_saddle_preconditioner,
-                                build_schur, build_velocity_preconditioner,
-                                tau_block_core, viscosity_scaling)
+from glt_stokes.precond import (STRATEGIES, SPDSolver,
+                                build_saddle_preconditioner, build_schur,
+                                build_velocity_preconditioner, tau_block_core,
+                                viscosity_scaling)
 
 ONE = ViscosityField.constant(1.0)
 
@@ -48,6 +49,27 @@ def test_velocity_preconditioner_spd(strategy, group, gamma):
     vel = build_velocity_preconditioner(mesh, mu, strategy)
     w = np.linalg.eigvalsh(vel.matrix.toarray())
     assert w[0] > 0
+
+
+@pytest.mark.parametrize("size", [100, 2500])
+def test_spd_solver_rejects_indefinite(size):
+    # a negative pivot, and a zero diagonal that only a row interchange
+    # can factor, are both caught at every size
+    d = np.ones(size)
+    d[:2] = (-5.0, 0.5)
+    with pytest.raises(ValueError):
+        SPDSolver(sp.diags(d))
+    swap = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        SPDSolver(sp.block_diag([swap, sp.identity(size - 2)]))
+
+
+@pytest.mark.parametrize("n", [4, 32])
+def test_spd_solver_min_pivot(n):
+    vel = build_velocity_preconditioner(build_mesh(n), viscosity_for_group(1))
+    assert vel.min_pivot > 0
+    rhs = np.ones(vel.matrix.shape[0])
+    assert np.abs(vel.matrix @ vel.solve(rhs) - rhs).max() < 1e-10
 
 
 def test_tau_core_difference_structure():
@@ -163,6 +185,14 @@ def test_apply_shape_check_and_linearity(setup8):
     rhs = 1.5 * prec.apply(r1) - 2.0 * prec.apply(r2)
     assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
     assert np.all(prec.apply(np.zeros(system.dimension)) == 0.0)
+    # a (dim, k) block is applied column by column
+    block = np.column_stack([r1, r2])
+    out = prec.apply(block)
+    assert out.shape == block.shape
+    cols = np.column_stack([prec.apply(r1), prec.apply(r2)])
+    assert np.abs(out - cols).max() < 1e-12 * max(1.0, np.abs(cols).max())
+    with pytest.raises(ValueError):
+        prec.apply(np.ones((10, 2)))
 
 
 def test_apply_annihilates_constant_pressure(setup8):
