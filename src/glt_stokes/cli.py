@@ -108,6 +108,11 @@ def rhs_for_case(case: str, mesh: StructuredMesh, dim: int,
     raise ValueError(f"unknown case {case!r}")
 
 
+# columns of the `solve` command's CSV, in the order of `run_solve_cell`'s row
+SOLVE_COLUMNS = ("group", "case", "n", "dim", "strategy", "iterations",
+                 "final_residual", "converged", "seed", "wall_time_s")
+
+
 def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     """One (group, case, n) PGMRES run; returns the results.csv row."""
     cfg.validate()
@@ -510,14 +515,11 @@ def main(argv=None) -> int:
         row = run_solve_cell(cfg, preconditioned=not args.unpreconditioned)
         out = Path(cfg.output_dir) / args.out
         new = not out.exists()
+        out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "a") as fh:
             if new:
-                fh.write("group,case,n,dim,strategy,iterations,"
-                         "final_residual,converged,seed,wall_time_s\n")
-            fh.write(",".join(str(row[k]) for k in
-                              ("group", "case", "n", "dim", "strategy",
-                               "iterations", "final_residual", "converged",
-                               "seed", "wall_time_s")) + "\n")
+                fh.write(",".join(SOLVE_COLUMNS) + "\n")
+            fh.write(",".join(str(row[k]) for k in SOLVE_COLUMNS) + "\n")
         print(json.dumps(row, indent=1, default=str))
         return 0
 

@@ -11,8 +11,10 @@ symmetrically by the nodal viscosity sampling D^{1/2} (.) D^{1/2}, where
 the sampling is the assembled-to-unit diagonal ratio (the per-node average
 of the adjacent element viscosities), so positive definiteness follows by
 congruence from the positive semidefinite algebra member.  The pressure
-block is the explicit Schur complement of the preconditioner, deflated on
-the constant-pressure kernel before factorization.
+block is the explicit Schur complement of the preconditioner, built in
+panels of pressure columns and deflated on the constant-pressure kernel;
+its Cholesky factor is turned into the dense inverse once, so an apply is
+a matrix product rather than two triangular solves.
 
 Every sparse SPD block is factored one way, by `SPDSolver`: sparse LU
 under the symmetric minimum-degree ordering of A + A^T with diagonal
@@ -51,6 +53,14 @@ __all__ = [
 ]
 
 STRATEGIES = ("tau_block", "frozen_sparse")
+
+# Columns per dense block: `SPDSolver.solve` takes a wider right-hand side
+# this many columns at a time, and `build_schur` densifies this many columns
+# of B_x^T and of B_y^T at a time.  Sparse triangular solves slow down per
+# column as the block widens: at n = 32 the Schur build took the same time
+# with panels of 8 to 64 pressure columns, longer with 128, and about twice
+# as long with all 2113 in one solve.
+PANEL = 32
 
 
 def _flat_bands(n: int) -> dict:
@@ -175,7 +185,15 @@ class SPDSolver:
                 f"not positive definite: pivot {self.min_pivot:.3e}")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(rhs))
+        """P^{-1} rhs for a vector, or for a block PANEL columns at a time."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim == 1:
+            return self._lu.solve(rhs)
+        out = np.empty_like(rhs)
+        for start in range(0, rhs.shape[1], PANEL):
+            panel = slice(start, start + PANEL)
+            out[:, panel] = self._lu.solve(rhs[:, panel])
+        return out
 
 
 def viscosity_scaling(mesh: StructuredMesh, mu: ViscosityField,
@@ -212,25 +230,37 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
 
 
 def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
-    """Explicit dense Schur complement -B P_A^{-1} B^T, column by column.
+    """Explicit dense Schur complement -B P_A^{-1} B^T, PANEL pressure
+    columns at a time.
 
-    Returns (schur, cholesky_of_deflated_negative, relative_symmetry_defect);
-    the deflation is the rank-one shift by the normalized constant-pressure
-    projector, so factorization solves act as the pseudo-inverse on the
-    complement of the kernel.
+    Each panel's B_x^T and B_y^T columns go through `pa_solve` as one dense
+    block, so B^T is never densified whole.  Returns (schur,
+    inverse_of_deflated_negative, relative_symmetry_defect); the deflation
+    is the rank-one shift by the normalized constant-pressure projector, so
+    the inverse acts as the pseudo-inverse on the complement of the kernel.
     """
     npres = div_x.shape[0]
-    S = div_x @ pa_solve(div_x.T.toarray())
-    S += div_y @ pa_solve(div_y.T.toarray())
+    bx_t, by_t = div_x.T.tocsc(), div_y.T.tocsc()
+    S = np.empty((npres, npres))
+    for start in range(0, npres, PANEL):
+        panel = slice(start, min(start + PANEL, npres))
+        width = panel.stop - start
+        X = pa_solve(np.hstack([bx_t[:, panel].toarray(),
+                                by_t[:, panel].toarray()]))
+        S[:, panel] = div_x @ X[:, :width] + div_y @ X[:, width:]
     sym_defect = float(np.abs(S - S.T).max() / max(np.abs(S).max(), 1e-300))
     S = 0.5 * (S + S.T)
-    ones = np.ones(npres)
-    deflated = S + np.outer(ones, ones) / npres
+    deflated = S + 1.0 / npres
     try:
-        cho = sla.cho_factor(deflated, lower=True)
+        cho, lower = sla.cho_factor(deflated, lower=True)
     except sla.LinAlgError as exc:
         raise ValueError(f"Schur factorization failed after deflation: {exc}")
-    return -S, cho, sym_defect
+    inv, info = sla.lapack.dpotri(cho, lower=lower, overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"Schur inversion failed after deflation: info {info}")
+    inv = np.tril(inv)
+    inv += np.tril(inv, -1).T
+    return -S, inv, sym_defect
 
 
 @dataclass
@@ -241,7 +271,7 @@ class SaddlePreconditioner:
     strategy: str
     velocity_solver: SPDSolver
     schur: np.ndarray
-    schur_cho: tuple = field(repr=False, default=None)
+    schur_inverse: np.ndarray = field(repr=False, default=None)
     schur_symmetry_defect: float = 0.0
     build_seconds: float = 0.0
 
@@ -255,20 +285,23 @@ class SaddlePreconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Blockwise inverse of a (dim,) residual or a (dim, k) block of
-        them; the pressure solve is the deflated pseudo-inverse and
-        annihilates the constant direction."""
+        them; both velocity components go through one solve, and the
+        pressure part is projected off the constant direction and
+        multiplied by the deflated inverse, so it annihilates that
+        direction."""
         nvel = self.velocity_count
         npres = self.schur.shape[0]
         if len(r) != 2 * nvel + npres:
             raise ValueError(
                 f"residual length {len(r)} != saddle dimension {2 * nvel + npres}")
-        out = np.empty(np.shape(r), dtype=float)
-        out[:nvel] = self.velocity_solver.solve(r[:nvel])
-        out[nvel:2 * nvel] = self.velocity_solver.solve(r[nvel:2 * nvel])
-        rp = r[2 * nvel:]
-        out[2 * nvel:] = sla.cho_solve(self.schur_cho,
-                                       rp - rp.sum(axis=0) / npres)
-        return out
+        R = np.asarray(r, dtype=float).reshape(len(r), -1)
+        k = R.shape[1]
+        X = self.velocity_solver.solve(np.hstack([R[:nvel], R[nvel:2 * nvel]]))
+        out = np.empty_like(R)
+        out[:nvel], out[nvel:2 * nvel] = X[:, :k], X[:, k:]
+        rp = R[2 * nvel:]
+        out[2 * nvel:] = self.schur_inverse @ (rp - rp.sum(axis=0) / npres)
+        return out.reshape(np.shape(r))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self.apply(r)
@@ -281,8 +314,9 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     t0 = time.time()
     vel = build_velocity_preconditioner(mesh, mu, strategy,
                                         stiffness=system.stiffness)
-    schur, cho, sym_defect = build_schur(system.div_x, system.div_y, vel.solve)
+    schur, inverse, sym_defect = build_schur(system.div_x, system.div_y,
+                                             vel.solve)
     return SaddlePreconditioner(
         n=mesh.n, strategy=strategy, velocity_solver=vel,
-        schur=schur, schur_cho=cho, schur_symmetry_defect=sym_defect,
+        schur=schur, schur_inverse=inverse, schur_symmetry_defect=sym_defect,
         build_seconds=time.time() - t0)

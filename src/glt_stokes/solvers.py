@@ -141,7 +141,11 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
 
     M must be symmetric (spot-checked), P symmetric positive definite.
     When a nullspace vector is given, the right-hand side and every Lanczos
-    vector are projected onto its orthogonal complement.
+    vector are projected onto its orthogonal complement.  The iteration
+    stops when the recurrence estimate of the preconditioned relative
+    residual reaches tol, or at maxit; `converged` and
+    `preconditioned_residual` come from the P^{-1}-norm residual of the
+    returned iterate, recomputed with the kernel projected out.
     """
     t0 = time.time()
     matvec = as_operator(M)
@@ -190,7 +194,6 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
     w2 = np.zeros(ndim)
     r2 = r1.copy()
     iters = 0
-    converged = False
     for it in range(1, maxit + 1):
         s = 1.0 / beta
         v = s * y
@@ -228,10 +231,12 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
         rel = phibar / beta1
         history.append(rel)
         if rel <= tol:
-            converged = True
             break
 
+    # the recurrence estimate drifts from the residual of the iterate, so
+    # convergence is judged on the recomputed preconditioned residual
     r = project(b - matvec(x))
     true_rel = np.linalg.norm(r) / bnorm
-    return SolveStats(iters, float(true_rel), bool(converged), history,
-                      time.time() - t0, x, float(history[-1] if history else 0.0))
+    prec_rel = np.sqrt(max(r @ project(pinv(r)), 0.0)) / beta1
+    return SolveStats(iters, float(true_rel), bool(prec_rel <= tol), history,
+                      time.time() - t0, x, float(prec_rel))

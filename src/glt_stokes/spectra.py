@@ -23,7 +23,6 @@ __all__ = [
     "sample_saddle_symbol",
     "weyl_distance",
     "outlier_check",
-    "preconditioned_spectrum",
     "saddle_pencil_eigenvalues",
     "wathen_condition_number",
     "DEFAULT_GRID",
@@ -129,8 +128,11 @@ def sample_saddle_symbol(mu: ViscosityField, grid=DEFAULT_GRID) -> np.ndarray:
     y = _midpoints(ny, 0.0, 1.0)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     weights = mu(np.column_stack([xx.ravel(), yy.ravel()]))
-    pools = [np.linalg.eigvalsh(base_div + w * base_vel).ravel()
-             for w in weights]
+    # the symbol depends on the physical point only through its weight, so
+    # each distinct weight is solved once and its pool repeated
+    distinct, counts = np.unique(weights, return_counts=True)
+    pools = [np.tile(np.linalg.eigvalsh(base_div + w * base_vel).ravel(), c)
+             for w, c in zip(distinct, counts)]
     return np.sort(np.concatenate(pools))
 
 
@@ -159,33 +161,6 @@ def outlier_check(eigs_mu, eigs_one, mu: ViscosityField,
     hi = mu.esssup * one
     tol = slack * np.maximum(np.abs(hi), np.abs(lo))
     return bool(np.all(lam >= lo - tol) and np.all(lam <= hi + tol))
-
-
-def preconditioned_spectrum(M, P, nullspace: np.ndarray,
-                            zero_tol: float = 1e-8):
-    """Eigenvalues of the generalized problem M u = lambda P u for SPD P,
-    via the congruence L^{-1} M L^{-T}.
-
-    Returns (sorted eigenvalues, condition number); the kernel eigenvalue
-    (smallest magnitude below zero_tol * max|lambda|) is excluded from the
-    condition-number ratio.
-    """
-    Md = _dense(M)
-    Pd = _dense(P)
-    if Md.shape[0] > DENSE_LIMIT:
-        raise ValueError(f"dense eigensolve refused beyond {DENSE_LIMIT}")
-    try:
-        L = sla.cholesky(Pd, lower=True)
-    except sla.LinAlgError as exc:
-        raise ValueError(f"preconditioner is not SPD: {exc}") from exc
-    C = sla.solve_triangular(L, Md, lower=True)
-    C = sla.solve_triangular(L, C.T, lower=True).T
-    eigs = np.linalg.eigvalsh(0.5 * (C + C.T))
-    mags = np.abs(eigs)
-    cutoff = zero_tol * mags.max()
-    nonzero = mags[mags > cutoff]
-    cond = float(nonzero.max() / nonzero.min()) if len(nonzero) else np.inf
-    return eigs, cond
 
 
 def saddle_pencil_eigenvalues(system, pa_solve=None) -> np.ndarray:

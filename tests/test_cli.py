@@ -137,6 +137,10 @@ def test_solve_command_appends(tmp_path, capsys):
                  "--output-dir", str(tmp_path), "--out", out]) == 0
     lines = (tmp_path / out).read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 rows
+    assert lines[0] == ("group,case,n,dim,strategy,iterations,"
+                        "final_residual,converged,seed,wall_time_s")
+    assert lines[1].startswith("1,a,2,63,tau_block,")
+    assert all(len(ln.split(",")) == 10 for ln in lines)
 
 
 def test_config_file_and_override(tmp_path, capsys):

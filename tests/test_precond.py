@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from glt_stokes.assembly import (ViscosityField, assemble_saddle,
                                  assemble_stiffness, viscosity_for_group)
 from glt_stokes.glt_core import zero_distribution_fraction
 from glt_stokes.mesh import build_mesh
-from glt_stokes.precond import (STRATEGIES, SPDSolver,
+from glt_stokes.precond import (PANEL, STRATEGIES, SPDSolver,
                                 build_saddle_preconditioner, build_schur,
                                 build_velocity_preconditioner, tau_block_core,
                                 viscosity_scaling)
@@ -70,6 +71,10 @@ def test_spd_solver_min_pivot(n):
     assert vel.min_pivot > 0
     rhs = np.ones(vel.matrix.shape[0])
     assert np.abs(vel.matrix @ vel.solve(rhs) - rhs).max() < 1e-10
+    # a block wider than one panel is solved panel by panel
+    block = np.random.default_rng(n).standard_normal((len(rhs), PANEL + 5))
+    cols = np.column_stack([vel.solve(c) for c in block.T])
+    assert np.abs(vel.solve(block) - cols).max() <= 1e-14 * np.abs(cols).max()
 
 
 def test_tau_core_difference_structure():
@@ -131,14 +136,18 @@ def test_schur_properties():
     system = assemble_saddle(mesh, mu)
     vel = build_velocity_preconditioner(mesh, mu, "tau_block",
                                         stiffness=system.stiffness)
-    schur, cho, sym_defect = build_schur(system.div_x, system.div_y,
-                                         vel.solve)
+    schur, inverse, sym_defect = build_schur(system.div_x, system.div_y,
+                                             vel.solve)
     assert sym_defect <= 1e-10
     w = np.linalg.eigvalsh(schur)
     assert w[-1] < 1e-12          # negative semidefinite
     assert np.sum(np.abs(w) < 1e-10) == 1   # exactly one kernel direction
-    ones = np.ones(schur.shape[0])
+    npres = schur.shape[0]
+    ones = np.ones(npres)
     assert np.abs(schur @ ones).max() < 1e-12
+    # the stored inverse is the full symmetric inverse of the deflated -S
+    assert np.array_equal(inverse, inverse.T)
+    assert np.abs(inverse @ (1.0 / npres - schur) - np.eye(npres)).max() < 1e-12
 
 
 def test_schur_smallest_system():
@@ -206,3 +215,45 @@ def test_unknown_strategy_rejected(setup8):
     mesh, mu, system = setup8
     with pytest.raises(ValueError):
         build_velocity_preconditioner(mesh, mu, "circulant")
+
+
+TENTPOLE_GROUPS = [(1, None), (2, None), (3, 100.0)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
+def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
+                                                              strategy, n):
+    # npres = 41 and 145: several panels, the last one partial
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(group, gamma)
+    system = assemble_saddle(mesh, mu)
+    prec = build_saddle_preconditioner(mesh, mu, system, strategy)
+    nvel, npres = prec.velocity_count, system.pressure_count
+    assert npres > PANEL and npres % PANEL != 0
+
+    P = prec.velocity_solver.matrix.toarray()
+    Bx, By = system.div_x.toarray(), system.div_y.toarray()
+    S = Bx @ np.linalg.solve(P, Bx.T) + By @ np.linalg.solve(P, By.T)
+    assert np.abs(-prec.schur - S).max() <= 1e-13 * np.abs(S).max()
+
+    # the former apply: one velocity solve per component, cho_solve on the
+    # deflated Schur complement
+    cho = sla.cho_factor(1.0 / npres - prec.schur, lower=True)
+
+    def reference(R):
+        out = np.empty_like(R)
+        out[:nvel] = np.linalg.solve(P, R[:nvel])
+        out[nvel:2 * nvel] = np.linalg.solve(P, R[nvel:2 * nvel])
+        rp = R[2 * nvel:]
+        out[2 * nvel:] = sla.cho_solve(cho, rp - rp.sum(axis=0) / npres)
+        return out
+
+    rng = np.random.default_rng(group + n)
+    for R in (rng.standard_normal(system.dimension),
+              rng.standard_normal((system.dimension, 3))):
+        ref = reference(R)
+        got = prec.apply(R)
+        assert got.shape == R.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from glt_stokes.assembly import assemble_saddle, viscosity_for_group
+from glt_stokes.assembly import (ViscosityField, assemble_saddle,
+                                 viscosity_for_group)
 from glt_stokes.mesh import build_mesh
-from glt_stokes.precond import build_saddle_preconditioner
+from glt_stokes.precond import SPDSolver, build_saddle_preconditioner
 from glt_stokes.solvers import gmres, minres
 
 
@@ -82,7 +83,6 @@ def test_minres_solves_singular_consistent_system():
     M = system.full_matrix()
     P = sp.block_diag([system.stiffness, system.stiffness,
                        system.pressure_mass]).tocsc()
-    from glt_stokes.precond import SPDSolver
     psolve = SPDSolver(P)
     ns = system.nullspace_vector()
     b = np.ones(system.dimension)
@@ -91,6 +91,33 @@ def test_minres_solves_singular_consistent_system():
     assert st.final_relative_residual < 1e-9
     # solution orthogonal to the kernel
     assert abs(st.solution @ ns) / np.linalg.norm(st.solution) < 1e-10
+
+
+def test_minres_converged_means_recomputed_residual_meets_tol():
+    # strip viscosity at mu1 = 1e6: the recurrence estimate reaches 1e-12
+    # (9.4e-13) while the recomputed P^{-1}-norm residual of the iterate is
+    # 1.2e-12; the all-ones right-hand side meets the tolerance in both
+    mesh = build_mesh(20)
+    system = assemble_saddle(mesh, ViscosityField.example1(1.0, 1e6, 0.1, 0.0))
+    M = system.full_matrix()
+    A = system.stiffness
+    psolve = SPDSolver(sp.block_diag([A, A, system.pressure_mass]).tocsc())
+    ns = system.nullspace_vector()
+    unit = ns / np.linalg.norm(ns)
+
+    def pnorm(v):
+        v = v - unit * (unit @ v)
+        z = psolve.solve(v)
+        return np.sqrt(v @ (z - unit * (unit @ z)))
+
+    for b, converged in ((np.random.default_rng(2).uniform(0.0, 1.0, M.shape[0]),
+                          False), (np.ones(M.shape[0]), True)):
+        st = minres(M, b, psolve.solve, nullspace=ns, tol=1e-12, maxit=5000)
+        assert st.residual_history[-1] <= 1e-12
+        prec_rel = pnorm(b - M @ st.solution) / pnorm(b)
+        assert st.preconditioned_residual == pytest.approx(prec_rel, rel=1e-6)
+        assert st.converged is converged
+        assert (prec_rel <= 1e-12) == converged
 
 
 def test_minres_determinism():

@@ -7,7 +7,7 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_stiffness, viscosity_for_group)
 from glt_stokes.glt_core import BlockSymbol
 from glt_stokes.mesh import build_mesh
-from glt_stokes.spectra import (outlier_check, preconditioned_spectrum,
+from glt_stokes.spectra import (outlier_check, sample_saddle_symbol,
                                 sample_symbol, singular_values,
                                 symmetric_eigenvalues, weyl_distance)
 from glt_stokes.symbols import default_symbol_set
@@ -145,23 +145,18 @@ def test_outlier_check_length_mismatch():
         outlier_check([1.0, 2.0], [1.0], ONE)
 
 
-def test_preconditioned_spectrum_identity_case():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((20, 20))
-    A = A @ A.T + 20 * np.eye(20)
-    eigs, cond = preconditioned_spectrum(A, A, np.zeros(20))
-    assert np.allclose(eigs, 1.0, atol=1e-10)
-    assert cond == pytest.approx(1.0, abs=1e-10)
-
-
-def test_preconditioned_spectrum_excludes_kernel():
-    # M with a known kernel direction; P identity
-    M = np.diag([0.0, 1.0, 2.0, 4.0])
-    eigs, cond = preconditioned_spectrum(M, np.eye(4), np.array([1, 0, 0, 0.0]))
-    assert cond == pytest.approx(4.0)
-
-
-def test_preconditioned_spectrum_rejects_indefinite_p():
-    with pytest.raises(ValueError):
-        preconditioned_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]),
-                                np.zeros(3))
+@pytest.mark.parametrize("group,gamma", [(2, None), (3, 100.0)])
+def test_sample_saddle_symbol_matches_per_point_pools(group, gamma):
+    # one eigensolve per distinct weight gives the same pooled array as one
+    # per physical grid point; a constant field on a 1x1 physical grid
+    # yields the pool of a single point
+    nx, ny, nt1, nt2 = grid = (5, 5, 4, 3)
+    mu = viscosity_for_group(group, gamma)
+    xx, yy = np.meshgrid((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny,
+                         indexing="ij")
+    weights = mu(np.column_stack([xx.ravel(), yy.ravel()]))
+    assert len(np.unique(weights)) < len(weights)
+    pools = [sample_saddle_symbol(ViscosityField.constant(w), (1, 1, nt1, nt2))
+             for w in weights]
+    assert np.array_equal(sample_saddle_symbol(mu, grid),
+                          np.sort(np.concatenate(pools)))
