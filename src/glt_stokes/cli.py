@@ -114,7 +114,10 @@ SOLVE_COLUMNS = ("group", "case", "n", "dim", "strategy", "iterations",
 
 
 def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
-    """One (group, case, n) PGMRES run; returns the results.csv row."""
+    """One (group, case, n) PGMRES run; returns the results.csv row
+    (the `SOLVE_COLUMNS`) plus the stop reason, the restart-cycle count
+    and, when preconditioned, the build's phase timings and the smallest
+    velocity pivot."""
     cfg.validate()
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
@@ -125,10 +128,13 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     ns = ns / np.linalg.norm(ns)
     b = b - ns * (ns @ b)
 
+    build = {}
     if preconditioned:
         prec = build_saddle_preconditioner(mesh, mu, system, cfg.strategy)
         stats = gmres(M, b, prec.apply, restart=cfg.restart, tol=cfg.tol,
                       maxit=cfg.maxit)
+        build = {"phase_seconds": prec.phase_seconds,
+                 "velocity_min_pivot": prec.velocity_solver.min_pivot}
     else:
         stats = gmres(M, b, None, restart=cfg.restart, tol=cfg.tol,
                       maxit=cfg.maxit)
@@ -143,6 +149,9 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
         "converged": stats.converged,
         "seed": cfg.seed,
         "wall_time_s": f"{stats.wall_time:.3f}",
+        "stop_reason": stats.stop_reason,
+        "cycles": stats.cycles,
+        **build,
     }
 
 
@@ -283,9 +292,17 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
 def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
     """Sorted matrix values of a spectrum target (eigenvalues of A and M,
     singular values of Bx and By) and the sampler of its symbol, a
-    function of the sampling grid."""
+    function of the sampling grid.
+
+    The eigensolves pass the x <-> y swap of the mesh as the mirror: the
+    velocity swap for A, and for M the swap that also exchanges the u_x
+    and u_y blocks; a field that is not swap-invariant falls back to one
+    full-size block.
+    """
+    rv, rp = mesh.swap_permutations()
+    nvel = mesh.velocity_count
     if target == "A":
-        return (symmetric_eigenvalues(assemble_stiffness(mesh, mu)),
+        return (symmetric_eigenvalues(assemble_stiffness(mesh, mu), rv),
                 lambda grid: sample_symbol(default_symbol_set().stiffness,
                                            mu, grid))
     if target in ("Bx", "By"):
@@ -298,7 +315,9 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
                                  (1, 1, nx * nt1, ny * nt2))
         return singular_values(assemble_divergence(mesh)[pick]), sampler
     if target == "M":
-        return (symmetric_eigenvalues(assemble_saddle(mesh, mu).full_matrix()),
+        mirror = np.concatenate([rv + nvel, rv, rp + 2 * nvel])
+        return (symmetric_eigenvalues(assemble_saddle(mesh, mu).full_matrix(),
+                                      mirror),
                 lambda grid: sample_saddle_symbol(mu, grid))
     raise ValueError(f"unknown target {target!r}; pick A, Bx, By or M")
 

@@ -65,6 +65,28 @@ class StructuredMesh:
         pts = self.vertices[self.triangles] / float(self.denominator)
         return pts.mean(axis=1)
 
+    def swap_permutations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reflection (x, y) -> (y, x) as DOF permutations (Rv, Rp):
+        velocity node i sits at the mirror image of node Rv[i], pressure
+        node k at that of node Rp[k].
+
+        Nodes are matched on the exact integer lattice keys rint(4n*coords),
+        and each permutation is checked to be an involution.
+        """
+        width = self.denominator + 1
+        out = []
+        for coords in (self.velocity_coords(), self.pressure_coords()):
+            keys = np.rint(coords * self.denominator).astype(np.int64)
+            flat = keys[:, 1] * width + keys[:, 0]     # y-major: ascending
+            swapped = keys[:, 0] * width + keys[:, 1]
+            perm = np.minimum(np.searchsorted(flat, swapped), len(flat) - 1)
+            if not np.array_equal(flat[perm], swapped):
+                raise RuntimeError("node set is not symmetric under x <-> y")
+            if not np.array_equal(perm[perm], np.arange(len(perm))):
+                raise RuntimeError("x <-> y swap is not an involution")
+            out.append(perm)
+        return out[0], out[1]
+
     def dump(self) -> str:
         """Plain-text dump: one `v ix iy denom` line per vertex, one
         `t v1 v2 v3` line per triangle."""

@@ -45,6 +45,7 @@ __all__ = [
     "SPDSolver",
     "build_velocity_preconditioner",
     "build_schur",
+    "schur_panels",
     "build_saddle_preconditioner",
     "flat_tau_correction",
     "tau_block_core",
@@ -229,15 +230,13 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     return SPDSolver(0.5 * (P + P.T))
 
 
-def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
-    """Explicit dense Schur complement -B P_A^{-1} B^T, PANEL pressure
-    columns at a time.
+def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
+                 pa_solve: Callable) -> np.ndarray:
+    """Dense B P_A^{-1} B^T = B_x P_A^{-1} B_x^T + B_y P_A^{-1} B_y^T,
+    PANEL pressure columns at a time.
 
     Each panel's B_x^T and B_y^T columns go through `pa_solve` as one dense
-    block, so B^T is never densified whole.  Returns (schur,
-    inverse_of_deflated_negative, relative_symmetry_defect); the deflation
-    is the rank-one shift by the normalized constant-pressure projector, so
-    the inverse acts as the pseudo-inverse on the complement of the kernel.
+    block, so B^T is never densified whole.
     """
     npres = div_x.shape[0]
     bx_t, by_t = div_x.T.tocsc(), div_y.T.tocsc()
@@ -248,6 +247,23 @@ def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
         X = pa_solve(np.hstack([bx_t[:, panel].toarray(),
                                 by_t[:, panel].toarray()]))
         S[:, panel] = div_x @ X[:, :width] + div_y @ X[:, width:]
+    return S
+
+
+def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
+    """Explicit dense Schur complement -B P_A^{-1} B^T from `schur_panels`,
+    and the inverse of its deflation.
+
+    Returns (schur, inverse_of_deflated_negative, relative_symmetry_defect,
+    seconds); the deflation is the rank-one shift by the normalized
+    constant-pressure projector, so the inverse acts as the pseudo-inverse
+    on the complement of the kernel.  `seconds` splits the build into its
+    "schur_panels" and "inverse" phases.
+    """
+    t0 = time.perf_counter()
+    S = schur_panels(div_x, div_y, pa_solve)
+    t1 = time.perf_counter()
+    npres = S.shape[0]
     sym_defect = float(np.abs(S - S.T).max() / max(np.abs(S).max(), 1e-300))
     S = 0.5 * (S + S.T)
     deflated = S + 1.0 / npres
@@ -260,12 +276,17 @@ def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
         raise ValueError(f"Schur inversion failed after deflation: info {info}")
     inv = np.tril(inv)
     inv += np.tril(inv, -1).T
-    return -S, inv, sym_defect
+    return -S, inv, sym_defect, {"schur_panels": t1 - t0,
+                                 "inverse": time.perf_counter() - t1}
 
 
 @dataclass
 class SaddlePreconditioner:
-    """Block-diagonal preconditioner diag(P_A, P_A, -Schur) with apply."""
+    """Block-diagonal preconditioner diag(P_A, P_A, -Schur) with apply.
+
+    `phase_seconds` times the build: "velocity" (the velocity
+    preconditioner and its factorization), "schur_panels" and "inverse".
+    """
 
     n: int
     strategy: str
@@ -273,7 +294,7 @@ class SaddlePreconditioner:
     schur: np.ndarray
     schur_inverse: np.ndarray = field(repr=False, default=None)
     schur_symmetry_defect: float = 0.0
-    build_seconds: float = 0.0
+    phase_seconds: dict = field(default_factory=dict)
 
     @property
     def velocity_count(self) -> int:
@@ -311,12 +332,13 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
                                 system: SaddleSystem,
                                 strategy: str = "tau_block") -> SaddlePreconditioner:
     """Assemble, factor and wire up the full saddle preconditioner."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     vel = build_velocity_preconditioner(mesh, mu, strategy,
                                         stiffness=system.stiffness)
-    schur, inverse, sym_defect = build_schur(system.div_x, system.div_y,
-                                             vel.solve)
+    t1 = time.perf_counter()
+    schur, inverse, sym_defect, seconds = build_schur(
+        system.div_x, system.div_y, vel.solve)
     return SaddlePreconditioner(
         n=mesh.n, strategy=strategy, velocity_solver=vel,
         schur=schur, schur_inverse=inverse, schur_symmetry_defect=sym_defect,
-        build_seconds=time.time() - t0)
+        phase_seconds={"velocity": t1 - t0, **seconds})

@@ -25,6 +25,16 @@ _STAGNATION_RTOL = 1e-14
 
 @dataclass
 class SolveStats:
+    """Outcome of one solve.
+
+    `stop_reason` names the test that ended the iteration: "converged"
+    (the stopping test held), "stagnation" (GMRES: the preconditioned
+    residual stopped changing across a restart cycle; MINRES: the
+    recurrence estimate reached tol but the recomputed residual of the
+    iterate did not), "breakdown" (GMRES: an exact Arnoldi breakdown) or
+    "maxit".  `cycles` counts the restart cycles run (MINRES runs one).
+    """
+
     iterations: int
     final_relative_residual: float
     converged: bool
@@ -32,6 +42,8 @@ class SolveStats:
     wall_time: float = 0.0
     solution: np.ndarray = field(repr=False, default=None)
     preconditioned_residual: float = 0.0
+    stop_reason: str = "converged"
+    cycles: int = 0
 
 
 def as_operator(M) -> Callable[[np.ndarray], np.ndarray]:
@@ -69,7 +81,9 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
         return SolveStats(0, 0.0, True, [0.0], time.time() - t0, x, 0.0)
 
     total = 0
+    cycles = 0
     converged = False
+    stop_reason = "maxit"
     prev_cycle_res = None
     beta = bnorm
     while total < maxit and not converged:
@@ -80,12 +94,15 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
         history.append(rel)
         if rel <= tol and np.linalg.norm(r) / bnorm_true <= 10 * tol:
             converged = True
+            stop_reason = "converged"
             break
         if prev_cycle_res is not None and prev_cycle_res > 0 and \
                 abs(prev_cycle_res - rel) <= _STAGNATION_RTOL * prev_cycle_res:
+            stop_reason = "stagnation"
             break
         prev_cycle_res = rel
 
+        cycles += 1
         m = min(restart, maxit - total)
         V = np.zeros((m + 1, ndim))
         H = np.zeros((m + 1, m))
@@ -125,6 +142,7 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
         x = x + V[:k_used].T @ y
         if breakdown:
             converged = True
+            stop_reason = "breakdown"
 
     r = b - matvec(x)
     prec_rel = np.linalg.norm(pinv(r)) / bnorm
@@ -132,7 +150,8 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
     # stagnation with the preconditioned test met still counts as converged
     converged = converged or prec_rel <= tol
     return SolveStats(total, float(true_rel), bool(converged), history,
-                      time.time() - t0, x, float(prec_rel))
+                      time.time() - t0, x, float(prec_rel), stop_reason,
+                      cycles)
 
 
 def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
@@ -194,6 +213,7 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
     w2 = np.zeros(ndim)
     r2 = r1.copy()
     iters = 0
+    stop_reason = "maxit"
     for it in range(1, maxit + 1):
         s = 1.0 / beta
         v = s * y
@@ -231,6 +251,7 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
         rel = phibar / beta1
         history.append(rel)
         if rel <= tol:
+            stop_reason = "converged"
             break
 
     # the recurrence estimate drifts from the residual of the iterate, so
@@ -238,5 +259,7 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
     r = project(b - matvec(x))
     true_rel = np.linalg.norm(r) / bnorm
     prec_rel = np.sqrt(max(r @ project(pinv(r)), 0.0)) / beta1
+    if stop_reason == "converged" and prec_rel > tol:
+        stop_reason = "stagnation"
     return SolveStats(iters, float(true_rel), bool(prec_rel <= tol), history,
-                      time.time() - t0, x, float(prec_rel))
+                      time.time() - t0, x, float(prec_rel), stop_reason, 1)

@@ -306,7 +306,8 @@ def test_criterion_9_unpreconditioned_stalls():
     b = b - ns * (ns @ b)
     stats = gmres(system.full_matrix(), b, None, restart=20, tol=1e-5,
                   maxit=1000)
-    ok = (not stats.converged) and stats.iterations >= 1000
+    ok = (not stats.converged) and stats.iterations >= 1000 \
+        and stats.stop_reason == "maxit"
     _report("9d", ok, f"unpreconditioned GMRES at n=16: {stats.iterations} "
                       f"iterations, converged={stats.converged}")
 

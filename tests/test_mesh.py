@@ -63,6 +63,15 @@ def test_vertex_set_symmetric_under_swap(n):
     assert pts == {(y, x) for (x, y) in pts}
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_swap_permutations_reflect_every_dof(n):
+    mesh = build_mesh(n)
+    for perm, nodes in zip(mesh.swap_permutations(),
+                           (mesh.velocity_nodes, mesh.pressure_nodes)):
+        assert np.array_equal(perm[perm], np.arange(len(nodes)))
+        assert np.array_equal(nodes[perm], nodes[:, ::-1])
+
+
 def test_lexicographic_dof_order():
     mesh = build_mesh(3)
     for nodes in (mesh.velocity_nodes, mesh.pressure_nodes):

@@ -136,9 +136,11 @@ def test_schur_properties():
     system = assemble_saddle(mesh, mu)
     vel = build_velocity_preconditioner(mesh, mu, "tau_block",
                                         stiffness=system.stiffness)
-    schur, inverse, sym_defect = build_schur(system.div_x, system.div_y,
-                                             vel.solve)
+    schur, inverse, sym_defect, seconds = build_schur(
+        system.div_x, system.div_y, vel.solve)
     assert sym_defect <= 1e-10
+    assert set(seconds) == {"schur_panels", "inverse"}
+    assert min(seconds.values()) >= 0
     w = np.linalg.eigvalsh(schur)
     assert w[-1] < 1e-12          # negative semidefinite
     assert np.sum(np.abs(w) < 1e-10) == 1   # exactly one kernel direction
@@ -154,7 +156,7 @@ def test_schur_smallest_system():
     mesh = build_mesh(1)
     system = assemble_saddle(mesh, ONE)
     vel = build_velocity_preconditioner(mesh, ONE, "frozen_sparse")
-    schur, _, _ = build_schur(system.div_x, system.div_y, vel.solve)
+    schur, _, _, _ = build_schur(system.div_x, system.div_y, vel.solve)
     assert schur.shape == (5, 5)
     assert np.linalg.matrix_rank(schur, tol=1e-10) == 4
     kernel = np.linalg.svd(schur)[2][-1]

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from glt_stokes.assembly import (ViscosityField, assemble_saddle,
                                  viscosity_for_group)
+from glt_stokes.cli import rhs_for_case
 from glt_stokes.mesh import build_mesh
 from glt_stokes.precond import SPDSolver, build_saddle_preconditioner
 from glt_stokes.solvers import gmres, minres
@@ -14,6 +15,7 @@ def test_gmres_identity_one_iteration():
     st = gmres(sp.eye(8), b)
     assert st.iterations == 1
     assert st.converged
+    assert (st.stop_reason, st.cycles) == ("breakdown", 1)
     assert st.final_relative_residual < 1e-12
 
 
@@ -51,6 +53,8 @@ def test_gmres_true_residual_reported():
     rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert st.final_relative_residual == pytest.approx(rel, rel=1e-10)
     assert st.converged and rel <= 10 * 1e-9
+    assert st.stop_reason == "converged"
+    assert st.cycles == -(-st.iterations // 20)
 
 
 def test_gmres_nonconvergence_reported():
@@ -60,6 +64,26 @@ def test_gmres_nonconvergence_reported():
     st = gmres(A, b, restart=5, tol=1e-14, maxit=12)
     assert not st.converged
     assert st.iterations == 12
+    assert (st.stop_reason, st.cycles) == ("maxit", 3)
+
+
+def test_gmres_stop_reason_stagnation():
+    # G3(100), n = 8, case b: the preconditioned test is met but the true
+    # residual stays far above 10 tol, so the restart cycles creep on until
+    # the stagnation test ends the iteration
+    mesh = build_mesh(8)
+    mu = viscosity_for_group(3, 100.0)
+    system = assemble_saddle(mesh, mu)
+    prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+    b = rhs_for_case("b", mesh, system.dimension)
+    ns = system.nullspace_vector()
+    ns = ns / np.linalg.norm(ns)
+    st = gmres(system.full_matrix(), b - ns * (ns @ b), prec.apply,
+               restart=20, tol=1e-5, maxit=1000)
+    assert st.stop_reason == "stagnation"
+    assert st.preconditioned_residual <= 1e-5
+    assert st.final_relative_residual > 10 * 1e-5
+    assert st.cycles > -(-st.iterations // 20)
 
 
 def test_minres_diag_preconditioner_one_iteration():
@@ -67,6 +91,7 @@ def test_minres_diag_preconditioner_one_iteration():
     st = minres(sp.diags(d), np.ones(10), P=lambda v: v / d)
     assert st.iterations == 1
     assert st.converged
+    assert (st.stop_reason, st.cycles) == ("converged", 1)
 
 
 def test_minres_rejects_nonsymmetric():
@@ -118,6 +143,14 @@ def test_minres_converged_means_recomputed_residual_meets_tol():
         assert st.preconditioned_residual == pytest.approx(prec_rel, rel=1e-6)
         assert st.converged is converged
         assert (prec_rel <= 1e-12) == converged
+        assert st.stop_reason == ("converged" if converged else "stagnation")
+
+
+def test_minres_stop_reason_maxit():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((30, 30))
+    st = minres(A @ A.T + np.eye(30), rng.standard_normal(30), maxit=3)
+    assert (st.iterations, st.converged, st.stop_reason) == (3, False, "maxit")
 
 
 def test_minres_determinism():

@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glt_stokes.assembly import (ViscosityField, assemble_divergence,
-                                 assemble_stiffness, viscosity_for_group)
+                                 assemble_saddle, assemble_stiffness,
+                                 viscosity_for_group)
 from glt_stokes.glt_core import BlockSymbol
 from glt_stokes.mesh import build_mesh
+from glt_stokes import spectra
 from glt_stokes.spectra import (outlier_check, sample_saddle_symbol,
-                                sample_symbol, singular_values,
-                                symmetric_eigenvalues, weyl_distance)
+                                sample_symbol, saddle_pencil_eigenvalues,
+                                singular_values, symmetric_eigenvalues,
+                                weyl_distance)
 from glt_stokes.symbols import default_symbol_set
 
 ONE = ViscosityField.constant(1.0)
@@ -160,3 +167,84 @@ def test_sample_saddle_symbol_matches_per_point_pools(group, gamma):
              for w in weights]
     assert np.array_equal(sample_saddle_symbol(mu, grid),
                           np.sort(np.concatenate(pools)))
+
+
+def _targets(n, mu):
+    """(name, matrix, mirror) for the stiffness and the saddle matrix."""
+    mesh = build_mesh(n)
+    rv, rp = mesh.swap_permutations()
+    nvel = mesh.velocity_count
+    return (("A", assemble_stiffness(mesh, mu), rv),
+            ("M", assemble_saddle(mesh, mu).full_matrix(),
+             np.concatenate([rv + nvel, rv, rp + 2 * nvel])))
+
+
+def _block_sizes(monkeypatch):
+    """Record the size of every dense block `symmetric_eigenvalues`
+    solves."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(H):
+        sizes.append(len(H))
+        return eigvalsh(H)
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("group,gamma", [(1, None), (2, None), (3, 100.0)])
+def test_mirror_split_matches_dense(group, gamma, n, monkeypatch):
+    for name, S, mirror in _targets(n, viscosity_for_group(group, gamma)):
+        ref = np.linalg.eigvalsh(S.toarray())
+        sizes = _block_sizes(monkeypatch)
+        got = symmetric_eigenvalues(S, mirror)
+        monkeypatch.undo()
+        pairs = int(np.sum(mirror > np.arange(len(mirror))))
+        assert sizes == [len(mirror) - pairs, pairs], name
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+def test_mirror_falls_back_to_one_block(monkeypatch):
+    # the strip field depends on x alone, so neither matrix commutes with
+    # the swap; a wrong involution (one transposition) does not commute
+    # either; each is solved as one full-size block
+    strip = ViscosityField.example1(1.0, 100.0, 0.5, 0.0)
+    cases = [(S, mirror) for _, S, mirror in _targets(4, strip)]
+    S = assemble_stiffness(build_mesh(4), viscosity_for_group(2))
+    swap01 = np.arange(S.shape[0])
+    swap01[[0, 1]] = [1, 0]
+    cases.append((S, swap01))
+    for S, mirror in cases:
+        ref = np.linalg.eigvalsh(S.toarray())
+        sizes = _block_sizes(monkeypatch)
+        got = symmetric_eigenvalues(S, mirror)
+        monkeypatch.undo()
+        assert sizes == [S.shape[0]]
+        assert np.array_equal(got, ref)
+
+
+def test_mirror_must_be_an_involution():
+    S = assemble_stiffness(build_mesh(2), ONE)
+    dim = S.shape[0]
+    rv, _ = build_mesh(2).swap_permutations()
+    for bad in (np.roll(np.arange(dim), 1), rv[:-1], rv + 0.0,
+                np.where(rv == 0, dim, rv), np.zeros(dim, dtype=int)):
+        with pytest.raises(ValueError):
+            symmetric_eigenvalues(S, bad)
+
+
+def test_saddle_pencil_matches_dense_generalized_spectrum():
+    system = assemble_saddle(build_mesh(4),
+                             ViscosityField.example1(1.0, 100.0, 0.5, 0.0))
+    A, W = system.stiffness, system.pressure_mass
+    P = sp.block_diag([A, A, W]).toarray()
+    ref = sla.eigh(system.full_matrix().toarray(), P, eigvals_only=True)
+    got = saddle_pencil_eigenvalues(system)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_saddle_pencil_rejects_indefinite_stiffness():
+    system = assemble_saddle(build_mesh(4), ONE)
+    with pytest.raises(ValueError):
+        saddle_pencil_eigenvalues(replace(system, stiffness=-system.stiffness))
