@@ -288,7 +288,7 @@ def assemble_divergence(mesh: StructuredMesh) -> tuple[sp.csr_matrix, sp.csr_mat
         rows_all, cols_all, vals_all = [], [], []
         for k in range(4):
             vdofs = mesh.tri_velocity[k::4]
-            pdofs = mesh.tri_pressure[k::4]
+            pdofs = mesh.triangles[k::4]
             table = tables[k].ravel()
             rows = np.repeat(pdofs, 6, axis=1).ravel()
             cols = np.tile(vdofs, (1, 3)).ravel()
@@ -313,7 +313,7 @@ def assemble_pressure_mass(mesh: StructuredMesh, mu: ViscosityField) -> sp.csr_m
     """P1 mass matrix weighted by 1/viscosity (raw Galerkin scaling)."""
     mu_t = _centroid_viscosity(mesh, mu)
     npres = mesh.pressure_count
-    dofs = mesh.tri_pressure
+    dofs = mesh.triangles
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
     scale = 1.0 / (mu_t * mesh.n ** 2)

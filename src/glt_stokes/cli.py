@@ -116,8 +116,8 @@ SOLVE_COLUMNS = ("group", "case", "n", "dim", "strategy", "iterations",
 def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     """One (group, case, n) PGMRES run; returns the results.csv row
     (the `SOLVE_COLUMNS`) plus the stop reason, the restart-cycle count
-    and, when preconditioned, the build's phase timings and the smallest
-    velocity pivot."""
+    and, when preconditioned, the build's phase timings, the smallest
+    velocity pivot and the Schur complement's relative symmetry defect."""
     cfg.validate()
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
@@ -134,7 +134,8 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
         stats = gmres(M, b, prec.apply, restart=cfg.restart, tol=cfg.tol,
                       maxit=cfg.maxit)
         build = {"phase_seconds": prec.phase_seconds,
-                 "velocity_min_pivot": prec.velocity_solver.min_pivot}
+                 "velocity_min_pivot": prec.velocity_solver.min_pivot,
+                 "schur_symmetry_defect": prec.schur_symmetry_defect}
     else:
         stats = gmres(M, b, None, restart=cfg.restart, tol=cfg.tol,
                       maxit=cfg.maxit)

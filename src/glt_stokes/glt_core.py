@@ -3,8 +3,9 @@
 Matrix-valued trigonometric polynomials (block symbols) with exact rational
 coefficients, Toeplitz generation, shuffle/interleave permutation index
 maps, the tau (Hankel corner correction) approximation of banded Toeplitz
-matrices, and structural helpers that embed the crisscross stiffness block
-into its extended block-Toeplitz form.
+matrices and the tau-algebra core of a two-level block symbol (one corner
+stripe rule serves both), and structural helpers that embed the
+crisscross stiffness block into its extended block-Toeplitz form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import velocity_lattice
+
 __all__ = [
     "BlockSymbol",
     "IndexMap",
@@ -22,7 +25,9 @@ __all__ = [
     "perm_block",
     "perm_Pi",
     "identity_kron",
+    "corner_stripes",
     "tau_approx",
+    "tau_from_symbol",
     "tau_eigenvalues",
     "dst1_matrix",
     "block_toeplitz_defect",
@@ -318,6 +323,18 @@ def _band_array(band):
     return t
 
 
+def corner_stripes(s: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (rows, cols) of the Hankel corner stripes of offset s on an
+    N x N matrix: the northwest anti-diagonal i + j = s - 2 and its
+    southeast mirror i + j = 2N - s (0-based).  The tau approximation
+    subtracts the symmetrized coefficient of offset s at these positions;
+    for N <= 2s the two stripes meet and a position may be listed twice.
+    """
+    i = np.arange(max(0, s - 1 - N), min(s - 1, N))
+    j = s - 2 - i
+    return np.concatenate([i, N - 1 - i]), np.concatenate([j, N - 1 - j])
+
+
 def tau_approx(band, N: int) -> np.ndarray:
     """Hankel corner-corrected Toeplitz matrix of a scalar band.
 
@@ -331,28 +348,60 @@ def tau_approx(band, N: int) -> np.ndarray:
     if N <= 2 * b:
         raise ValueError(f"need N > 2b, got N={N}, b={b}")
 
-    def coeff(k):
-        return t[k + b] if -b <= k <= b else 0.0
-
     T = np.zeros((N, N))
     for k in range(-b, b + 1):
-        if coeff(k) != 0.0:
+        if t[k + b] != 0.0:
             idx = np.arange(max(0, k), N + min(0, k))
-            T[idx, idx - k] = coeff(k)
-
-    def sym_coeff(k):
-        return 0.5 * (coeff(k) + coeff(-k))
-
-    # northwest: 1-based I+J = i+j+2 <= b ; southeast mirror at 2N+2-(I+J)
-    for i in range(N):
-        for j in range(N):
-            s = i + j + 2
-            if s <= b:
-                T[i, j] -= sym_coeff(s)
-            s_se = 2 * N + 2 - s
-            if s_se <= b:
-                T[i, j] -= sym_coeff(s_se)
+            T[idx, idx - k] = t[k + b]
+    for s in range(2, b + 1):
+        rows, cols = corner_stripes(s, N)
+        T[rows, cols] -= 0.5 * (t[b + s] + t[b - s])
     return T
+
+
+def tau_from_symbol(sym: BlockSymbol, n: int) -> sp.csr_matrix:
+    """Tau-algebra core sum_m tau_N(m) (x) S_m of a Hermitian two-level
+    symbol over the flattened index of the n x n cell grid (N = n^2).
+
+    m = k1*n + k2 is the flat offset of the symbol offset k; F_m sums the
+    coefficients whose offsets land on m (they collide only for small n),
+    S_0 = F_0 and S_m = (F_m + F_-m)/2.  tau_N(0) = I, and for m > 0
+    tau_N(m) is J^m + J^-m minus the `corner_stripes` of m, so every entry
+    class (r, c) is `tau_approx` of its symmetrized flat band.  For N > 2b
+    (b the largest |m|) each tau_N(m) is the sine-algebra member with
+    eigenvalues 2cos(m theta_j), theta_j = j pi/(N+1), and the DST-I in the
+    cell index block-diagonalizes the core into
+    S_0 + sum_m 2cos(m theta_j) S_m.  For smaller N the stripes overlap
+    and the same sum is returned without that structure.
+    """
+    N = n * n
+    flat: dict = {}
+    for k, C in sym.float_coefficients().items():
+        m = k[0] * n + k[1]
+        flat[m] = flat.get(m, 0.0) + C
+    zero = np.zeros((sym.s1, sym.s2))
+    rows, cols, vals = [], [], []
+    for m in sorted({abs(m) for m in flat}):
+        if m == 0:
+            S = flat[0]
+            i = j = np.arange(N)
+            sign = np.ones(N)
+        else:
+            S = 0.5 * (flat.get(m, zero) + flat.get(-m, zero))
+            band = np.arange(m, N)
+            hi, hj = corner_stripes(m, N)
+            i = np.concatenate([band, band - m, hi])
+            j = np.concatenate([band - m, band, hj])
+            sign = np.concatenate([np.ones(2 * len(band)), -np.ones(len(hi))])
+        rr, cc = np.nonzero(S)
+        rows.append((i[:, None] * sym.s1 + rr).ravel())
+        cols.append((j[:, None] * sym.s2 + cc).ravel())
+        vals.append((sign[:, None] * S[rr, cc]).ravel())
+    core = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(sym.s1 * N, sym.s2 * N)).tocsr()
+    core.eliminate_zeros()
+    return core
 
 
 def dst1_matrix(N: int) -> np.ndarray:
@@ -415,35 +464,23 @@ def zero_distribution_fraction(M, eps: float) -> float:
 # odd-level node column (ix = 1 at levels iy = 3 mod 4) belongs to cell
 # i = -1 and falls outside the rigid grid; it is reported unmapped.
 
+# the x residue mod 4 of slot 2t at level t = (iy - 1) mod 4; the other
+# node of that level is slot 2t + 1, two lattice steps to the right
+_FIRST_SLOT_RESIDUE = np.array([1, 2, 3, 2], dtype=np.int64)
+
+
 def velocity_slot_assignment(n: int):
     """Cell/slot coordinates for every interior velocity node in lex order.
 
     Returns (cells_j, cells_i, slots): integer arrays where slots run 0..7
     and cells may be -1 for off-grid nodes at the left edge.
     """
-    lim = 4 * n
-    jj, ii, ss = [], [], []
-    for iy in range(1, lim):
-        t = (iy - 1) % 4
-        j = (iy - 1) // 4
-        if t in (0, 2):
-            xs = range(1, lim, 2)
-        else:
-            xs = range(2, lim, 2)
-        for ix in xs:
-            if t == 0:
-                s, i = (0, (ix - 1) // 4) if ix % 4 == 1 else (1, (ix - 3) // 4)
-            elif t == 1:
-                s, i = (2, (ix - 2) // 4) if ix % 4 == 2 else (3, (ix - 4) // 4)
-            elif t == 2:
-                s, i = (4, (ix - 3) // 4) if ix % 4 == 3 else (5, (ix - 5) // 4)
-            else:
-                s, i = (6, (ix - 2) // 4) if ix % 4 == 2 else (7, (ix - 4) // 4)
-            jj.append(j)
-            ii.append(i)
-            ss.append(s)
-    return (np.asarray(jj, dtype=np.int64), np.asarray(ii, dtype=np.int64),
-            np.asarray(ss, dtype=np.int64))
+    ix, iy = velocity_lattice(n)
+    cells_j, level = np.divmod(iy - 1, 4)
+    r0 = _FIRST_SLOT_RESIDUE[level]
+    second = (ix % 4 != r0).astype(np.int64)
+    cells_i = (ix - r0 - 2 * second) // 4
+    return cells_j, cells_i, 2 * level + second
 
 
 def velocity_extension_map(n: int):

@@ -6,7 +6,9 @@ interior P2 nodes (vertices plus edge midpoints), pressure unknowns are all
 P1 vertices (square corners plus centers).  To keep orderings exact, every
 node is stored with integer coordinates over the common denominator 4n:
 corners sit at multiples of 4, centers at (4a+2, 4b+2), edge midpoints at
-the remaining even or odd lattice points.
+the remaining even or odd lattice points.  The P2 nodes are exactly the
+lattice points with ix + iy even, so every enumeration is read off a
+(4n+1)^2 lattice index array.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# intra-square triangle order: south, west, east, north
-_TRIANGLE_ORDER = ("south", "west", "east", "north")
 
 
 @dataclass(frozen=True)
@@ -30,11 +29,9 @@ class StructuredMesh:
     n: int
     vertices: np.ndarray          # (nv, 2) int, P1 vertex lattice coords
     triangles: np.ndarray         # (4n^2, 3) int, vertex indices, ccw
-    cell_order: np.ndarray        # (4n^2,) int, lexicographic cell index
     velocity_nodes: np.ndarray    # (nvel, 2) int, interior P2 node coords
     pressure_nodes: np.ndarray    # (npres, 2) int, all P1 vertex coords
     tri_velocity: np.ndarray = field(repr=False, default=None)  # (4n^2, 6) velocity dof or -1
-    tri_pressure: np.ndarray = field(repr=False, default=None)  # (4n^2, 3) pressure dof
 
     @property
     def denominator(self) -> int:
@@ -119,9 +116,41 @@ def saddle_dimension(n: int) -> int:
     return 2 * velocity_interior_count(n) + pressure_count(n)
 
 
-def _lex_order(coords: np.ndarray) -> np.ndarray:
-    """Sort key indices: primary y ascending, secondary x ascending."""
-    return np.lexsort((coords[:, 0], coords[:, 1]))
+# local lattice offsets from a square's south-west corner (4a, 4b) of the
+# three vertices of its south, west, east and north triangles, ccw, centre last
+_TRIANGLE_OFFSETS = np.array([
+    [(0, 0), (4, 0), (2, 2)],     # south: sw, se, c
+    [(0, 4), (0, 0), (2, 2)],     # west:  nw, sw, c
+    [(4, 0), (4, 4), (2, 2)],     # east:  se, ne, c
+    [(4, 4), (0, 4), (2, 2)],     # north: ne, nw, c
+], dtype=np.int64)
+
+
+def _lattice(n: int) -> np.ndarray:
+    """Stacked row and column coordinates (iy, ix) of the (4n+1)^2 lattice."""
+    return np.indices((4 * n + 1, 4 * n + 1), dtype=np.int64)
+
+
+def velocity_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (ix, iy) of the interior P2 nodes in y-major order.
+
+    They are exactly the lattice points 0 < ix, iy < 4n with ix + iy even:
+    the vertices (both coordinates = 0 or both = 2 mod 4) and the edge
+    midpoints, which average two of them.
+    """
+    iy, ix = _lattice(n)
+    lim = 4 * n
+    iy, ix = np.nonzero((ix > 0) & (ix < lim) & (iy > 0) & (iy < lim)
+                        & ((ix + iy) % 2 == 0))
+    return ix, iy
+
+
+def _numbering(iy: np.ndarray, ix: np.ndarray, size: int) -> np.ndarray:
+    """(size, size) lattice index array: the running number of each listed
+    point (iy, ix), -1 elsewhere."""
+    index = np.full((size, size), -1, dtype=np.int64)
+    index[iy, ix] = np.arange(len(ix))
+    return index
 
 
 def build_mesh(n: int) -> StructuredMesh:
@@ -129,90 +158,40 @@ def build_mesh(n: int) -> StructuredMesh:
 
     Triangles are ordered south, west, east, north within each square;
     squares run lexicographically with y as the slow index.  All DOF
-    enumerations are y-major lexicographic.
+    enumerations are y-major lexicographic, so a node's number is read off
+    a lattice index array.
     """
     if n < 1:
         raise ValueError(f"grid parameter must be >= 1, got {n}")
+    size = 4 * n + 1
 
-    # P1 vertices: corners (4a, 4b) then centers (4a+2, 4b+2), re-sorted lex.
-    corners = np.array([(4 * a, 4 * b) for b in range(n + 1) for a in range(n + 1)],
-                       dtype=np.int64)
-    centers = np.array([(4 * a + 2, 4 * b + 2) for b in range(n) for a in range(n)],
-                       dtype=np.int64)
-    vertices = np.vstack([corners, centers])
-    order = _lex_order(vertices)
-    vertices = vertices[order]
+    # P1 vertices: square corners (both coordinates = 0 mod 4) and centres
+    # (both = 2 mod 4); np.nonzero lists them y-major.
+    iy, ix = _lattice(n)
+    iy, ix = np.nonzero((ix % 2 == 0) & (ix % 4 == iy % 4))
+    vertices = np.column_stack([ix, iy])
+    vertex_index = _numbering(iy, ix, size)
 
-    vindex = {(int(x), int(y)): i for i, (x, y) in enumerate(vertices)}
+    vx, vy = velocity_lattice(n)
+    velocity_index = _numbering(vy, vx, size)
 
-    def vid(ix, iy):
-        return vindex[(ix, iy)]
-
-    triangles = []
-    cell_order = []
-    for b in range(n):
-        for a in range(n):
-            sw = vid(4 * a, 4 * b)
-            se = vid(4 * a + 4, 4 * b)
-            nw = vid(4 * a, 4 * b + 4)
-            ne = vid(4 * a + 4, 4 * b + 4)
-            c = vid(4 * a + 2, 4 * b + 2)
-            square = {
-                "south": (sw, se, c),
-                "west": (nw, sw, c),
-                "east": (se, ne, c),
-                "north": (ne, nw, c),
-            }
-            base = 4 * (b * n + a)
-            for k, name in enumerate(_TRIANGLE_ORDER):
-                triangles.append(square[name])
-                cell_order.append(base + k)
-    triangles = np.asarray(triangles, dtype=np.int64)
-    cell_order = np.asarray(cell_order, dtype=np.int64)
-
-    # P2 nodes: vertices plus edge midpoints; a node is interior iff it does
-    # not lie on the boundary of the square.
-    p2_nodes = set(map(tuple, vertices.tolist()))
-    for tri in triangles:
-        for i in range(3):
-            p = vertices[tri[i]]
-            q = vertices[tri[(i + 1) % 3]]
-            m = ((p[0] + q[0]) // 2, (p[1] + q[1]) // 2)
-            p2_nodes.add((int(m[0]), int(m[1])))
-    lim = 4 * n
-    interior = np.array(sorted((p for p in p2_nodes
-                                if 0 < p[0] < lim and 0 < p[1] < lim),
-                               key=lambda p: (p[1], p[0])), dtype=np.int64)
-
-    nvel = velocity_interior_count(n)
-    if len(interior) != nvel:
-        raise RuntimeError(
-            f"interior velocity DOF count {len(interior)} != closed form {nvel}")
-
-    velocity_index = {(int(x), int(y)): i for i, (x, y) in enumerate(interior)}
+    # lattice coordinates (4n^2, 3) of every triangle's vertices
+    b, a = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    tx = (4 * a[:, None, None] + _TRIANGLE_OFFSETS[None, :, :, 0]).reshape(-1, 3)
+    ty = (4 * b[:, None, None] + _TRIANGLE_OFFSETS[None, :, :, 1]).reshape(-1, 3)
+    triangles = vertex_index[ty, tx]
 
     # Local P2 node order per triangle: 3 vertices then midpoints of edges
     # (0,1), (1,2), (2,0).  Boundary nodes map to -1 (eliminated).
-    tri_velocity = np.full((len(triangles), 6), -1, dtype=np.int64)
-    tri_pressure = np.zeros((len(triangles), 3), dtype=np.int64)
-    for t, tri in enumerate(triangles):
-        for i in range(3):
-            p = tuple(vertices[tri[i]])
-            tri_velocity[t, i] = velocity_index.get((int(p[0]), int(p[1])), -1)
-            tri_pressure[t, i] = tri[i]
-        for i in range(3):
-            p = vertices[tri[i]]
-            q = vertices[tri[(i + 1) % 3]]
-            m = (int((p[0] + q[0]) // 2), int((p[1] + q[1]) // 2))
-            tri_velocity[t, 3 + i] = velocity_index.get(m, -1)
+    nxt = [1, 2, 0]
+    px = np.hstack([tx, (tx + tx[:, nxt]) // 2])
+    py = np.hstack([ty, (ty + ty[:, nxt]) // 2])
 
     return StructuredMesh(
         n=n,
         vertices=vertices,
         triangles=triangles,
-        cell_order=cell_order,
-        velocity_nodes=interior,
+        velocity_nodes=np.column_stack([vx, vy]),
         pressure_nodes=vertices.copy(),
-        tri_velocity=tri_velocity,
-        tri_pressure=tri_pressure,
+        tri_velocity=velocity_index[py, px],
     )

@@ -157,6 +157,7 @@ def test_config_file_and_override(tmp_path, capsys):
     assert row["cycles"] >= 1
     assert set(row["phase_seconds"]) == {"velocity", "schur_panels", "inverse"}
     assert row["velocity_min_pivot"] > 0
+    assert 0.0 <= row["schur_symmetry_defect"] <= 1e-10
 
 
 def test_thread_pool_env(monkeypatch):

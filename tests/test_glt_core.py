@@ -10,7 +10,7 @@ from glt_stokes.glt_core import (BlockSymbol, block_toeplitz_defect,
                                  dst1_matrix, extend_to_block_toeplitz,
                                  identity_kron, perm_Pi, perm_block,
                                  tau_approx, tau_eigenvalues,
-                                 toeplitz_from_symbol,
+                                 tau_from_symbol, toeplitz_from_symbol,
                                  velocity_extension_map,
                                  velocity_slot_assignment,
                                  zero_distribution_fraction)
@@ -182,6 +182,53 @@ def test_tau_rejects_small_n():
         tau_approx([1, -4, 6, -4, 1], 4)
 
 
+def _flat_coefficients(n):
+    """Stiffness coefficients summed over the flat cell offset
+    m = k1*n + k2, as {m: 8x8 matrix}."""
+    flat = {}
+    for k, C in default_symbol_set().stiffness.float_coefficients().items():
+        m = k[0] * n + k[1]
+        flat[m] = flat.get(m, 0.0) + C
+    return flat
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_tau_core_block_diagonal_under_dst(n):
+    # kron(DST-I, I_8) turns the extended tau core into N Hermitian 8x8
+    # blocks S_0 + sum_m 2cos(m theta_j) S_m, all positive definite
+    N = n * n
+    flat = _flat_coefficients(n)
+    S = {m: 0.5 * (flat.get(m, 0.0) + flat.get(-m, 0.0))
+         for m in range(1, n + 2)}
+    Q = np.kron(dst1_matrix(N), np.eye(8))
+    B = Q @ tau_from_symbol(default_symbol_set().stiffness, n).toarray() @ Q
+    scale = np.abs(B).max()
+    theta = np.arange(1, N + 1) * np.pi / (N + 1)
+    off = B.copy()
+    for j in range(N):
+        blk = slice(8 * j, 8 * j + 8)
+        expect = flat[0] + sum(2 * np.cos(m * theta[j]) * S[m] for m in S)
+        assert np.abs(B[blk, blk] - expect).max() <= 1e-13
+        assert np.linalg.eigvalsh(0.5 * (B[blk, blk] + B[blk, blk].T))[0] > 0
+        off[blk, blk] = 0.0
+    assert np.abs(off).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tau_core_classes_are_tau_of_flat_bands(n):
+    # every 8x8 entry class of the extended core, read over the flat cell
+    # index, is the tau matrix of that class's symmetrized flat band
+    N, b = n * n, n + 1
+    flat = _flat_coefficients(n)
+    core = tau_from_symbol(default_symbol_set().stiffness, n).toarray()
+    for r in range(8):
+        for c in range(8):
+            band = np.array([flat[m][r, c] if m in flat else 0.0
+                             for m in range(-b, b + 1)])
+            expect = tau_approx(0.5 * (band + band[::-1]), N)
+            assert np.abs(core[r::8, c::8] - expect).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # structural verification of the stiffness Toeplitz form
 
@@ -239,6 +286,16 @@ def test_slot_assignment_covers_all_nodes():
     assert int((~mask).sum()) == n
     off = mesh.velocity_nodes[~mask]
     assert np.all(off[:, 0] == 1) and np.all(off[:, 1] % 4 == 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_slot_offsets_within_cell(n):
+    # slot s of cell (j, i) sits at lattice point (4i, 4j) + offset[s]
+    offset = np.array([(1, 1), (3, 1), (2, 2), (4, 2),
+                       (3, 3), (5, 3), (2, 4), (4, 4)])
+    jj, ii, ss = velocity_slot_assignment(n)
+    nodes = np.column_stack([4 * ii, 4 * jj]) + offset[ss]
+    assert np.array_equal(nodes, build_mesh(n).velocity_nodes)
 
 
 # ---------------------------------------------------------------------------

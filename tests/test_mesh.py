@@ -81,10 +81,29 @@ def test_lexicographic_dof_order():
 
 def test_cell_order_south_west_east_north():
     mesh = build_mesh(2)
-    assert np.array_equal(mesh.cell_order, np.arange(16))
     # first square's four triangles share the center (2,2)
     center = [tuple(v) for v in mesh.vertices[mesh.triangles[0]]]
     assert (2, 2) in center
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_velocity_dofs_follow_lattice_rule(n):
+    # interior P2 nodes are the lattice points 0 < ix, iy < 4n with ix + iy
+    # even, numbered y-major; a triangle's row lists its 3 vertices, then
+    # the midpoints of edges (0,1), (1,2), (2,0), with -1 on the boundary
+    mesh = build_mesh(n)
+    lim = 4 * n
+    lattice = [(ix, iy) for iy in range(1, lim) for ix in range(1, lim)
+               if (ix + iy) % 2 == 0]
+    assert [tuple(p) for p in mesh.velocity_nodes.tolist()] == lattice
+    number = {p: i for i, p in enumerate(lattice)}
+    for tri, dofs in zip(mesh.triangles, mesh.tri_velocity):
+        p = [tuple(v) for v in mesh.vertices[tri].tolist()]
+        nodes = p + [((p[a][0] + p[b][0]) // 2, (p[a][1] + p[b][1]) // 2)
+                     for a, b in ((0, 1), (1, 2), (2, 0))]
+        for (ix, iy), dof in zip(nodes, dofs):
+            on_boundary = ix in (0, lim) or iy in (0, lim)
+            assert dof == (-1 if on_boundary else number[(ix, iy)])
 
 
 def test_dump_format():
