@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -117,7 +118,8 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     """One (group, case, n) PGMRES run; returns the results.csv row
     (the `SOLVE_COLUMNS`) plus the stop reason, the restart-cycle count
     and, when preconditioned, the build's phase timings, the smallest
-    velocity pivot and the Schur complement's relative symmetry defect."""
+    velocity pivot, the Schur complement's relative symmetry defect and
+    the thread count its panels were built with."""
     cfg.validate()
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
@@ -135,7 +137,8 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
                       maxit=cfg.maxit)
         build = {"phase_seconds": prec.phase_seconds,
                  "velocity_min_pivot": prec.velocity_solver.min_pivot,
-                 "schur_symmetry_defect": prec.schur_symmetry_defect}
+                 "schur_symmetry_defect": prec.schur_symmetry_defect,
+                 "schur_workers": prec.schur_workers}
     else:
         stats = gmres(M, b, None, restart=cfg.restart, tol=cfg.tol,
                       maxit=cfg.maxit)
@@ -176,21 +179,35 @@ PUBLISHED_ITERATIONS = {
 }
 
 
+# per-cell diagnostics of `run_solve_cell` that the table's JSON sidecar
+# keeps and its CSV body leaves out
+SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_min_pivot",
+                "schur_symmetry_defect", "schur_workers")
+
+
 def run_group_table(configs: list[ExperimentConfig], out_path: Path,
                     meta: dict | None = None) -> list[dict]:
     """PGMRES iteration table; cells run in a work pool, rows written in
-    config order.  Failed cells are recorded with converged=false."""
+    config order.  Failed cells are recorded with converged=false.
+
+    Next to the CSV, `<out>.json` holds one record per cell: its group,
+    case and n, the `SIDECAR_KEYS` diagnostics, the GMRES and whole-cell
+    wall times, and the error text of a failed cell (null otherwise).
+    """
     def cell(cfg):
+        t0 = time.perf_counter()
         try:
-            return run_solve_cell(cfg)
+            row = run_solve_cell(cfg)
         except Exception as exc:  # record and continue
-            return {
+            row = {
                 "group": cfg.group if cfg.group != 3 else f"3(gamma={cfg.gamma:g})",
                 "case": cfg.case, "n": cfg.n, "dim": saddle_dimension(cfg.n),
                 "strategy": cfg.strategy, "iterations": -1,
                 "final_residual": f"error: {exc}", "converged": False,
-                "seed": cfg.seed, "wall_time_s": "",
+                "seed": cfg.seed, "wall_time_s": "", "error": str(exc),
             }
+        row["cell_wall_s"] = time.perf_counter() - t0
+        return row
 
     with ThreadPoolExecutor(max_workers=thread_pool_size()) as pool:
         rows = list(pool.map(cell, configs))
@@ -213,6 +230,14 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
         header.append(f"# config: {json.dumps(meta, sort_keys=True)}")
     _write_csv(out_path, header, columns,
                [[row[c] for c in columns] for row in rows])
+    sidecar = [{"group": row["group"], "case": row["case"], "n": row["n"],
+                **{key: row.get(key) for key in SIDECAR_KEYS},
+                "gmres_wall_s": (float(row["wall_time_s"])
+                                 if row["wall_time_s"] else None),
+                "cell_wall_s": row["cell_wall_s"],
+                "error": row.get("error")} for row in rows]
+    out_path.with_name(out_path.name + ".json").write_text(
+        json.dumps(sidecar, indent=1))
     return rows
 
 

@@ -22,6 +22,18 @@ built in panels of pressure columns and deflated on the constant-pressure
 kernel; its Cholesky factor is turned into the dense inverse once, so an
 apply is a matrix product rather than two triangular solves.
 
+The panels are independent, and the sparse solves and products they make
+release the GIL, so on the main thread they run on a pool of
+`panel_workers()` threads: the CPUs this process may use divided by the
+BLAS threads the environment asks for (OPENBLAS_NUM_THREADS, else
+OMP_NUM_THREADS, else all CPUs, OpenBLAS's own default).  With the default
+threaded BLAS that is one worker and the loop runs inline; off the main
+thread (the `table` command's cell pool) it is always one, so pools never
+nest.  A task takes PANEL // workers columns, so as many columns are in
+flight as in the serial loop; with OpenBLAS the result is bitwise that of
+the serial loop (checked at n = 4 to 32).  The Schur complement is then
+symmetrized, deflated, factored and inverted in its one npres^2 array.
+
 Every sparse SPD block is factored one way, by `SPDSolver`: sparse LU
 under the symmetric minimum-degree ordering of A + A^T with diagonal
 pivots only.  Without row interchanges that LU is an LDL^T factorization,
@@ -32,7 +44,10 @@ separate eigenvalue estimate.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,6 +67,8 @@ __all__ = [
     "build_velocity_preconditioner",
     "build_schur",
     "schur_panels",
+    "panel_workers",
+    "symmetrize",
     "build_saddle_preconditioner",
     "tau_block_core",
     "viscosity_scaling",
@@ -67,6 +84,9 @@ STRATEGIES = ("tau_block", "frozen_sparse")
 # with panels of 8 to 64 pressure columns, longer with 128, and about twice
 # as long with all 2113 in one solve.
 PANEL = 32
+
+# Square tiles of the in-place passes over a dense npres x npres array.
+TILE = 256
 
 
 def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
@@ -165,60 +185,136 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     return SPDSolver(0.5 * (P + P.T))
 
 
+def _env_threads(name: str) -> int | None:
+    """A positive integer thread count from the environment, or None when
+    the variable is unset or holds anything else ("0", "2.5", "4,2")."""
+    try:
+        value = int(os.environ.get(name, ""))
+    except ValueError:
+        return None
+    return value if value > 0 else None
+
+
+def panel_workers() -> int:
+    """Threads for the Schur panels: the CPUs this process may use divided
+    by the BLAS thread count, at least 1; always 1 off the main thread.
+
+    The BLAS thread count is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS;
+    a variable that is unset or not a positive integer is skipped, and
+    with neither the count is all CPUs, as OpenBLAS assumes.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    blas = (_env_threads("OPENBLAS_NUM_THREADS")
+            or _env_threads("OMP_NUM_THREADS") or cpus)
+    return max(1, cpus // blas)
+
+
 def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
                  pa_solve: Callable) -> np.ndarray:
     """Dense B P_A^{-1} B^T = B_x P_A^{-1} B_x^T + B_y P_A^{-1} B_y^T,
-    PANEL pressure columns at a time.
+    one panel of pressure columns at a time.
 
     Each panel's B_x^T and B_y^T columns go through `pa_solve` as one dense
-    block, so B^T is never densified whole.
+    block, so B^T is never densified whole.  With `panel_workers()` > 1 the
+    panels, PANEL // workers columns each, run on that many threads; each
+    writes its own columns of S, and the first exception a panel raises is
+    raised here once the running panels are done and the rest cancelled.
     """
     npres = div_x.shape[0]
     bx_t, by_t = div_x.T.tocsc(), div_y.T.tocsc()
     S = np.empty((npres, npres))
-    for start in range(0, npres, PANEL):
-        panel = slice(start, min(start + PANEL, npres))
-        width = panel.stop - start
+    workers = panel_workers()
+    width = max(1, PANEL // workers)
+
+    def fill(start: int):
+        panel = slice(start, min(start + width, npres))
+        cols = panel.stop - start
         X = pa_solve(np.hstack([bx_t[:, panel].toarray(),
                                 by_t[:, panel].toarray()]))
-        S[:, panel] = div_x @ X[:, :width] + div_y @ X[:, width:]
+        S[:, panel] = div_x @ X[:, :cols] + div_y @ X[:, cols:]
+
+    starts = range(0, npres, width)
+    if workers == 1:
+        for start in starts:
+            fill(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
     return S
 
 
-def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
-    """Explicit dense Schur complement -B P_A^{-1} B^T from `schur_panels`,
-    and the inverse of its deflation.
+def _tile_pairs(size: int):
+    """(rows, cols) slices of the tiles on and above the diagonal."""
+    for i in range(0, size, TILE):
+        for j in range(i, size, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
 
-    Returns (schur, inverse_of_deflated_negative, relative_symmetry_defect,
-    seconds); the deflation is the rank-one shift by the normalized
-    constant-pressure projector, so the inverse acts as the pseudo-inverse
-    on the complement of the kernel.  `seconds` splits the build into its
-    "schur_panels" and "inverse" phases.
+
+def symmetrize(S: np.ndarray) -> float:
+    """Replace the square S by (S + S^T)/2 in place, tile by tile; return
+    the relative symmetry defect max|S - S^T| / max|S| of the input."""
+    scale = max(S.max(), -S.min(), 1e-300)
+    defect = 0.0
+    for rows, cols in _tile_pairs(len(S)):
+        upper, lower_t = S[rows, cols], S[cols, rows].T
+        defect = max(defect, np.abs(upper - lower_t).max())
+        sym = 0.5 * (upper + lower_t)
+        S[rows, cols] = sym
+        S[cols, rows] = sym.T
+    return float(defect / scale)
+
+
+def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
+    """Inverse of the deflated explicit Schur complement
+    B P_A^{-1} B^T + 1/npres, built from `schur_panels` in its one
+    npres x npres array.
+
+    Returns (inverse, relative_symmetry_defect, seconds); the deflation is
+    the rank-one shift by the normalized constant-pressure projector, so
+    the inverse acts as the pseudo-inverse of B P_A^{-1} B^T on the
+    complement of the kernel.  After `symmetrize` and the shift, the array
+    is factored and inverted in place through its transpose, the Fortran
+    view of the same symmetric matrix; the lower triangle that LAPACK
+    leaves is mirrored tile by tile, and the inverse is returned
+    C-contiguous.  `seconds` splits the build into its "schur_panels" and
+    "inverse" phases.
     """
     t0 = time.perf_counter()
     S = schur_panels(div_x, div_y, pa_solve)
     t1 = time.perf_counter()
-    npres = S.shape[0]
-    sym_defect = float(np.abs(S - S.T).max() / max(np.abs(S).max(), 1e-300))
-    S = 0.5 * (S + S.T)
-    deflated = S + 1.0 / npres
+    sym_defect = symmetrize(S)
+    S += 1.0 / len(S)
     try:
-        cho, lower = sla.cho_factor(deflated, lower=True)
+        cho, lower = sla.cho_factor(S.T, lower=True, overwrite_a=True)
     except sla.LinAlgError as exc:
         raise ValueError(f"Schur factorization failed after deflation: {exc}")
     inv, info = sla.lapack.dpotri(cho, lower=lower, overwrite_c=True)
     if info != 0:
         raise ValueError(f"Schur inversion failed after deflation: info {info}")
-    inv = np.tril(inv)
-    inv += np.tril(inv, -1).T
-    return -S, inv, sym_defect, {"schur_panels": t1 - t0,
-                                 "inverse": time.perf_counter() - t1}
+    # the C view holds the inverse in its upper triangle
+    inv = inv.T
+    for rows, cols in _tile_pairs(len(inv)):
+        if rows == cols:
+            tile = inv[rows, cols]
+            low = np.tril_indices(len(tile), -1)
+            tile[low] = tile.T[low]
+        else:
+            inv[cols, rows] = inv[rows, cols].T
+    return inv, sym_defect, {"schur_panels": t1 - t0,
+                             "inverse": time.perf_counter() - t1}
 
 
 @dataclass
 class SaddlePreconditioner:
     """Block-diagonal preconditioner diag(P_A, P_A, -Schur) with apply.
 
+    Only the inverse of the deflated Schur complement is kept.
+    `schur_workers` is the thread count its panels were built with, and
     `phase_seconds` times the build: "velocity" (the velocity
     preconditioner and its factorization), "schur_panels" and "inverse".
     """
@@ -226,9 +322,9 @@ class SaddlePreconditioner:
     n: int
     strategy: str
     velocity_solver: SPDSolver
-    schur: np.ndarray
-    schur_inverse: np.ndarray = field(repr=False, default=None)
+    schur_inverse: np.ndarray = field(repr=False)
     schur_symmetry_defect: float = 0.0
+    schur_workers: int = 1
     phase_seconds: dict = field(default_factory=dict)
 
     @property
@@ -237,7 +333,7 @@ class SaddlePreconditioner:
 
     @property
     def dimension(self) -> int:
-        return 2 * self.velocity_count + self.schur.shape[0]
+        return 2 * self.velocity_count + len(self.schur_inverse)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Blockwise inverse of a (dim,) residual or a (dim, k) block of
@@ -246,7 +342,7 @@ class SaddlePreconditioner:
         multiplied by the deflated inverse, so it annihilates that
         direction."""
         nvel = self.velocity_count
-        npres = self.schur.shape[0]
+        npres = len(self.schur_inverse)
         if len(r) != 2 * nvel + npres:
             raise ValueError(
                 f"residual length {len(r)} != saddle dimension {2 * nvel + npres}")
@@ -271,9 +367,10 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     vel = build_velocity_preconditioner(mesh, mu, strategy,
                                         stiffness=system.stiffness)
     t1 = time.perf_counter()
-    schur, inverse, sym_defect, seconds = build_schur(
+    inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
     return SaddlePreconditioner(
         n=mesh.n, strategy=strategy, velocity_solver=vel,
-        schur=schur, schur_inverse=inverse, schur_symmetry_defect=sym_defect,
+        schur_inverse=inverse, schur_symmetry_defect=sym_defect,
+        schur_workers=panel_workers(),
         phase_seconds={"velocity": t1 - t0, **seconds})

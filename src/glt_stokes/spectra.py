@@ -18,7 +18,8 @@ of the full-size one.
 
 The strip-viscosity condition numbers reduce the mass-preconditioned
 saddle spectrum to a pressure-size Schur pencil, whose Schur complement
-is built in panels through the pivot-checked `SPDSolver` of the stiffness.
+is built in panels through the pivot-checked `SPDSolver` of the stiffness
+and symmetrized in place.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 
 from .assembly import ViscosityField
 from .glt_core import BlockSymbol
-from .precond import SPDSolver, schur_panels
+from .precond import SPDSolver, schur_panels, symmetrize
 
 __all__ = [
     "symmetric_eigenvalues",
@@ -241,7 +242,7 @@ def saddle_pencil_eigenvalues(system) -> np.ndarray:
     """
     S = schur_panels(system.div_x, system.div_y,
                      SPDSolver(system.stiffness).solve)
-    S = 0.5 * (S + S.T)
+    symmetrize(S)
     W = system.pressure_mass.toarray()
     s_vals = sla.eigh(S, W, eigvals_only=True)
     s_vals = np.maximum(s_vals, 0.0)

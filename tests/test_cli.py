@@ -8,6 +8,7 @@ from glt_stokes.cli import (ExperimentConfig, emit_adherence_data,
                             example1_conformity, main, rhs_for_case,
                             run_group_table, run_solve_cell)
 from glt_stokes.mesh import build_mesh
+from glt_stokes.precond import panel_workers
 
 
 def test_mesh_info_command(capsys, tmp_path):
@@ -105,6 +106,37 @@ def test_table_reproducible(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_table_json_sidecar(tmp_path):
+    out = tmp_path / "results.csv"
+    cfgs = [ExperimentConfig(n=2, group=1, case="a"),
+            ExperimentConfig(n=2, group=3, gamma=10.0, case="c"),
+            ExperimentConfig(n=2, group=1, case="z")]
+    rows = run_group_table(cfgs, out)
+    body = out.read_text()
+    records = json.loads((tmp_path / "results.csv.json").read_text())
+    assert [(r["group"], r["case"], r["n"]) for r in records] == \
+        [(1, "a", 2), ("3(gamma=10)", "c", 2), (1, "z", 2)]
+    for rec, row in zip(records[:2], rows):
+        assert rec["error"] is None
+        assert rec["stop_reason"] == row["stop_reason"]
+        assert rec["cycles"] == row["cycles"] >= 1
+        assert set(rec["phase_seconds"]) == {"velocity", "schur_panels",
+                                             "inverse"}
+        assert rec["velocity_min_pivot"] > 0
+        assert 0.0 <= rec["schur_symmetry_defect"] <= 1e-10
+        assert rec["schur_workers"] == 1  # cells run off the main thread
+        assert rec["gmres_wall_s"] == float(row["wall_time_s"])
+        assert rec["cell_wall_s"] >= rec["gmres_wall_s"]
+    failed = records[2]
+    assert "case must be one of" in failed["error"]
+    assert failed["stop_reason"] is None and failed["gmres_wall_s"] is None
+    assert failed["cell_wall_s"] >= 0
+    # the diagnostics stay out of the CSV
+    assert body.splitlines()[2] == ("group,case,n,dim,strategy,iterations,"
+                                    "final_residual,converged,seed,"
+                                    "published,iterations_per_n")
+
+
 def test_example1_conformity_errors():
     with pytest.raises(ValueError, match="multiple"):
         example1_conformity(7, 0.1, 0.0)
@@ -158,6 +190,7 @@ def test_config_file_and_override(tmp_path, capsys):
     assert set(row["phase_seconds"]) == {"velocity", "schur_panels", "inverse"}
     assert row["velocity_min_pivot"] > 0
     assert 0.0 <= row["schur_symmetry_defect"] <= 1e-10
+    assert row["schur_workers"] == panel_workers()
 
 
 def test_thread_pool_env(monkeypatch):

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,9 +11,11 @@ from glt_stokes.assembly import (ViscosityField, assemble_saddle,
                                  assemble_stiffness, viscosity_for_group)
 from glt_stokes.glt_core import zero_distribution_fraction
 from glt_stokes.mesh import build_mesh
-from glt_stokes.precond import (PANEL, STRATEGIES, SPDSolver,
+from glt_stokes import precond
+from glt_stokes.precond import (PANEL, STRATEGIES, TILE, SPDSolver,
                                 build_saddle_preconditioner, build_schur,
-                                build_velocity_preconditioner, tau_block_core,
+                                build_velocity_preconditioner, panel_workers,
+                                schur_panels, symmetrize, tau_block_core,
                                 viscosity_scaling)
 
 ONE = ViscosityField.constant(1.0)
@@ -136,27 +142,28 @@ def test_schur_properties():
     system = assemble_saddle(mesh, mu)
     vel = build_velocity_preconditioner(mesh, mu, "tau_block",
                                         stiffness=system.stiffness)
-    schur, inverse, sym_defect, seconds = build_schur(
+    inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
     assert sym_defect <= 1e-10
     assert set(seconds) == {"schur_panels", "inverse"}
     assert min(seconds.values()) >= 0
-    w = np.linalg.eigvalsh(schur)
-    assert w[-1] < 1e-12          # negative semidefinite
+    S = schur_panels(system.div_x, system.div_y, vel.solve)  # B P^-1 B^T
+    w = np.linalg.eigvalsh(S)
+    assert w[0] > -1e-12          # positive semidefinite
     assert np.sum(np.abs(w) < 1e-10) == 1   # exactly one kernel direction
-    npres = schur.shape[0]
+    npres = S.shape[0]
     ones = np.ones(npres)
-    assert np.abs(schur @ ones).max() < 1e-12
-    # the stored inverse is the full symmetric inverse of the deflated -S
+    assert np.abs(S @ ones).max() < 1e-12
+    # the stored inverse is the full symmetric inverse of the deflated S
     assert np.array_equal(inverse, inverse.T)
-    assert np.abs(inverse @ (1.0 / npres - schur) - np.eye(npres)).max() < 1e-12
+    assert np.abs(inverse @ (S + 1.0 / npres) - np.eye(npres)).max() < 1e-12
 
 
 def test_schur_smallest_system():
     mesh = build_mesh(1)
     system = assemble_saddle(mesh, ONE)
     vel = build_velocity_preconditioner(mesh, ONE, "frozen_sparse")
-    schur, _, _, _ = build_schur(system.div_x, system.div_y, vel.solve)
+    schur = schur_panels(system.div_x, system.div_y, vel.solve)
     assert schur.shape == (5, 5)
     assert np.linalg.matrix_rank(schur, tol=1e-10) == 4
     kernel = np.linalg.svd(schur)[2][-1]
@@ -238,11 +245,12 @@ def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
     P = prec.velocity_solver.matrix.toarray()
     Bx, By = system.div_x.toarray(), system.div_y.toarray()
     S = Bx @ np.linalg.solve(P, Bx.T) + By @ np.linalg.solve(P, By.T)
-    assert np.abs(-prec.schur - S).max() <= 1e-13 * np.abs(S).max()
+    panels = schur_panels(system.div_x, system.div_y, prec.velocity_solver.solve)
+    assert np.abs(panels - S).max() <= 1e-13 * np.abs(S).max()
 
     # the former apply: one velocity solve per component, cho_solve on the
     # deflated Schur complement
-    cho = sla.cho_factor(1.0 / npres - prec.schur, lower=True)
+    cho = sla.cho_factor(panels + 1.0 / npres, lower=True)
 
     def reference(R):
         out = np.empty_like(R)
@@ -259,3 +267,140 @@ def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
         got = prec.apply(R)
         assert got.shape == R.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# threaded Schur panels and the in-place inverse
+
+def _fixed_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("openblas,omp,workers", [
+    (None, None, 1),      # BLAS takes every CPU
+    ("1", None, 4),
+    ("2", None, 2),
+    ("3", None, 1),
+    ("8", None, 1),       # at least one worker
+    (None, "2", 2),       # OMP_NUM_THREADS when OPENBLAS_NUM_THREADS is unset
+    ("1", "4", 4),        # OPENBLAS_NUM_THREADS first
+    # a value that is not a positive integer counts as unset
+    ("2.5", "1", 4),
+    ("abc", None, 1),
+    ("0", "2", 2),
+    (None, "4,2", 1),
+])
+def test_panel_workers_rule(monkeypatch, openblas, omp, workers):
+    _fixed_cpus(monkeypatch, 4)
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas),
+                        ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    assert panel_workers() == workers
+
+
+def test_panel_workers_one_off_main_thread(monkeypatch):
+    _fixed_cpus(monkeypatch, 4)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(panel_workers()))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert panel_workers() == 4 and seen == [1]
+
+
+def _panels_with(monkeypatch, workers, system, solve):
+    monkeypatch.setattr(precond, "panel_workers", lambda: workers)
+    return schur_panels(system.div_x, system.div_y, solve)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
+def test_schur_panels_two_workers_bitwise(monkeypatch, group, gamma, n):
+    # npres = 41 and 145 are not multiples of the 2-worker task width
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(group, gamma)
+    system = assemble_saddle(mesh, mu)
+    assert system.pressure_count % (PANEL // 2) != 0
+    vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
+    serial = _panels_with(monkeypatch, 1, system, vel.solve)
+    threaded = _panels_with(monkeypatch, 2, system, vel.solve)
+    assert np.array_equal(serial, threaded)
+
+
+def test_schur_panels_many_workers_under_fast_switching(monkeypatch, setup8):
+    # more workers than cores, 4-column tasks, a thread switch every
+    # microsecond: a lost or misplaced column write would show
+    _, _, system = setup8
+    vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
+    serial = _panels_with(monkeypatch, 1, system, vel.solve)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _panels_with(monkeypatch, 8, system, vel.solve)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial, threaded)
+
+
+def test_schur_panels_repeatable_on_shared_solver(monkeypatch):
+    mesh = build_mesh(16)
+    mu = viscosity_for_group(2)
+    system = assemble_saddle(mesh, mu)
+    vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
+    first = _panels_with(monkeypatch, 2, system, vel.solve)
+    for _ in range(2):
+        assert np.array_equal(_panels_with(monkeypatch, 2, system, vel.solve),
+                              first)
+
+
+class PanelFailure(RuntimeError):
+    pass
+
+
+def test_schur_panels_worker_exception_propagates(monkeypatch, setup8):
+    _, _, system = setup8
+    vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
+    calls, lock = [], threading.Lock()
+
+    def flaky(rhs):
+        with lock:
+            calls.append(1)
+            fail = len(calls) == 3
+        if fail:
+            raise PanelFailure("third panel")
+        return vel.solve(rhs)
+
+    before = threading.active_count()
+    with pytest.raises(PanelFailure, match="third panel"):
+        _panels_with(monkeypatch, 2, system, flaky)
+    assert threading.active_count() == before
+
+
+def test_symmetrize_matches_dense_formula():
+    # three tiles, the last one partial
+    A = np.random.default_rng(5).standard_normal((2 * TILE + 37,) * 2)
+    expected = 0.5 * (A + A.T)
+    defect = np.abs(A - A.T).max() / np.abs(A).max()
+    assert symmetrize(A) == defect
+    assert np.array_equal(A, expected)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_in_place_inverse(n):
+    # npres = 545 at n = 16 spans three tiles
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(3, 100.0)
+    system = assemble_saddle(mesh, mu)
+    vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
+    S = schur_panels(system.div_x, system.div_y, vel.solve)
+    inverse, defect, _ = build_schur(system.div_x, system.div_y, vel.solve)
+    assert inverse.flags.c_contiguous
+    assert np.array_equal(inverse, inverse.T)
+    assert defect == np.abs(S - S.T).max() / max(np.abs(S).max(), 1e-300)
+    deflated = 0.5 * (S + S.T) + 1.0 / len(S)
+    assert np.abs(inverse @ deflated - np.eye(len(S))).max() < 1e-10
