@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,8 @@ from . import __version__
 from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
                        assemble_stiffness, viscosity_for_group)
 from .mesh import StructuredMesh, build_mesh, saddle_dimension
-from .precond import STRATEGIES, build_saddle_preconditioner
+from .precond import (STRATEGIES, _env_threads, build_saddle_preconditioner,
+                      env_blas_threads, usable_cpus)
 from .solvers import gmres, minres
 from .spectra import (DEFAULT_GRID, sample_saddle_symbol, sample_symbol,
                       singular_values, symmetric_eigenvalues, weyl_distance)
@@ -74,10 +74,9 @@ class ExperimentConfig:
 
 
 def thread_pool_size() -> int:
-    env = os.environ.get("GLT_STOKES_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    """Threads of the `table` cell pool: GLT_STOKES_THREADS when it is a
+    positive integer, else the CPUs this process may use, at most 4."""
+    return _env_threads("GLT_STOKES_THREADS") or min(4, usable_cpus())
 
 
 def _write_csv(path: Path, header_lines, columns, rows):
@@ -109,6 +108,15 @@ def rhs_for_case(case: str, mesh: StructuredMesh, dim: int,
     raise ValueError(f"unknown case {case!r}")
 
 
+def group_label(cfg: ExperimentConfig):
+    """The group column of a table row: 1, 2, or 3(gamma=...) for group 3
+    (3(gamma=None) for a config that lacks the gamma group 3 needs)."""
+    if cfg.group != 3:
+        return cfg.group
+    gamma = "None" if cfg.gamma is None else f"{cfg.gamma:g}"
+    return f"3(gamma={gamma})"
+
+
 # columns of the `solve` command's CSV, in the order of `run_solve_cell`'s row
 SOLVE_COLUMNS = ("group", "case", "n", "dim", "strategy", "iterations",
                  "final_residual", "converged", "seed", "wall_time_s")
@@ -118,8 +126,9 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     """One (group, case, n) PGMRES run; returns the results.csv row
     (the `SOLVE_COLUMNS`) plus the stop reason, the restart-cycle count
     and, when preconditioned, the build's phase timings, the smallest
-    velocity pivot, the Schur complement's relative symmetry defect and
-    the thread count its panels were built with."""
+    velocity pivot, the Schur complement's relative symmetry defect, the
+    thread count its panels were built with and the threads an apply
+    uses."""
     cfg.validate()
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
@@ -138,12 +147,13 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
         build = {"phase_seconds": prec.phase_seconds,
                  "velocity_min_pivot": prec.velocity_solver.min_pivot,
                  "schur_symmetry_defect": prec.schur_symmetry_defect,
-                 "schur_workers": prec.schur_workers}
+                 "schur_workers": prec.schur_workers,
+                 "apply_workers": prec.apply_workers}
     else:
         stats = gmres(M, b, None, restart=cfg.restart, tol=cfg.tol,
                       maxit=cfg.maxit)
     return {
-        "group": cfg.group if cfg.group != 3 else f"3(gamma={cfg.gamma:g})",
+        "group": group_label(cfg),
         "case": cfg.case,
         "n": cfg.n,
         "dim": system.dimension,
@@ -182,7 +192,7 @@ PUBLISHED_ITERATIONS = {
 # per-cell diagnostics of `run_solve_cell` that the table's JSON sidecar
 # keeps and its CSV body leaves out
 SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_min_pivot",
-                "schur_symmetry_defect", "schur_workers")
+                "schur_symmetry_defect", "schur_workers", "apply_workers")
 
 
 def run_group_table(configs: list[ExperimentConfig], out_path: Path,
@@ -191,8 +201,10 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
     config order.  Failed cells are recorded with converged=false.
 
     Next to the CSV, `<out>.json` holds one record per cell: its group,
-    case and n, the `SIDECAR_KEYS` diagnostics, the GMRES and whole-cell
-    wall times, and the error text of a failed cell (null otherwise).
+    case and n, the `SIDECAR_KEYS` diagnostics, the BLAS thread count the
+    environment asks for (`env_blas_threads()`, null when it asks for
+    none), the GMRES and whole-cell wall times, and the error text of a
+    failed cell (null otherwise).
     """
     def cell(cfg):
         t0 = time.perf_counter()
@@ -200,8 +212,8 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
             row = run_solve_cell(cfg)
         except Exception as exc:  # record and continue
             row = {
-                "group": cfg.group if cfg.group != 3 else f"3(gamma={cfg.gamma:g})",
-                "case": cfg.case, "n": cfg.n, "dim": saddle_dimension(cfg.n),
+                "group": group_label(cfg), "case": cfg.case, "n": cfg.n,
+                "dim": saddle_dimension(cfg.n) if cfg.n >= 1 else "",
                 "strategy": cfg.strategy, "iterations": -1,
                 "final_residual": f"error: {exc}", "converged": False,
                 "seed": cfg.seed, "wall_time_s": "", "error": str(exc),
@@ -230,8 +242,10 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
         header.append(f"# config: {json.dumps(meta, sort_keys=True)}")
     _write_csv(out_path, header, columns,
                [[row[c] for c in columns] for row in rows])
+    blas_threads = env_blas_threads()
     sidecar = [{"group": row["group"], "case": row["case"], "n": row["n"],
                 **{key: row.get(key) for key in SIDECAR_KEYS},
+                "blas_threads": blas_threads,
                 "gmres_wall_s": (float(row["wall_time_s"])
                                  if row["wall_time_s"] else None),
                 "cell_wall_s": row["cell_wall_s"],

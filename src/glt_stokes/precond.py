@@ -34,6 +34,20 @@ flight as in the serial loop; with OpenBLAS the result is bitwise that of
 the serial loop (checked at n = 4 to 32).  The Schur complement is then
 symmetrized, deflated, factored and inverted in its one npres^2 array.
 
+An apply has two independent halves: the two-column velocity solve and
+the product of the projected pressure residual with the Schur inverse.
+Both release the GIL, so when BLAS leaves a CPU idle the pressure half
+runs on one helper thread, made once per process on first use, while the
+calling thread does the velocity solve.  Each half does the same
+operations on the same arrays as in the serial order, so the result is
+bitwise the same.  The overlap needs `panel_workers()` > 1 (so never with
+the default threaded BLAS, and never off the main thread) and at least
+OVERLAP_PRESSURE pressure unknowns, below which a round trip to the
+helper costs more than it saves.  A sweep of G2 applies at n = 16 to 32
+with single-threaded BLAS on 2 CPUs set that threshold: overlapping lost
+up to n = 18 (npres 685), was mixed at n = 20 and won from n = 22 (npres
+1013) on, reaching 4.2 -> 2.4 ms per apply at n = 32.
+
 Every sparse SPD block is factored one way, by `SPDSolver`: sparse LU
 under the symmetric minimum-degree ordering of A + A^T with diagonal
 pivots only.  Without row interchanges that LU is an LDL^T factorization,
@@ -44,6 +58,7 @@ separate eigenvalue estimate.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -68,6 +83,8 @@ __all__ = [
     "build_schur",
     "schur_panels",
     "panel_workers",
+    "env_blas_threads",
+    "usable_cpus",
     "symmetrize",
     "build_saddle_preconditioner",
     "tau_block_core",
@@ -87,6 +104,17 @@ PANEL = 32
 
 # Square tiles of the in-place passes over a dense npres x npres array.
 TILE = 256
+
+# Smallest pressure count at which an apply overlaps its two halves (see
+# `SaddlePreconditioner.apply`).  Serial against overlapped apply time, G2,
+# single-threaded BLAS on 2 CPUs, medians of 10 alternated trials: npres
+# 545 (n = 16) 0.52-0.72 ms against 0.61-0.79 ms, 685 (n = 18) 0.90 against
+# 0.99 ms, 841 (n = 20) 0.94-1.22 against 0.80-1.12 ms (won 3, 10 and 7 of
+# 10 trials in three sweeps), 1013 (n = 22) 1.34 against 1.00 ms, 1201
+# (n = 24) 1.60-1.87 against 1.27-1.36 ms, 1625 (n = 28) 2.85 against 1.99
+# ms, 2113 (n = 32) 4.22 against 2.43 ms.  One round trip to the helper
+# costs about 0.05 ms, so small systems stay serial.
+OVERLAP_PRESSURE = 1000
 
 
 def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
@@ -195,23 +223,41 @@ def _env_threads(name: str) -> int | None:
     return value if value > 0 else None
 
 
+def env_blas_threads() -> int | None:
+    """The BLAS thread count the environment asks for: OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS, each skipped when unset or not a positive
+    integer; None when neither gives one."""
+    return (_env_threads("OPENBLAS_NUM_THREADS")
+            or _env_threads("OMP_NUM_THREADS"))
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def panel_workers() -> int:
     """Threads for the Schur panels: the CPUs this process may use divided
     by the BLAS thread count, at least 1; always 1 off the main thread.
 
-    The BLAS thread count is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS;
-    a variable that is unset or not a positive integer is skipped, and
-    with neither the count is all CPUs, as OpenBLAS assumes.
+    The BLAS thread count is `env_blas_threads()`, and with neither
+    variable set it is all CPUs, as OpenBLAS assumes.
     """
     if threading.current_thread() is not threading.main_thread():
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    blas = (_env_threads("OPENBLAS_NUM_THREADS")
-            or _env_threads("OMP_NUM_THREADS") or cpus)
-    return max(1, cpus // blas)
+    cpus = usable_cpus()
+    return max(1, cpus // (env_blas_threads() or cpus))
+
+
+@functools.cache
+def _helper() -> ThreadPoolExecutor:
+    """The process's one apply helper thread, made on first use; only
+    applies on the main thread call this, so the first use needs no lock."""
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="glt-stokes-apply")
 
 
 def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
@@ -317,6 +363,9 @@ class SaddlePreconditioner:
     `schur_workers` is the thread count its panels were built with, and
     `phase_seconds` times the build: "velocity" (the velocity
     preconditioner and its factorization), "schur_panels" and "inverse".
+    `apply_workers` is 2 when an apply on the main thread overlaps its two
+    halves (`panel_workers()` > 1 at build time and npres at least
+    OVERLAP_PRESSURE), else 1.
     """
 
     n: int
@@ -325,6 +374,7 @@ class SaddlePreconditioner:
     schur_inverse: np.ndarray = field(repr=False)
     schur_symmetry_defect: float = 0.0
     schur_workers: int = 1
+    apply_workers: int = 1
     phase_seconds: dict = field(default_factory=dict)
 
     @property
@@ -340,7 +390,16 @@ class SaddlePreconditioner:
         them; both velocity components go through one solve, and the
         pressure part is projected off the constant direction and
         multiplied by the deflated inverse, so it annihilates that
-        direction."""
+        direction.
+
+        With `apply_workers` == 2 and a call on the main thread, the
+        pressure half runs on the module's helper thread while this thread
+        does the velocity solve; each half writes its own rows of the
+        result, which is bitwise that of the serial order.  An exception
+        in either half reaches the caller once both are done.  Below
+        OVERLAP_PRESSURE (set from the sweep in the module docstring) and
+        with the default threaded BLAS the halves run in turn.
+        """
         nvel = self.velocity_count
         npres = len(self.schur_inverse)
         if len(r) != 2 * nvel + npres:
@@ -348,11 +407,27 @@ class SaddlePreconditioner:
                 f"residual length {len(r)} != saddle dimension {2 * nvel + npres}")
         R = np.asarray(r, dtype=float).reshape(len(r), -1)
         k = R.shape[1]
-        X = self.velocity_solver.solve(np.hstack([R[:nvel], R[nvel:2 * nvel]]))
         out = np.empty_like(R)
-        out[:nvel], out[nvel:2 * nvel] = X[:, :k], X[:, k:]
-        rp = R[2 * nvel:]
-        out[2 * nvel:] = self.schur_inverse @ (rp - rp.sum(axis=0) / npres)
+
+        def velocity_half():
+            X = self.velocity_solver.solve(
+                np.hstack([R[:nvel], R[nvel:2 * nvel]]))
+            out[:nvel], out[nvel:2 * nvel] = X[:, :k], X[:, k:]
+
+        def pressure_half():
+            rp = R[2 * nvel:]
+            out[2 * nvel:] = self.schur_inverse @ (rp - rp.sum(axis=0) / npres)
+
+        if (self.apply_workers > 1
+                and threading.current_thread() is threading.main_thread()):
+            pressure = _helper().submit(pressure_half)
+            try:
+                velocity_half()
+            finally:
+                pressure.result()
+        else:
+            velocity_half()
+            pressure_half()
         return out.reshape(np.shape(r))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -369,8 +444,10 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     t1 = time.perf_counter()
     inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
+    workers = panel_workers()
+    overlap = workers > 1 and len(inverse) >= OVERLAP_PRESSURE
     return SaddlePreconditioner(
         n=mesh.n, strategy=strategy, velocity_solver=vel,
         schur_inverse=inverse, schur_symmetry_defect=sym_defect,
-        schur_workers=panel_workers(),
+        schur_workers=workers, apply_workers=2 if overlap else 1,
         phase_seconds={"velocity": t1 - t0, **seconds})

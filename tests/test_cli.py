@@ -7,6 +7,7 @@ import scipy.io
 from glt_stokes.cli import (ExperimentConfig, emit_adherence_data,
                             example1_conformity, main, rhs_for_case,
                             run_group_table, run_solve_cell)
+from glt_stokes import precond
 from glt_stokes.mesh import build_mesh
 from glt_stokes.precond import panel_workers
 
@@ -106,7 +107,28 @@ def test_table_reproducible(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
-def test_table_json_sidecar(tmp_path):
+def test_table_records_invalid_cells(tmp_path):
+    # a group-3 config without gamma, and one with n = 0, whose failed-row
+    # labels once raised inside the handler and aborted the table
+    cfgs = [ExperimentConfig(n=2, group=3, case="a"), ExperimentConfig(n=0)]
+    messages = []
+    for cfg in cfgs:
+        with pytest.raises(ValueError) as info:
+            cfg.validate()
+        messages.append(str(info.value))
+    out = tmp_path / "results.csv"
+    rows = run_group_table(cfgs, out)
+    assert [row["error"] for row in rows] == messages
+    assert [row["group"] for row in rows] == ["3(gamma=None)", 1]
+    assert [row["dim"] for row in rows] == [63, ""]
+    assert all(row["converged"] is False and row["iterations"] == -1
+               for row in rows)
+    records = json.loads((tmp_path / "results.csv.json").read_text())
+    assert [r["error"] for r in records] == messages
+
+
+def test_table_json_sidecar(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     out = tmp_path / "results.csv"
     cfgs = [ExperimentConfig(n=2, group=1, case="a"),
             ExperimentConfig(n=2, group=3, gamma=10.0, case="c"),
@@ -125,16 +147,35 @@ def test_table_json_sidecar(tmp_path):
         assert rec["velocity_min_pivot"] > 0
         assert 0.0 <= rec["schur_symmetry_defect"] <= 1e-10
         assert rec["schur_workers"] == 1  # cells run off the main thread
+        assert rec["apply_workers"] == 1
+        assert rec["blas_threads"] == 3
         assert rec["gmres_wall_s"] == float(row["wall_time_s"])
         assert rec["cell_wall_s"] >= rec["gmres_wall_s"]
     failed = records[2]
     assert "case must be one of" in failed["error"]
     assert failed["stop_reason"] is None and failed["gmres_wall_s"] is None
+    assert failed["apply_workers"] is None and failed["blas_threads"] == 3
     assert failed["cell_wall_s"] >= 0
     # the diagnostics stay out of the CSV
     assert body.splitlines()[2] == ("group,case,n,dim,strategy,iterations,"
                                     "final_residual,converged,seed,"
                                     "published,iterations_per_n")
+
+
+@pytest.mark.parametrize("openblas,omp,expected", [
+    (None, None, None), ("2", "4", 2), ("abc", "4", 4), ("0", None, None)])
+def test_table_sidecar_blas_threads(tmp_path, monkeypatch, openblas, omp,
+                                    expected):
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas),
+                        ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    out = tmp_path / "results.csv"
+    run_group_table([ExperimentConfig(n=1, group=1, case="a")], out)
+    records = json.loads((tmp_path / "results.csv.json").read_text())
+    assert records[0]["blas_threads"] == expected
 
 
 def test_example1_conformity_errors():
@@ -191,16 +232,24 @@ def test_config_file_and_override(tmp_path, capsys):
     assert row["velocity_min_pivot"] > 0
     assert 0.0 <= row["schur_symmetry_defect"] <= 1e-10
     assert row["schur_workers"] == panel_workers()
+    assert row["apply_workers"] == 1  # npres = 13 < OVERLAP_PRESSURE
 
 
 def test_thread_pool_env(monkeypatch):
     from glt_stokes.cli import thread_pool_size
-    monkeypatch.setenv("GLT_STOKES_THREADS", "2")
-    assert thread_pool_size() == 2
-    monkeypatch.setenv("GLT_STOKES_THREADS", "0")
-    assert thread_pool_size() == 1
+    monkeypatch.setattr(precond.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 5, 7, 9}, raising=False)
+    monkeypatch.delenv("GLT_STOKES_THREADS", raising=False)
+    assert thread_pool_size() == 4  # six usable CPUs, at most four
+    # anything but a positive integer counts as unset
+    for value, size in (("2", 2), ("3", 3), ("abc", 4), ("0", 4),
+                        ("-2", 4), ("2.5", 4), ("", 4)):
+        monkeypatch.setenv("GLT_STOKES_THREADS", value)
+        assert thread_pool_size() == size, value
+    monkeypatch.setattr(precond.os, "sched_getaffinity",
+                        lambda pid: {3}, raising=False)
     monkeypatch.delenv("GLT_STOKES_THREADS")
-    assert thread_pool_size() >= 1
+    assert thread_pool_size() == 1
 
 
 def test_symbol_json_schema():

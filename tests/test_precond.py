@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -404,3 +405,122 @@ def test_in_place_inverse(n):
     assert defect == np.abs(S - S.T).max() / max(np.abs(S).max(), 1e-300)
     deflated = 0.5 * (S + S.T) + 1.0 / len(S)
     assert np.abs(inverse @ deflated - np.eye(len(S))).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the overlapped apply: pressure half on the helper thread
+
+class PressureFailure(RuntimeError):
+    pass
+
+
+def _overlapped(monkeypatch, n, group=2, gamma=None, strategy="tau_block"):
+    """A preconditioner built with the overlap forced on, and the list of
+    helper executors its applies submitted to."""
+    monkeypatch.setattr(precond, "panel_workers", lambda: 2)
+    monkeypatch.setattr(precond, "OVERLAP_PRESSURE", 0)
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(group, gamma)
+    system = assemble_saddle(mesh, mu)
+    prec = build_saddle_preconditioner(mesh, mu, system, strategy)
+    assert prec.apply_workers == 2
+    submits = []
+    helper = precond._helper
+
+    def spy():
+        submits.append(helper())
+        return submits[-1]
+
+    monkeypatch.setattr(precond, "_helper", spy)
+    return prec, system, submits
+
+
+def test_apply_workers_follow_the_rule(monkeypatch, setup8):
+    # npres = 145 at n = 8
+    monkeypatch.setattr(precond, "panel_workers", lambda: 2)
+    assert build_saddle_preconditioner(*setup8).apply_workers == 1
+    monkeypatch.setattr(precond, "OVERLAP_PRESSURE", 145)
+    assert build_saddle_preconditioner(*setup8).apply_workers == 2
+    monkeypatch.setattr(precond, "panel_workers", lambda: 1)
+    assert build_saddle_preconditioner(*setup8).apply_workers == 1
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
+def test_overlapped_apply_bitwise(monkeypatch, group, gamma, strategy, n):
+    prec, system, submits = _overlapped(monkeypatch, n, group, gamma, strategy)
+    serial = dataclasses.replace(prec, apply_workers=1)
+    rng = np.random.default_rng(n + group)
+    for R in (rng.standard_normal(system.dimension),
+              rng.standard_normal((system.dimension, 3))):
+        got = prec.apply(R)
+        assert got.shape == R.shape
+        assert np.array_equal(got, serial.apply(R))
+    assert len(submits) == 2
+
+
+def test_overlapped_apply_under_fast_switching(monkeypatch):
+    prec, system, submits = _overlapped(monkeypatch, 8)
+    serial = dataclasses.replace(prec, apply_workers=1)
+    rng = np.random.default_rng(11)
+    inputs = [rng.standard_normal(system.dimension),
+              rng.standard_normal((system.dimension, 3))]
+    expected = [serial.apply(R) for R in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [prec.apply(inputs[i % 2]) for i in range(200)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(submits) == 200
+    assert all(np.array_equal(got, expected[i % 2])
+               for i, got in enumerate(results))
+
+
+def test_overlapped_apply_reuses_one_helper(monkeypatch):
+    prec, system, submits = _overlapped(monkeypatch, 4)
+    r = np.ones(system.dimension)
+    before = threading.active_count()
+    for _ in range(100):
+        prec.apply(r)
+        assert threading.active_count() <= before + 1
+    assert len(submits) == 100 and len(set(map(id, submits))) == 1
+
+
+class FailingInverse:
+    """Stands in for the Schur inverse; its product raises."""
+
+    def __init__(self, inverse):
+        self.inverse = inverse
+
+    def __len__(self):
+        return len(self.inverse)
+
+    def __matmul__(self, other):
+        raise PressureFailure("pressure half")
+
+
+def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch):
+    prec, system, submits = _overlapped(monkeypatch, 4)
+    r = np.random.default_rng(3).standard_normal(system.dimension)
+    expected = dataclasses.replace(prec, apply_workers=1).apply(r)
+    inverse = prec.schur_inverse
+    prec.schur_inverse = FailingInverse(inverse)
+    with pytest.raises(PressureFailure, match="pressure half"):
+        prec.apply(r)
+    prec.schur_inverse = inverse
+    assert np.array_equal(prec.apply(r), expected)
+    assert len(submits) == 2
+
+
+def test_apply_off_main_thread_stays_serial(monkeypatch):
+    prec, system, submits = _overlapped(monkeypatch, 4)
+    r = np.random.default_rng(4).standard_normal(system.dimension)
+    expected = dataclasses.replace(prec, apply_workers=1).apply(r)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(prec.apply(r)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert submits == [] and np.array_equal(got[0], expected)
