@@ -25,11 +25,13 @@ from . import __version__
 from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
                        assemble_stiffness, viscosity_for_group)
 from .mesh import StructuredMesh, build_mesh, saddle_dimension
-from .precond import (STRATEGIES, _env_threads, build_saddle_preconditioner,
-                      env_blas_threads, usable_cpus)
+from .precond import (STRATEGIES, SPDSolver, _env_threads,
+                      build_saddle_preconditioner, env_blas_threads,
+                      usable_cpus)
 from .solvers import gmres, minres
-from .spectra import (DEFAULT_GRID, sample_saddle_symbol, sample_symbol,
-                      singular_values, symmetric_eigenvalues, weyl_distance)
+from .spectra import (DEFAULT_GRID, pencil_class_sizes, sample_saddle_symbol,
+                      sample_symbol, singular_values, symmetric_eigenvalues,
+                      wathen_condition_number, weyl_distance)
 from .symbols import default_symbol_set
 
 GROUPS = (1, 2, 3)
@@ -281,11 +283,13 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
     block preconditioner and MINRES iterations, per (mu1, delta, n).
 
     The preconditioner uses the exact stiffness block, so its spectrum
-    reduces exactly to the pressure-size Schur pencil.
+    reduces exactly to the pressure-size Schur pencil.  Next to the CSV,
+    `<out>.json` holds one record per row: its mu1, delta and n, the
+    seconds of the pencil (`wathen_condition_number`), the sizes of the
+    pencil's reflection classes (`pencil_class_sizes`), and the MINRES
+    seconds and stop reason.
     """
-    from .spectra import wathen_condition_number
-
-    rows = []
+    rows, records = [], []
     for delta in delta_list:
         for n in n_list:
             example1_conformity(n, w, delta)
@@ -298,10 +302,11 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
                 P = sp.bmat([[A, None, None],
                              [None, A, None],
                              [None, None, system.pressure_mass]], format="csc")
+                t0 = time.perf_counter()
                 lam_max, lam_min, cond = wathen_condition_number(system)
+                pencil_s = time.perf_counter() - t0
                 ns = system.nullspace_vector()
                 b = np.ones(system.dimension)
-                from .precond import SPDSolver
                 psolve = SPDSolver(P)
                 stats = minres(M, b, psolve.solve, nullspace=ns, tol=tol,
                                maxit=maxit)
@@ -315,6 +320,13 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
                     "minres_converged": stats.converged,
                     "minres_residual": f"{stats.final_relative_residual:.3e}",
                 })
+                records.append({
+                    "mu1": mu1, "delta": delta, "n": n,
+                    "pencil_s": pencil_s,
+                    "pencil_classes": pencil_class_sizes(system),
+                    "minres_s": stats.wall_time,
+                    "stop_reason": stats.stop_reason,
+                })
     columns = list(rows[0].keys()) if rows else [
         "mu0", "mu1", "w", "delta", "n", "dim", "lambda_max",
         "lambda_min_nonzero", "condition_number", "minres_iterations",
@@ -326,6 +338,8 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
               "need not be"]
     _write_csv(out_path, header, columns,
                [[row[c] for c in columns] for row in rows])
+    out_path.with_name(out_path.name + ".json").write_text(
+        json.dumps(records, indent=1))
     return rows
 
 

@@ -8,7 +8,9 @@ node is stored with integer coordinates over the common denominator 4n:
 corners sit at multiples of 4, centers at (4a+2, 4b+2), edge midpoints at
 the remaining even or odd lattice points.  The P2 nodes are exactly the
 lattice points with ix + iy even, so every enumeration is read off a
-(4n+1)^2 lattice index array.
+(4n+1)^2 lattice index array.  The reflections of the square that keep
+the mesh, (x, y) -> (y, x), x -> 1 - x and y -> 1 - y, are DOF
+permutations matched on the same integer lattice keys.
 """
 
 from __future__ import annotations
@@ -70,19 +72,11 @@ class StructuredMesh:
         Nodes are matched on the exact integer lattice keys rint(4n*coords),
         and each permutation is checked to be an involution.
         """
-        width = self.denominator + 1
-        out = []
-        for coords in (self.velocity_coords(), self.pressure_coords()):
-            keys = np.rint(coords * self.denominator).astype(np.int64)
-            flat = keys[:, 1] * width + keys[:, 0]     # y-major: ascending
-            swapped = keys[:, 0] * width + keys[:, 1]
-            perm = np.minimum(np.searchsorted(flat, swapped), len(flat) - 1)
-            if not np.array_equal(flat[perm], swapped):
-                raise RuntimeError("node set is not symmetric under x <-> y")
-            if not np.array_equal(perm[perm], np.arange(len(perm))):
-                raise RuntimeError("x <-> y swap is not an involution")
-            out.append(perm)
-        return out[0], out[1]
+        return tuple(
+            _mirror_permutation(
+                np.rint(coords * self.denominator).astype(np.int64),
+                _MIRRORS["swap"], self.denominator)
+            for coords in (self.velocity_coords(), self.pressure_coords()))
 
     def dump(self) -> str:
         """Plain-text dump: one `v ix iy denom` line per vertex, one
@@ -153,6 +147,59 @@ def _numbering(iy: np.ndarray, ix: np.ndarray, size: int) -> np.ndarray:
     return index
 
 
+def pressure_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (ix, iy) of the P1 vertices in y-major order: the square
+    corners (both coordinates = 0 mod 4) and centres (both = 2 mod 4)."""
+    iy, ix = _lattice(n)
+    iy, ix = np.nonzero((ix % 2 == 0) & (ix % 4 == iy % 4))
+    return ix, iy
+
+
+# the mesh's reflections as maps of lattice coordinates over 0..lim:
+# (x, y) -> (y, x), x -> 1 - x and y -> 1 - y
+_MIRRORS = {
+    "swap": lambda ix, iy, lim: (iy, ix),
+    "x": lambda ix, iy, lim: (lim - ix, iy),
+    "y": lambda ix, iy, lim: (ix, lim - iy),
+}
+
+
+def _mirror_permutation(nodes: np.ndarray, mirror, lim: int) -> np.ndarray:
+    """The permutation perm with nodes[perm[i]] the image of nodes[i] under
+    the lattice map `mirror(ix, iy, lim) -> (ix', iy')`, for integer
+    lattice nodes (k, 2) in y-major order over coordinates 0..lim.
+
+    Nodes are matched on their flat keys iy*(lim+1) + ix; the node set must
+    be closed under the map and the permutation must be an involution.
+    """
+    width = lim + 1
+    flat = nodes[:, 1] * width + nodes[:, 0]        # y-major: ascending
+    mx, my = mirror(nodes[:, 0], nodes[:, 1], lim)
+    image = my * width + mx
+    perm = np.minimum(np.searchsorted(flat, image), len(flat) - 1)
+    if not np.array_equal(flat[perm], image):
+        raise RuntimeError("node set is not closed under the reflection")
+    if not np.array_equal(perm[perm], np.arange(len(perm))):
+        raise RuntimeError("the reflection is not an involution")
+    return perm
+
+
+def reflection_permutations(n: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reflection x -> 1 - x (axis "x") or y -> 1 - y (axis "y") of the
+    mesh with n squares per side, as DOF permutations (Rv, Rp) in the sense
+    of `StructuredMesh.swap_permutations`.
+
+    Both node sets are read off the lattice rule for n, so no mesh is built.
+    """
+    if axis not in ("x", "y"):
+        raise ValueError(f"unknown reflection axis {axis!r}; pick x or y")
+    if n < 1:
+        raise ValueError(f"grid parameter must be >= 1, got {n}")
+    return tuple(_mirror_permutation(np.column_stack(lattice(n)),
+                                     _MIRRORS[axis], 4 * n)
+                 for lattice in (velocity_lattice, pressure_lattice))
+
+
 def build_mesh(n: int) -> StructuredMesh:
     """Build the crisscross triangulation of (0,1)^2 with n squares per side.
 
@@ -165,10 +212,7 @@ def build_mesh(n: int) -> StructuredMesh:
         raise ValueError(f"grid parameter must be >= 1, got {n}")
     size = 4 * n + 1
 
-    # P1 vertices: square corners (both coordinates = 0 mod 4) and centres
-    # (both = 2 mod 4); np.nonzero lists them y-major.
-    iy, ix = _lattice(n)
-    iy, ix = np.nonzero((ix % 2 == 0) & (ix % 4 == iy % 4))
+    ix, iy = pressure_lattice(n)
     vertices = np.column_stack([ix, iy])
     vertex_index = _numbering(iy, ix, size)
 

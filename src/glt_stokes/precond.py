@@ -261,12 +261,16 @@ def _helper() -> ThreadPoolExecutor:
 
 
 def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
-                 pa_solve: Callable) -> np.ndarray:
-    """Dense B P_A^{-1} B^T = B_x P_A^{-1} B_x^T + B_y P_A^{-1} B_y^T,
-    one panel of pressure columns at a time.
+                 pa_solve: Callable, pa_solve_y: Callable | None = None
+                 ) -> np.ndarray:
+    """Dense B_x P_x^{-1} B_x^T + B_y P_y^{-1} B_y^T, one panel of pressure
+    columns at a time.
 
-    Each panel's B_x^T and B_y^T columns go through `pa_solve` as one dense
-    block, so B^T is never densified whole.  With `panel_workers()` > 1 the
+    With `pa_solve_y` None both halves share `pa_solve` (P_x = P_y = P_A),
+    and each panel's B_x^T and B_y^T columns go through it as one dense
+    block; otherwise the B_x^T columns go through `pa_solve` and the B_y^T
+    columns through `pa_solve_y` (for halves on different velocity
+    spaces).  B^T is never densified whole.  With `panel_workers()` > 1 the
     panels, PANEL // workers columns each, run on that many threads; each
     writes its own columns of S, and the first exception a panel raises is
     raised here once the running panels are done and the rest cancelled.
@@ -279,6 +283,10 @@ def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
 
     def fill(start: int):
         panel = slice(start, min(start + width, npres))
+        if pa_solve_y is not None:
+            S[:, panel] = (div_x @ pa_solve(bx_t[:, panel].toarray())
+                           + div_y @ pa_solve_y(by_t[:, panel].toarray()))
+            return
         cols = panel.stop - start
         X = pa_solve(np.hstack([bx_t[:, panel].toarray(),
                                 by_t[:, panel].toarray()]))

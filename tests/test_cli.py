@@ -43,7 +43,8 @@ def test_assemble_export(tmp_path, capsys):
     assert A.shape == (25, 25)
     full = scipy.io.mmread(str(prefix) + "_full.mtx")
     assert full.shape == (63, 63)
-    header = open(str(prefix) + "_A.mtx").readline()
+    with open(str(prefix) + "_A.mtx") as fh:
+        header = fh.readline()
     assert "MatrixMarket" in header and "symmetric" in header
 
 
@@ -185,6 +186,26 @@ def test_example1_conformity_errors():
     with pytest.raises(ValueError, match="delta"):
         example1_conformity(20, 0.1, 0.1)  # element size >= delta/2
     example1_conformity(60, 0.1, 0.1)
+
+
+def test_example1_json_sidecar(tmp_path, capsys):
+    out = tmp_path / "ex1.csv"
+    assert main(["example1", "--mu1", "1,100", "--w", "0.5", "--sizes", "4",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[3] == ("mu0,mu1,w,delta,n,dim,lambda_max,lambda_min_nonzero,"
+                        "condition_number,minres_iterations,minres_converged,"
+                        "minres_residual")
+    assert len(lines) == 4 + 2
+    records = json.loads((tmp_path / "ex1.csv.json").read_text())
+    assert [(r["mu1"], r["delta"], r["n"]) for r in records] == \
+        [(1.0, 0.0, 4), (100.0, 0.0, 4)]
+    for rec in records:
+        # the strip field keeps both reflections: four classes
+        assert rec["pencil_classes"] == {"pressure": [13, 10, 10, 8],
+                                         "velocity": [32, 28, 28, 25]}
+        assert rec["pencil_s"] > 0 and rec["minres_s"] >= 0
+        assert rec["stop_reason"] == "converged"
 
 
 def test_emit_adherence_counts(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from glt_stokes.mesh import (build_mesh, pressure_count, saddle_dimension,
+from glt_stokes.mesh import (build_mesh, pressure_count,
+                             reflection_permutations, saddle_dimension,
                              velocity_interior_count)
 
 
@@ -70,6 +71,28 @@ def test_swap_permutations_reflect_every_dof(n):
                            (mesh.velocity_nodes, mesh.pressure_nodes)):
         assert np.array_equal(perm[perm], np.arange(len(nodes)))
         assert np.array_equal(nodes[perm], nodes[:, ::-1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_reflection_permutations_mirror_every_dof(n, axis):
+    # x -> 1 - x and y -> 1 - y, read off the lattice rule without a mesh,
+    # send each velocity and pressure node of build_mesh(n) to its image
+    mesh = build_mesh(n)
+    col = "xy".index(axis)
+    for perm, nodes in zip(reflection_permutations(n, axis),
+                           (mesh.velocity_nodes, mesh.pressure_nodes)):
+        assert np.array_equal(perm[perm], np.arange(len(nodes)))
+        image = nodes.copy()
+        image[:, col] = 4 * n - nodes[:, col]
+        assert np.array_equal(nodes[perm], image)
+
+
+def test_reflection_permutations_reject_bad_input():
+    with pytest.raises(ValueError):
+        reflection_permutations(4, "z")
+    with pytest.raises(ValueError):
+        reflection_permutations(0, "x")
 
 
 def test_lexicographic_dof_order():

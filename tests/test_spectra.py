@@ -1,3 +1,5 @@
+import itertools
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +13,13 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
 from glt_stokes.glt_core import BlockSymbol
-from glt_stokes.mesh import build_mesh
+from glt_stokes.mesh import build_mesh, reflection_permutations
 from glt_stokes import spectra
-from glt_stokes.spectra import (outlier_check, sample_saddle_symbol,
-                                sample_symbol, saddle_pencil_eigenvalues,
-                                singular_values, symmetric_eigenvalues,
-                                weyl_distance)
+from glt_stokes.precond import SPDSolver, schur_panels, symmetrize
+from glt_stokes.spectra import (outlier_check, pencil_class_sizes,
+                                sample_saddle_symbol, sample_symbol,
+                                saddle_pencil_eigenvalues, singular_values,
+                                symmetric_eigenvalues, weyl_distance)
 from glt_stokes.symbols import default_symbol_set
 
 ONE = ViscosityField.constant(1.0)
@@ -135,6 +138,37 @@ def test_weyl_distance_bounds(a, b):
     assert weyl_distance(a, a) == 0.0
 
 
+def _union_weyl_distance(a, b):
+    """The KS distance evaluated over the concatenated union of points."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    pts = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, pts, side="right") / len(a)
+                        - np.searchsorted(b, pts, side="right") / len(b)).max())
+
+
+# a few distinct values, so both samples are full of ties
+_tied = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0]),
+                 min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tied, st.lists(st.floats(-5, 5), min_size=1, max_size=40)),
+       _tied, st.booleans())
+def test_weyl_distance_equals_union_formula(a, b, presort):
+    if presort:
+        b = sorted(b)
+    assert weyl_distance(a, b) == _union_weyl_distance(a, b)
+    assert weyl_distance(b, a) == _union_weyl_distance(b, a)
+
+
+def test_weyl_distance_rejects_empty():
+    with pytest.raises(ValueError):
+        weyl_distance([], [1.0])
+    with pytest.raises(ValueError):
+        weyl_distance([1.0], [])
+
+
 def test_outlier_check_trivial_and_violation():
     mesh = build_mesh(4)
     w1 = symmetric_eigenvalues(assemble_stiffness(mesh, ONE))
@@ -234,6 +268,26 @@ def test_mirror_must_be_an_involution():
             symmetric_eigenvalues(S, bad)
 
 
+def _resident_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(spectra._malloc_trim() is None or
+                    not os.path.exists("/proc/self/statm"),
+                    reason="needs glibc malloc_trim and /proc")
+def test_release_free_heap_returns_pages():
+    # 24 MB of 4 kB blocks on the C heap; the last one stays alive on top,
+    # so freeing the rest cannot shrink the heap by itself
+    blocks = [np.ones(500) for _ in range(6000)]
+    keep = blocks[-1]
+    del blocks
+    before = _resident_mb()
+    spectra._release_free_heap()
+    assert before - _resident_mb() > 10
+    assert keep.sum() == 500
+
+
 def test_saddle_pencil_matches_dense_generalized_spectrum():
     system = assemble_saddle(build_mesh(4),
                              ViscosityField.example1(1.0, 100.0, 0.5, 0.0))
@@ -248,3 +302,82 @@ def test_saddle_pencil_rejects_indefinite_stiffness():
     system = assemble_saddle(build_mesh(4), ONE)
     with pytest.raises(ValueError):
         saddle_pencil_eigenvalues(replace(system, stiffness=-system.stiffness))
+
+
+def _reflections(n):
+    """The velocity and the pressure permutations of x -> 1 - x and
+    y -> 1 - y."""
+    (vx, px), (vy, py) = (reflection_permutations(n, a) for a in "xy")
+    return (vx, vy), (px, py)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_class_bases_orthonormal_and_complete(n, count):
+    for perms in _reflections(n):
+        dim = len(perms[0])
+        perms = perms[:count]
+        bases = spectra._class_bases(perms, dim)
+        assert list(bases) == list(itertools.product((1, -1), repeat=count))
+        assert sum(V.shape[1] for V in bases.values()) == dim
+        V = sp.hstack(list(bases.values())).toarray()
+        assert np.abs(V.T @ V - np.eye(dim)).max() < 1e-15
+        for parities, B in bases.items():
+            B = B.toarray()
+            for g, p in zip(perms, parities):
+                assert np.array_equal(B[g], p * B)
+
+
+FIELDS = {
+    # depends on |2x - 1| only: both reflections, four classes
+    "strip": (ViscosityField.example1(1.0, 100.0, 0.5, 0.0), 4),
+    # symmetric under x -> 1 - x only
+    "x-mirror": (ViscosityField.custom(
+        lambda p: 1.0 + np.abs(2.0 * p[:, 0] - 1.0) + p[:, 1], 1.0, 3.0), 2),
+    # symmetric under y -> 1 - y only
+    "1+x": (ViscosityField.custom(lambda p: 1.0 + p[:, 0], 1.0, 2.0), 2),
+    # no reflection
+    "1+x+y": (ViscosityField.custom(lambda p: 1.0 + p[:, 0] + p[:, 1],
+                                    1.0, 3.0), 1),
+}
+
+
+def _full_size_pencil(system):
+    """The pencil eigenvalues solved as one full-size block."""
+    S = schur_panels(system.div_x, system.div_y,
+                     SPDSolver(system.stiffness).solve)
+    symmetrize(S)
+    s = np.maximum(sla.eigh(S, system.pressure_mass.toarray(),
+                            eigvals_only=True), 0.0)
+    root = np.sqrt(1.0 + 4.0 * s)
+    ones = np.ones(2 * system.velocity_count - system.pressure_count)
+    return np.sort(np.concatenate([0.5 * (1.0 - root), 0.5 * (1.0 + root),
+                                   ones]))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_saddle_pencil_classes_match_dense_oracle(n, field):
+    mu, classes = FIELDS[field]
+    system = assemble_saddle(build_mesh(n), mu)
+    A, W = system.stiffness, system.pressure_mass
+    ref = sla.eigh(system.full_matrix().toarray(),
+                   sp.block_diag([A, A, W]).toarray(), eigvals_only=True)
+    got = saddle_pencil_eigenvalues(system)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    sizes = pencil_class_sizes(system)
+    assert len(sizes["pressure"]) == len(sizes["velocity"]) == classes
+    assert sum(sizes["pressure"]) == system.pressure_count
+    assert sum(sizes["velocity"]) == system.velocity_count
+    if classes == 1:
+        assert np.array_equal(got, _full_size_pencil(system))
+
+
+def test_saddle_pencil_class_threads_bitwise(monkeypatch):
+    # the four strip classes on two threads give the serial eigenvalues
+    system = assemble_saddle(build_mesh(6), FIELDS["strip"][0])
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(spectra, "panel_workers", lambda: workers)
+        runs.append(saddle_pencil_eigenvalues(system))
+    assert np.array_equal(runs[0], runs[1])
