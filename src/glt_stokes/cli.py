@@ -542,7 +542,7 @@ def main(argv=None) -> int:
             val = sym.eval(args.theta1, args.theta2)
         else:
             val = sym.eval(args.theta2)
-        if args.name in ("stiffness", "stiffness_pre", "a"):
+        if sym in (syms.stiffness, syms.stiffness_pre):
             mu = viscosity_for_group(args.group, args.gamma)
             val = float(mu(np.array([[args.x, args.y]]))[0]) * val
         print(json.dumps({"re": val.real.tolist(), "im": val.imag.tolist()},

@@ -1,11 +1,11 @@
 """Block multilevel Toeplitz machinery.
 
 Matrix-valued trigonometric polynomials (block symbols) with exact rational
-coefficients, Toeplitz generation, shuffle/interleave permutation index
-maps, the tau (Hankel corner correction) approximation of banded Toeplitz
-matrices and the tau-algebra core of a two-level block symbol (one corner
-stripe rule serves both), and structural helpers that embed the
-crisscross stiffness block into its extended block-Toeplitz form.
+coefficients, Toeplitz generation, the tau (Hankel corner correction)
+approximation of banded Toeplitz matrices and the tau-algebra core of a
+two-level block symbol (one corner stripe rule serves both), and the
+index map and structural helpers that embed the crisscross stiffness
+block into its extended block-Toeplitz form.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ __all__ = [
     "BlockSymbol",
     "IndexMap",
     "toeplitz_from_symbol",
-    "perm_block",
-    "perm_Pi",
-    "identity_kron",
     "corner_stripes",
     "tau_approx",
     "tau_from_symbol",
@@ -146,7 +143,7 @@ class BlockSymbol:
 
     def to_json(self) -> dict:
         """Schema {s1, s2, levels, coeffs: [{k, re, im}]}; exact
-        numerator/denominator tables ride along for lossless round trips."""
+        numerator/denominator tables ride along, so no rational is lost."""
         entries = []
         for k, m in self.coeffs.items():
             entries.append({
@@ -158,23 +155,6 @@ class BlockSymbol:
             })
         return {"s1": self.s1, "s2": self.s2, "levels": self.levels,
                 "hermitian": self.hermitian, "coeffs": entries}
-
-    @staticmethod
-    def from_json(data: dict) -> "BlockSymbol":
-        coeffs = {}
-        for entry in data["coeffs"]:
-            if "num" in entry:
-                num, den = entry["num"], entry["den"]
-                mat = [[Fraction(num[r][c], den[r][c])
-                        for c in range(len(num[r]))] for r in range(len(num))]
-            else:
-                if any(v != 0.0 for row in entry.get("im", []) for v in row):
-                    raise ValueError("only real rational coefficients are "
-                                     "supported")
-                mat = [[Fraction(v) for v in row] for row in entry["re"]]
-            coeffs[tuple(entry["k"])] = mat
-        return BlockSymbol(data["s1"], data["s2"], data["levels"], coeffs,
-                           hermitian=data.get("hermitian", False))
 
 
 # ---------------------------------------------------------------------------
@@ -243,33 +223,6 @@ class IndexMap:
             raise ValueError("targets out of range")
         object.__setattr__(self, "targets", t)
 
-    @property
-    def is_permutation(self) -> bool:
-        return self.source_size == self.target_size
-
-    def matrix(self) -> sp.csr_matrix:
-        data = np.ones(self.source_size)
-        cols = np.arange(self.source_size)
-        return sp.csr_matrix((data, (self.targets, cols)),
-                             shape=(self.target_size, self.source_size))
-
-    def inverse(self) -> "IndexMap":
-        if not self.is_permutation:
-            raise ValueError("only permutations invert")
-        inv = np.empty_like(self.targets)
-        inv[self.targets] = np.arange(self.source_size)
-        return IndexMap(self.source_size, self.source_size, inv)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """P v: embed a source vector into the target index space."""
-        out = np.zeros(self.target_size, dtype=np.asarray(v).dtype)
-        out[self.targets] = v
-        return out
-
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        """P* v: pull a target vector back to the source indices."""
-        return np.asarray(v)[self.targets]
-
     def compress(self, A) -> sp.csr_matrix:
         """P* A P for a target-sized square matrix."""
         A = sp.csr_matrix(A)
@@ -281,36 +234,6 @@ class IndexMap:
         return sp.coo_matrix(
             (A.data, (self.targets[A.row], self.targets[A.col])),
             shape=(self.target_size, self.target_size)).tocsr()
-
-
-def perm_block(k1: int, k2: int) -> IndexMap:
-    """Stride permutation sending lexicographic (a, b) to (b, a),
-    a in [k1], b in [k2]; the perfect shuffle for k1 = k2 = 2."""
-    if k1 < 1 or k2 < 1:
-        raise ValueError("permutation sizes must be positive")
-    a, b = np.divmod(np.arange(k1 * k2), k2)
-    return IndexMap(k1 * k2, k1 * k2, b * k1 + a)
-
-
-def perm_Pi(n, s: int, r: int) -> IndexMap:
-    """Block interleaving: the stride permutation on s x N(n) tensored with
-    an identity of size r; sends (a, b, c) to (b, a, c)."""
-    N = int(np.prod(n))
-    if N < 1 or s < 1 or r < 1:
-        raise ValueError("sizes must be positive")
-    total = s * N * r
-    idx = np.arange(total)
-    ab, c = np.divmod(idx, r)
-    a, b = np.divmod(ab, N)
-    return IndexMap(total, total, (b * s + a) * r + c)
-
-
-def identity_kron(blocks: int, imap: IndexMap) -> IndexMap:
-    """I_blocks (x) imap, acting blockwise on consecutive chunks."""
-    size = imap.source_size
-    base = np.arange(blocks) * imap.target_size
-    targets = (base[:, None] + imap.targets[None, :]).ravel()
-    return IndexMap(blocks * size, blocks * imap.target_size, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ class StructuredMesh:
         """P1 vertex coordinates as floats in [0,1]^2."""
         return self.pressure_nodes / float(self.denominator)
 
-    def triangle_vertices(self, t: int) -> np.ndarray:
-        """Float coordinates (3, 2) of triangle t's vertices."""
-        return self.vertices[self.triangles[t]] / float(self.denominator)
-
     def centroids(self) -> np.ndarray:
         """Float centroid coordinates of all triangles, in cell order."""
         pts = self.vertices[self.triangles] / float(self.denominator)

@@ -261,19 +261,17 @@ def _helper() -> ThreadPoolExecutor:
 
 
 def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
-                 pa_solve: Callable, pa_solve_y: Callable | None = None
-                 ) -> np.ndarray:
+                 pa_solve_x: Callable, pa_solve_y: Callable) -> np.ndarray:
     """Dense B_x P_x^{-1} B_x^T + B_y P_y^{-1} B_y^T, one panel of pressure
-    columns at a time.
+    columns at a time: S[:, panel] = B_x P_x^{-1} (B_x^T panel)
+    + B_y P_y^{-1} (B_y^T panel).
 
-    With `pa_solve_y` None both halves share `pa_solve` (P_x = P_y = P_A),
-    and each panel's B_x^T and B_y^T columns go through it as one dense
-    block; otherwise the B_x^T columns go through `pa_solve` and the B_y^T
-    columns through `pa_solve_y` (for halves on different velocity
-    spaces).  B^T is never densified whole.  With `panel_workers()` > 1 the
-    panels, PANEL // workers columns each, run on that many threads; each
-    writes its own columns of S, and the first exception a panel raises is
-    raised here once the running panels are done and the rest cancelled.
+    The two solves may be one (P_x = P_y = P_A) or act on different
+    velocity spaces.  B^T is never densified whole.  With `panel_workers()`
+    > 1 the panels, PANEL // workers columns each, run on that many
+    threads; each writes its own columns of S, and the first exception a
+    panel raises is raised here once the running panels are done and the
+    rest cancelled.
     """
     npres = div_x.shape[0]
     bx_t, by_t = div_x.T.tocsc(), div_y.T.tocsc()
@@ -282,15 +280,9 @@ def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
     width = max(1, PANEL // workers)
 
     def fill(start: int):
-        panel = slice(start, min(start + width, npres))
-        if pa_solve_y is not None:
-            S[:, panel] = (div_x @ pa_solve(bx_t[:, panel].toarray())
-                           + div_y @ pa_solve_y(by_t[:, panel].toarray()))
-            return
-        cols = panel.stop - start
-        X = pa_solve(np.hstack([bx_t[:, panel].toarray(),
-                                by_t[:, panel].toarray()]))
-        S[:, panel] = div_x @ X[:, :cols] + div_y @ X[:, cols:]
+        panel = slice(start, start + width)
+        S[:, panel] = (div_x @ pa_solve_x(bx_t[:, panel].toarray())
+                       + div_y @ pa_solve_y(by_t[:, panel].toarray()))
 
     starts = range(0, npres, width)
     if workers == 1:
@@ -339,7 +331,7 @@ def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
     "inverse" phases.
     """
     t0 = time.perf_counter()
-    S = schur_panels(div_x, div_y, pa_solve)
+    S = schur_panels(div_x, div_y, pa_solve, pa_solve)
     t1 = time.perf_counter()
     sym_defect = symmetrize(S)
     S += 1.0 / len(S)

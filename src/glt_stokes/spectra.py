@@ -54,6 +54,7 @@ from .assembly import ViscosityField
 from .glt_core import BlockSymbol
 from .mesh import reflection_permutations
 from .precond import SPDSolver, panel_workers, schur_panels, symmetrize
+from .symbols import saddle_symbol
 
 __all__ = [
     "symmetric_eigenvalues",
@@ -213,6 +214,20 @@ def _midpoints(count: int, lo: float, hi: float) -> np.ndarray:
     return lo + (np.arange(count) + 0.5) * (hi - lo) / count
 
 
+def _midpoint_grid(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The (n_t1 n_t2, 2) frequency and (n_x n_y, 2) physical midpoints of
+    the grid (n_x, n_y, n_t1, n_t2) over [0,1]^2 x [-pi,pi]^2."""
+    if min(grid) < 1:
+        raise ValueError("grid dimensions must be >= 1")
+    nx, ny, nt1, nt2 = grid
+    t1, t2 = np.meshgrid(_midpoints(nt1, -np.pi, np.pi),
+                         _midpoints(nt2, -np.pi, np.pi), indexing="ij")
+    x, y = np.meshgrid(_midpoints(nx, 0.0, 1.0), _midpoints(ny, 0.0, 1.0),
+                       indexing="ij")
+    return (np.column_stack([t1.ravel(), t2.ravel()]),
+            np.column_stack([x.ravel(), y.ravel()]))
+
+
 def sample_symbol(symbol: BlockSymbol, mu: ViscosityField | None = None,
                   grid=DEFAULT_GRID) -> np.ndarray:
     """Pooled sorted eigenvalues (Hermitian) or singular values
@@ -223,13 +238,7 @@ def sample_symbol(symbol: BlockSymbol, mu: ViscosityField | None = None,
     grid is sampled (constant physical factors duplicate every value and
     leave the empirical distribution unchanged).
     """
-    nx, ny, nt1, nt2 = grid
-    if min(grid) < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    t1 = _midpoints(nt1, -np.pi, np.pi)
-    t2 = _midpoints(nt2, -np.pi, np.pi)
-    tt1, tt2 = np.meshgrid(t1, t2, indexing="ij")
-    thetas = np.column_stack([tt1.ravel(), tt2.ravel()])
+    thetas, points = _midpoint_grid(grid)
     vals = symbol.eval_grid(thetas)
 
     square = symbol.s1 == symbol.s2
@@ -241,47 +250,22 @@ def sample_symbol(symbol: BlockSymbol, mu: ViscosityField | None = None,
     if mu is None:
         return np.sort(freq_values.ravel())
 
-    x = _midpoints(nx, 0.0, 1.0)
-    y = _midpoints(ny, 0.0, 1.0)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    weights = mu(np.column_stack([xx.ravel(), yy.ravel()]))
+    weights = mu(points)
     pooled = (weights[:, None, None] * freq_values[None, :, :]).ravel()
     return np.sort(pooled)
 
 
 def sample_saddle_symbol(mu: ViscosityField, grid=DEFAULT_GRID) -> np.ndarray:
     """Pooled sorted eigenvalues of the 18x18 saddle symbol
-    [[mu G, 0, Gx], [0, mu G, Gy], [Gx*, Gy*, 0]] over the midpoint grid."""
-    from .symbols import default_symbol_set
-
-    nx, ny, nt1, nt2 = grid
-    t1 = _midpoints(nt1, -np.pi, np.pi)
-    t2 = _midpoints(nt2, -np.pi, np.pi)
-    tt1, tt2 = np.meshgrid(t1, t2, indexing="ij")
-    thetas = np.column_stack([tt1.ravel(), tt2.ravel()])
-    syms = default_symbol_set()
-    G = syms.stiffness.eval_grid(thetas)
-    Gx = syms.div_x.eval_grid(thetas)
-    Gy = syms.div_y.eval_grid(thetas)
-    nt = len(thetas)
-
-    base_div = np.zeros((nt, 18, 18), dtype=complex)
-    base_div[:, 0:8, 16:18] = Gx
-    base_div[:, 8:16, 16:18] = Gy
-    base_div[:, 16:18, 0:8] = Gx.conj().transpose(0, 2, 1)
-    base_div[:, 16:18, 8:16] = Gy.conj().transpose(0, 2, 1)
-    base_vel = np.zeros((nt, 18, 18), dtype=complex)
-    base_vel[:, 0:8, 0:8] = G
-    base_vel[:, 8:16, 8:16] = G
-
-    x = _midpoints(nx, 0.0, 1.0)
-    y = _midpoints(ny, 0.0, 1.0)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    weights = mu(np.column_stack([xx.ravel(), yy.ravel()]))
+    [[mu G, 0, Gx], [0, mu G, Gy], [Gx*, Gy*, 0]] (`symbols.saddle_symbol`)
+    over the midpoint grid."""
+    thetas, points = _midpoint_grid(grid)
+    vel, div = saddle_symbol(thetas)
+    weights = mu(points)
     # the symbol depends on the physical point only through its weight, so
     # each distinct weight is solved once and its pool repeated
     distinct, counts = np.unique(weights, return_counts=True)
-    pools = [np.tile(np.linalg.eigvalsh(base_div + w * base_vel).ravel(), c)
+    pools = [np.tile(np.linalg.eigvalsh(div + w * vel).ravel(), c)
              for w, c in zip(distinct, counts)]
     return np.sort(np.concatenate(pools))
 
@@ -386,31 +370,24 @@ def saddle_pencil_eigenvalues(system) -> np.ndarray:
     the velocity class c s_d, is built by `schur_panels`, symmetrized, and
     solved densely with W_c = Q^T W Q.  For the strip field, which both
     reflections of the unit square keep, that is four quarter-size
-    pencils; with no reflection kept, one full-size pencil built as
-    schur_panels(B_x, B_y, SPDSolver(A).solve).  On the main thread with
+    pencils; with no reflection kept, the one class has the identity
+    bases and the block is the full-size pencil.  On the main thread with
     `panel_workers()` > 1 the classes run on that many threads (and the
     panels of each class inline); the eigenvalues are those of the serial
     order.  A stiffness that is not positive definite raises `ValueError`.
     """
     A, W = system.stiffness, system.pressure_mass
     signs, vel, pres = _pencil_classes(system)
-    solves = {e: SPDSolver(V.T @ A @ V).solve
-              for e, V in vel.items()} if signs else {}
+    solves = {e: SPDSolver(V.T @ A @ V).solve for e, V in vel.items()}
 
     def class_values(c) -> np.ndarray:
-        if signs:
-            Q = pres[c]
-            e_x, e_y = (tuple(p * s[d] for p, s in zip(c, signs))
-                        for d in (0, 1))
-            S = schur_panels(Q.T @ system.div_x @ vel[e_x],
-                             Q.T @ system.div_y @ vel[e_y],
-                             solves[e_x], solves[e_y])
-            W_c = Q.T @ W @ Q
-        else:
-            S = schur_panels(system.div_x, system.div_y, SPDSolver(A).solve)
-            W_c = W
+        Q = pres[c]
+        e_x, e_y = (tuple(p * s[d] for p, s in zip(c, signs)) for d in (0, 1))
+        S = schur_panels(Q.T @ system.div_x @ vel[e_x],
+                         Q.T @ system.div_y @ vel[e_y],
+                         solves[e_x], solves[e_y])
         symmetrize(S)
-        return sla.eigh(S, W_c.toarray(), eigvals_only=True)
+        return sla.eigh(S, (Q.T @ W @ Q).toarray(), eigvals_only=True)
 
     workers = min(panel_workers(), len(pres))
     if workers == 1:

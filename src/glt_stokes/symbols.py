@@ -21,15 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembly import ViscosityField
 from .glt_core import BlockSymbol
 
 __all__ = [
     "StokesSymbolSet",
     "build_symbol_set",
-    "eval_stiffness_symbol",
-    "eval_divergence_symbols",
-    "eval_saddle_symbol",
+    "saddle_symbol",
 ]
 
 F = Fraction
@@ -297,31 +294,21 @@ def default_symbol_set() -> StokesSymbolSet:
     return _SET
 
 
-def eval_stiffness_symbol(x: float, y: float, theta1: float, theta2: float,
-                          mu: ViscosityField) -> np.ndarray:
-    """Viscosity times the 8x8 stiffness symbol; Hermitian by construction."""
-    sym = default_symbol_set().stiffness
-    scale = float(mu(np.array([[x, y]]))[0])
-    return scale * sym.eval(theta1, theta2)
-
-
-def eval_divergence_symbols(theta1: float, theta2: float):
-    """The pair of 8x2 divergence symbols at one frequency point."""
-    s = default_symbol_set()
-    return s.div_x.eval(theta1, theta2), s.div_y.eval(theta1, theta2)
-
-
-def eval_saddle_symbol(x: float, y: float, theta1: float, theta2: float,
-                       mu: ViscosityField) -> np.ndarray:
-    """18x18 Hermitian saddle symbol [[mu G, 0, Gx],[0, mu G, Gy],
-    [Gx*, Gy*, 0]]."""
-    G = eval_stiffness_symbol(x, y, theta1, theta2, mu)
-    Gx, Gy = eval_divergence_symbols(theta1, theta2)
-    out = np.zeros((18, 18), dtype=complex)
-    out[0:8, 0:8] = G
-    out[8:16, 8:16] = G
-    out[0:8, 16:18] = Gx
-    out[8:16, 16:18] = Gy
-    out[16:18, 0:8] = Gx.conj().T
-    out[16:18, 8:16] = Gy.conj().T
-    return out
+def saddle_symbol(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 18x18 saddle symbol at (nt, 2) frequency points, as two complex
+    (nt, 18, 18) parts (V, D): the velocity part V = diag(G, G, 0) and the
+    divergence part D = [[0, 0, Gx], [0, 0, Gy], [Gx*, Gy*, 0]].  The
+    Hermitian symbol at viscosity weight w is D + w V."""
+    syms = default_symbol_set()
+    G = syms.stiffness.eval_grid(thetas)
+    Gx = syms.div_x.eval_grid(thetas)
+    Gy = syms.div_y.eval_grid(thetas)
+    V = np.zeros((len(G), 18, 18), dtype=complex)
+    V[:, 0:8, 0:8] = G
+    V[:, 8:16, 8:16] = G
+    D = np.zeros_like(V)
+    D[:, 0:8, 16:18] = Gx
+    D[:, 8:16, 16:18] = Gy
+    D[:, 16:18, 0:8] = Gx.conj().transpose(0, 2, 1)
+    D[:, 16:18, 8:16] = Gy.conj().transpose(0, 2, 1)
+    return V, D

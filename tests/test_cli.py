@@ -30,6 +30,18 @@ def test_symbol_command(capsys):
     assert np.abs(np.array(out["im"])).max() < 1e-14
 
 
+@pytest.mark.parametrize("name,entry,scaled", [
+    ("A", 16 / 3, True), ("a", 16 / 3, True), ("Stiffness", 16 / 3, True),
+    ("stiffness-pre", 8 / 3, True), ("Bx", -1 / 6, False)])
+def test_symbol_command_viscosity_scaling(capsys, name, entry, scaled):
+    # every alias of the two stiffness symbols is weighted by the group 2
+    # viscosity x y + e^(x + y) at the default point (1/2, 1/2)
+    assert main(["symbol", "--name", name, "--group", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    weight = 0.25 + np.exp(1.0) if scaled else 1.0
+    assert out["re"][0][0] == pytest.approx(weight * entry, rel=1e-14)
+
+
 def test_symbol_dump(capsys):
     assert main(["symbol", "--dump"]) == 0
     tables = json.loads(capsys.readouterr().out)

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glt_stokes.assembly import ViscosityField, assemble_stiffness
 from glt_stokes.glt_core import (BlockSymbol, block_toeplitz_defect,
                                  dst1_matrix, extend_to_block_toeplitz,
-                                 identity_kron, perm_Pi, perm_block,
                                  tau_approx, tau_eigenvalues,
                                  tau_from_symbol, toeplitz_from_symbol,
                                  velocity_extension_map,
@@ -55,11 +55,15 @@ def test_hermitian_flag_checked():
 
 
 def test_symbol_json_roundtrip():
+    # the num/den tables carry every rational, so the dump loses nothing
     G = default_symbol_set().div_x
-    G2 = BlockSymbol.from_json(G.to_json())
-    assert G2 == G
-    th = (0.3, -1.2)
-    assert np.allclose(G.eval(*th), G2.eval(*th))
+    data = G.to_json()
+    assert [tuple(e["k"]) for e in data["coeffs"]] == list(G.coeffs)
+    for entry in data["coeffs"]:
+        C = G.coefficient(entry["k"])
+        assert [[Fraction(p, q) for p, q in zip(*rows)]
+                for rows in zip(entry["num"], entry["den"])] == C.tolist()
+        assert entry["re"] == [[float(v) for v in row] for row in C]
 
 
 def test_symbol_eval_matches_fourier_sum():
@@ -69,54 +73,16 @@ def test_symbol_eval_matches_fourier_sum():
 
 
 # ---------------------------------------------------------------------------
-# permutations
-
-def test_perm_block_identity():
-    p = perm_block(1, 5)
-    assert np.array_equal(p.targets, np.arange(5))
-
-
-def test_perm_block_perfect_shuffle():
-    p = perm_block(2, 2)
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(p.apply(v), [1.0, 3.0, 2.0, 4.0])
-
-
-def test_perm_inverse_composes_to_identity():
-    p = perm_Pi(3, 4, 2)
-    v = np.arange(24, dtype=float)
-    assert np.array_equal(p.inverse().apply(p.apply(v)), v)
-    assert np.array_equal(p.restrict(p.apply(v)), v)
-
-
-def test_perm_pi_interleaves_block_rows():
-    # 2x2 block matrix of scalar 2x2 Toeplitz blocks: interleaving turns it
-    # into a 2-level structure with 2x2 blocks
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    blocks = [[a, 2 * a], [3 * a, 4 * a]]
-    A = np.block(blocks)
-    p = perm_Pi(2, 2, 1)
-    P = p.matrix().toarray()
-    B = P @ A @ P.T
-    outer = np.array([[1.0, 2.0], [3.0, 4.0]])
-    for i in range(2):
-        for j in range(2):
-            assert np.array_equal(B[2 * i:2 * i + 2, 2 * j:2 * j + 2],
-                                  a[i, j] * outer)
-
-
-def test_identity_kron():
-    p = identity_kron(2, perm_block(2, 2))
-    v = np.arange(8, dtype=float)
-    out = p.apply(v)
-    assert np.array_equal(out, [0, 2, 1, 3, 4, 6, 5, 7])
-
+# index maps
 
 def test_semi_orthogonality():
+    # P^T (P I P^T) P = I: embedding the identity places one unit at each
+    # target, and compressing it back recovers the identity
     imap, _ = velocity_extension_map(3)
-    P = imap.matrix()
-    eye = (P.T @ P).toarray()
-    assert np.array_equal(eye, np.eye(imap.source_size))
+    E = imap.embed(sp.identity(imap.source_size))
+    assert E.nnz == imap.source_size
+    assert np.array_equal(E.diagonal()[imap.targets], np.ones(imap.source_size))
+    assert np.array_equal(imap.compress(E).toarray(), np.eye(imap.source_size))
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,11 @@ def test_invalid_n_rejected():
 @pytest.mark.parametrize("n", [1, 3, 4])
 def test_positive_areas_and_total(n):
     mesh = build_mesh(n)
-    total = 0.0
-    for t in range(len(mesh.triangles)):
-        p = mesh.triangle_vertices(t)
-        area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                      - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
-        assert area > 0
-        total += area
-    assert abs(total - 1.0) < 1e-14
+    p = mesh.vertices[mesh.triangles] / float(mesh.denominator)
+    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    assert np.all(area > 0)
+    assert abs(area.sum() - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])

@@ -148,7 +148,8 @@ def test_schur_properties():
     assert sym_defect <= 1e-10
     assert set(seconds) == {"schur_panels", "inverse"}
     assert min(seconds.values()) >= 0
-    S = schur_panels(system.div_x, system.div_y, vel.solve)  # B P^-1 B^T
+    # B P^-1 B^T
+    S = schur_panels(system.div_x, system.div_y, vel.solve, vel.solve)
     w = np.linalg.eigvalsh(S)
     assert w[0] > -1e-12          # positive semidefinite
     assert np.sum(np.abs(w) < 1e-10) == 1   # exactly one kernel direction
@@ -164,7 +165,7 @@ def test_schur_smallest_system():
     mesh = build_mesh(1)
     system = assemble_saddle(mesh, ONE)
     vel = build_velocity_preconditioner(mesh, ONE, "frozen_sparse")
-    schur = schur_panels(system.div_x, system.div_y, vel.solve)
+    schur = schur_panels(system.div_x, system.div_y, vel.solve, vel.solve)
     assert schur.shape == (5, 5)
     assert np.linalg.matrix_rank(schur, tol=1e-10) == 4
     kernel = np.linalg.svd(schur)[2][-1]
@@ -246,7 +247,8 @@ def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
     P = prec.velocity_solver.matrix.toarray()
     Bx, By = system.div_x.toarray(), system.div_y.toarray()
     S = Bx @ np.linalg.solve(P, Bx.T) + By @ np.linalg.solve(P, By.T)
-    panels = schur_panels(system.div_x, system.div_y, prec.velocity_solver.solve)
+    solve = prec.velocity_solver.solve
+    panels = schur_panels(system.div_x, system.div_y, solve, solve)
     assert np.abs(panels - S).max() <= 1e-13 * np.abs(S).max()
 
     # the former apply: one velocity solve per component, cho_solve on the
@@ -316,7 +318,7 @@ def test_panel_workers_one_off_main_thread(monkeypatch):
 
 def _panels_with(monkeypatch, workers, system, solve):
     monkeypatch.setattr(precond, "panel_workers", lambda: workers)
-    return schur_panels(system.div_x, system.div_y, solve)
+    return schur_panels(system.div_x, system.div_y, solve, solve)
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -398,7 +400,7 @@ def test_in_place_inverse(n):
     mu = viscosity_for_group(3, 100.0)
     system = assemble_saddle(mesh, mu)
     vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
-    S = schur_panels(system.div_x, system.div_y, vel.solve)
+    S = schur_panels(system.div_x, system.div_y, vel.solve, vel.solve)
     inverse, defect, _ = build_schur(system.div_x, system.div_y, vel.solve)
     assert inverse.flags.c_contiguous
     assert np.array_equal(inverse, inverse.T)

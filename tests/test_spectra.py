@@ -344,8 +344,8 @@ FIELDS = {
 
 def _full_size_pencil(system):
     """The pencil eigenvalues solved as one full-size block."""
-    S = schur_panels(system.div_x, system.div_y,
-                     SPDSolver(system.stiffness).solve)
+    solve = SPDSolver(system.stiffness).solve
+    S = schur_panels(system.div_x, system.div_y, solve, solve)
     symmetrize(S)
     s = np.maximum(sla.eigh(S, system.pressure_mass.toarray(),
                             eigvals_only=True), 0.0)

@@ -3,13 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from glt_stokes.assembly import ViscosityField, viscosity_for_group
+from glt_stokes.assembly import viscosity_for_group
 from glt_stokes.symbols import (build_symbol_set, default_symbol_set,
-                                eval_divergence_symbols, eval_saddle_symbol,
-                                eval_stiffness_symbol)
+                                saddle_symbol)
 
 F = Fraction
-ONE = ViscosityField.constant(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -71,21 +69,28 @@ def test_stiffness_symbol_psd_on_random_sample(syms):
     assert w.min() >= -1e-12
 
 
-def test_eval_stiffness_with_viscosity():
+def _weight(mu, x, y):
+    return float(mu(np.array([[x, y]]))[0])
+
+
+def test_eval_stiffness_with_viscosity(syms):
     th = (0.4, -0.9)
-    base = eval_stiffness_symbol(0.0, 0.0, *th, ONE)
-    mu2 = eval_stiffness_symbol(0.3, 0.8, *th, viscosity_for_group(2))
+    V, D = saddle_symbol(np.array([th]))
+    base = syms.stiffness.eval(*th)
+    mu = viscosity_for_group(2)
+    S = D[0] + _weight(mu, 0.3, 0.8) * V[0]
     w = 0.3 * 0.8 + np.exp(1.1)
-    assert np.allclose(mu2, w * base, atol=1e-13)
+    for block in (S[0:8, 0:8], S[8:16, 8:16]):
+        assert np.allclose(block, w * base, atol=1e-13)
     # group 2 viscosity is 1 at the origin
-    at0 = eval_stiffness_symbol(0.0, 0.0, *th, viscosity_for_group(2))
-    assert np.allclose(at0, base, atol=1e-14)
+    at0 = D[0] + _weight(mu, 0.0, 0.0) * V[0]
+    assert np.allclose(at0[0:8, 0:8], base, atol=1e-14)
 
 
-def test_divergence_symbol_corner_values():
-    Gx0, Gy0 = eval_divergence_symbols(0.0, 0.0)
+def test_divergence_symbol_corner_values(syms):
+    Gx0, Gy0 = syms.div_x.eval(0.0, 0.0), syms.div_y.eval(0.0, 0.0)
     assert Gx0[0, 0] == pytest.approx(-1 / 6, abs=1e-15)
-    Gxp, _ = eval_divergence_symbols(np.pi, np.pi)
+    Gxp = syms.div_x.eval(np.pi, np.pi)
     assert Gxp[0, 0].real == pytest.approx(-1 / 6, abs=1e-12)
     assert abs(Gxp[0, 0].imag) < 1e-12
 
@@ -117,26 +122,26 @@ def test_divergence_unilevel_slices(syms):
                                       full.coefficient((k1, k2)))
 
 
-def test_saddle_symbol_blocks():
-    th = (0.5, 1.1)
-    S = eval_saddle_symbol(0.25, 0.75, *th, ONE)
-    Gx, Gy = eval_divergence_symbols(*th)
-    assert np.array_equal(S[0:8, 16:18], Gx)
-    assert np.array_equal(S[8:16, 16:18], Gy)
+def test_saddle_symbol_blocks(syms):
+    th = np.array([[0.5, 1.1]])
+    V, D = saddle_symbol(th)
+    S = D[0] + V[0]
+    assert np.array_equal(S[0:8, 16:18], syms.div_x.eval_grid(th)[0])
+    assert np.array_equal(S[8:16, 16:18], syms.div_y.eval_grid(th)[0])
     assert np.abs(S - S.conj().T).max() < 1e-14
 
 
 def test_saddle_symbol_singular_velocity_block_at_zero():
-    S = eval_saddle_symbol(0.5, 0.5, 0.0, 0.0, ONE)
-    w = np.linalg.eigvalsh(S[0:16, 0:16])
+    V, D = saddle_symbol(np.zeros((1, 2)))
+    w = np.linalg.eigvalsh((D[0] + V[0])[0:16, 0:16])
     assert abs(w[0]) < 1e-13  # the constants direction
 
 
 def test_saddle_spectrum_symmetric_under_conjugation():
-    mu = viscosity_for_group(2)
-    th = (0.8, -0.3)
-    w1 = np.linalg.eigvalsh(eval_saddle_symbol(0.2, 0.9, *th, mu))
-    w2 = np.linalg.eigvalsh(eval_saddle_symbol(0.2, 0.9, -th[0], -th[1], mu))
+    th = np.array([0.8, -0.3])
+    V, D = saddle_symbol(np.array([th, -th]))
+    w = _weight(viscosity_for_group(2), 0.2, 0.9)
+    w1, w2 = np.linalg.eigvalsh(D + w * V)
     assert np.allclose(w1, w2, atol=1e-12)
 
 
