@@ -258,8 +258,7 @@ def test_config_file_and_override(tmp_path, capsys):
     assert row["case"] == "c" and row["n"] == 2
     # the printout carries the stop reason and the build diagnostics that
     # the CSV leaves out
-    assert row["stop_reason"] in ("converged", "stagnation", "breakdown",
-                                  "maxit")
+    assert row["stop_reason"] in ("converged", "breakdown", "maxit")
     assert row["cycles"] >= 1
     assert set(row["phase_seconds"]) == {"velocity", "schur_panels", "inverse"}
     assert row["velocity_min_pivot"] > 0
