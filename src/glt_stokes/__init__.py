@@ -14,7 +14,6 @@ from .assembly import (
 )
 from .glt_core import (
     BlockSymbol,
-    IndexMap,
     tau_approx,
     toeplitz_from_symbol,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "assemble_saddle",
     "assemble_stiffness",
     "BlockSymbol",
-    "IndexMap",
     "tau_approx",
     "toeplitz_from_symbol",
     "StokesSymbolSet",

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,9 +24,8 @@ from . import __version__
 from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
                        assemble_stiffness, viscosity_for_group)
 from .mesh import StructuredMesh, build_mesh, saddle_dimension
-from .precond import (STRATEGIES, SPDSolver, _env_threads,
-                      build_saddle_preconditioner, env_blas_threads,
-                      usable_cpus)
+from .precond import (STRATEGIES, SPDSolver, build_saddle_preconditioner,
+                      env_blas_threads, fan_out)
 from .solvers import gmres, minres
 from .spectra import (DEFAULT_GRID, pencil_class_sizes, sample_saddle_symbol,
                       sample_symbol, singular_values, symmetric_eigenvalues,
@@ -73,12 +71,6 @@ class ExperimentConfig:
         payload["grid"] = list(self.grid)
         return [f"# glt-stokes {__version__}",
                 f"# config: {json.dumps(payload, sort_keys=True)}"]
-
-
-def thread_pool_size() -> int:
-    """Threads of the `table` cell pool: GLT_STOKES_THREADS when it is a
-    positive integer, else the CPUs this process may use, at most 4."""
-    return _env_threads("GLT_STOKES_THREADS") or min(4, usable_cpus())
 
 
 def _write_csv(path: Path, header_lines, columns, rows):
@@ -199,8 +191,9 @@ SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_min_pivot",
 
 def run_group_table(configs: list[ExperimentConfig], out_path: Path,
                     meta: dict | None = None) -> list[dict]:
-    """PGMRES iteration table; cells run in a work pool, rows written in
-    config order.  Failed cells are recorded with converged=false.
+    """PGMRES iteration table; cells run through `precond.fan_out` (inline
+    with the default threaded BLAS), rows written in config order.  Failed
+    cells are recorded with converged=false.
 
     Next to the CSV, `<out>.json` holds one record per cell: its group,
     case and n, the `SIDECAR_KEYS` diagnostics, the BLAS thread count the
@@ -223,8 +216,7 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
         row["cell_wall_s"] = time.perf_counter() - t0
         return row
 
-    with ThreadPoolExecutor(max_workers=thread_pool_size()) as pool:
-        rows = list(pool.map(cell, configs))
+    rows = fan_out(cell, configs)
 
     for cfg, row in zip(configs, rows):
         key = (cfg.group, cfg.gamma if cfg.group == 3 else None)

@@ -4,13 +4,12 @@ Matrix-valued trigonometric polynomials (block symbols) with exact rational
 coefficients, Toeplitz generation, the tau (Hankel corner correction)
 approximation of banded Toeplitz matrices and the tau-algebra core of a
 two-level block symbol (one corner stripe rule serves both), and the
-index map and structural helpers that embed the crisscross stiffness
-block into its extended block-Toeplitz form.
+slot-index array and structural helpers that embed the crisscross
+stiffness block into its extended block-Toeplitz form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,6 @@ from .mesh import velocity_lattice
 
 __all__ = [
     "BlockSymbol",
-    "IndexMap",
     "toeplitz_from_symbol",
     "corner_stripes",
     "tau_approx",
@@ -202,41 +200,6 @@ def toeplitz_from_symbol(sym: BlockSymbol, n) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# index maps
-
-@dataclass(frozen=True)
-class IndexMap:
-    """Injective map of row indices; as a matrix, the 0/1 semi-orthogonal
-    P of shape (target_size, source_size) with P[targets[i], i] = 1."""
-
-    source_size: int
-    target_size: int
-    targets: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.targets, dtype=np.int64)
-        if len(t) != self.source_size:
-            raise ValueError("targets length must equal source_size")
-        if len(np.unique(t)) != len(t):
-            raise ValueError("index map must be injective")
-        if t.min() < 0 or t.max() >= self.target_size:
-            raise ValueError("targets out of range")
-        object.__setattr__(self, "targets", t)
-
-    def compress(self, A) -> sp.csr_matrix:
-        """P* A P for a target-sized square matrix."""
-        A = sp.csr_matrix(A)
-        return A[self.targets][:, self.targets]
-
-    def embed(self, A) -> sp.csr_matrix:
-        """P A P* -- place a source-sized square matrix at the targets."""
-        A = sp.coo_matrix(A)
-        return sp.coo_matrix(
-            (A.data, (self.targets[A.row], self.targets[A.col])),
-            shape=(self.target_size, self.target_size)).tocsr()
-
-
-# ---------------------------------------------------------------------------
 # tau approximation
 
 def _band_array(band):
@@ -407,23 +370,24 @@ def velocity_slot_assignment(n: int):
 
 
 def velocity_extension_map(n: int):
-    """Semi-orthogonal embedding of the grid-mappable interior velocity
-    DOFs into the extended 8n^2 block-Toeplitz index space.
+    """Embedding of the grid-mappable interior velocity DOFs into the
+    extended 8n^2 block-Toeplitz index space.
 
-    Returns (IndexMap, mappable_mask) where the mask flags DOFs with
-    in-range cells; unmapped DOFs are exactly the n leftmost off-grid
-    nodes.
+    Returns (flat, mappable_mask): the mask flags DOFs with in-range cells
+    (the unmapped DOFs are exactly the n leftmost off-grid nodes), and
+    flat[i] is the distinct slot index (cell * 8 + slot) of the i-th
+    mappable DOF, so T[flat][:, flat] compresses an extended matrix T onto
+    them.
     """
     jj, ii, ss = velocity_slot_assignment(n)
     mask = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-    flat = (jj[mask] * n + ii[mask]) * 8 + ss[mask]
-    imap = IndexMap(int(mask.sum()), 8 * n * n, flat)
-    return imap, mask
+    return (jj[mask] * n + ii[mask]) * 8 + ss[mask], mask
 
 
 def extend_to_block_toeplitz(A, n: int) -> sp.csr_matrix:
     """Embed the stiffness block into the extended 8n^2 index space,
     zero-filling inserted rows/columns and dropping off-grid DOFs."""
-    imap, mask = velocity_extension_map(n)
-    A = sp.csr_matrix(A)
-    return imap.embed(A[mask][:, mask])
+    flat, mask = velocity_extension_map(n)
+    A = sp.coo_matrix(sp.csr_matrix(A)[mask][:, mask])
+    return sp.coo_matrix((A.data, (flat[A.row], flat[A.col])),
+                         shape=(8 * n * n, 8 * n * n)).tocsr()

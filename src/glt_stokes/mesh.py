@@ -65,14 +65,12 @@ class StructuredMesh:
         velocity node i sits at the mirror image of node Rv[i], pressure
         node k at that of node Rp[k].
 
-        Nodes are matched on the exact integer lattice keys rint(4n*coords),
-        and each permutation is checked to be an involution.
+        Nodes are matched on their integer lattice coordinates, and each
+        permutation is checked to be an involution.
         """
         return tuple(
-            _mirror_permutation(
-                np.rint(coords * self.denominator).astype(np.int64),
-                _MIRRORS["swap"], self.denominator)
-            for coords in (self.velocity_coords(), self.pressure_coords()))
+            _mirror_permutation(nodes, _MIRRORS["swap"], self.denominator)
+            for nodes in (self.velocity_nodes, self.pressure_nodes))
 
     def dump(self) -> str:
         """Plain-text dump: one `v ix iy denom` line per vertex, one

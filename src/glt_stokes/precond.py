@@ -22,28 +22,35 @@ built in panels of pressure columns and deflated on the constant-pressure
 kernel; its Cholesky factor is turned into the dense inverse once, so an
 apply is a matrix product rather than two triangular solves.
 
+Every thread decision of the package follows one rule, `workers()`: the
+CPUs this process may use divided by the BLAS threads the environment asks
+for (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else all CPUs, OpenBLAS's
+own default), and 1 off the main thread.  With the default threaded BLAS
+that is one worker and everything runs inline.  Work that fans out (the
+Schur panels, the strip-pencil classes of `spectra`, the cells of the
+`table` command) goes through `fan_out`, which runs inline when
+`workers()` is 1 or it has fewer than two tasks, and otherwise on the
+process's one thread pool of `workers()` threads, made on first use.  Only
+the main thread ever submits to that pool, and code on a pool thread sees
+one worker and runs its own fan-outs inline, so fan-outs never nest on the
+shared pool and cannot deadlock waiting for one another.
+
 The panels are independent, and the sparse solves and products they make
-release the GIL, so on the main thread they run on a pool of
-`panel_workers()` threads: the CPUs this process may use divided by the
-BLAS threads the environment asks for (OPENBLAS_NUM_THREADS, else
-OMP_NUM_THREADS, else all CPUs, OpenBLAS's own default).  With the default
-threaded BLAS that is one worker and the loop runs inline; off the main
-thread (the `table` command's cell pool) it is always one, so pools never
-nest.  A task takes PANEL // workers columns, so as many columns are in
-flight as in the serial loop; with OpenBLAS the result is bitwise that of
-the serial loop (checked at n = 4 to 32).  The Schur complement is then
-symmetrized, deflated, factored and inverted in its one npres^2 array.
+release the GIL.  A task takes PANEL // workers() columns, so as many
+columns are in flight as in the serial loop; with OpenBLAS the result is
+bitwise that of the serial loop (checked at n = 4 to 32).  The Schur
+complement is then symmetrized, deflated, factored and inverted in its one
+npres^2 array.
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.
 Both release the GIL, so when BLAS leaves a CPU idle the pressure half
-runs on one helper thread, made once per process on first use, while the
-calling thread does the velocity solve.  Each half does the same
-operations on the same arrays as in the serial order, so the result is
-bitwise the same.  The overlap needs `panel_workers()` > 1 (so never with
-the default threaded BLAS, and never off the main thread) and at least
-OVERLAP_PRESSURE pressure unknowns, below which a round trip to the
-helper costs more than it saves.  A sweep of G2 applies at n = 16 to 32
+runs on the pool while the calling thread does the velocity solve.  Each
+half does the same operations on the same arrays as in the serial order,
+so the result is bitwise the same.  The overlap needs `workers()` > 1 (so
+never with the default threaded BLAS, and never off the main thread) and
+at least OVERLAP_PRESSURE pressure unknowns, below which a round trip to
+the pool costs more than it saves.  A sweep of G2 applies at n = 16 to 32
 with single-threaded BLAS on 2 CPUs set that threshold: overlapping lost
 up to n = 18 (npres 685), was mixed at n = 20 and won from n = 22 (npres
 1013) on, reaching 4.2 -> 2.4 ms per apply at n = 32.
@@ -62,7 +69,7 @@ import functools
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -82,7 +89,8 @@ __all__ = [
     "build_velocity_preconditioner",
     "build_schur",
     "schur_panels",
-    "panel_workers",
+    "workers",
+    "fan_out",
     "env_blas_threads",
     "usable_cpus",
     "symmetrize",
@@ -112,7 +120,7 @@ TILE = 256
 # 0.99 ms, 841 (n = 20) 0.94-1.22 against 0.80-1.12 ms (won 3, 10 and 7 of
 # 10 trials in three sweeps), 1013 (n = 22) 1.34 against 1.00 ms, 1201
 # (n = 24) 1.60-1.87 against 1.27-1.36 ms, 1625 (n = 28) 2.85 against 1.99
-# ms, 2113 (n = 32) 4.22 against 2.43 ms.  One round trip to the helper
+# ms, 2113 (n = 32) 4.22 against 2.43 ms.  One round trip to the pool
 # costs about 0.05 ms, so small systems stay serial.
 OVERLAP_PRESSURE = 1000
 
@@ -131,9 +139,9 @@ def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
     still positive definite, and so is the core.
     """
     ext = tau_from_symbol(default_symbol_set().stiffness, n).tocoo()
-    imap, mask = velocity_extension_map(n)
-    dof = np.full(imap.target_size, -1, dtype=np.int64)
-    dof[imap.targets] = np.flatnonzero(mask)
+    flat, mask = velocity_extension_map(n)
+    dof = np.full(8 * n * n, -1, dtype=np.int64)
+    dof[flat] = np.flatnonzero(mask)
     rows, cols = dof[ext.row], dof[ext.col]
     keep = (rows >= 0) & (cols >= 0)
     off_grid = np.flatnonzero(~mask)
@@ -239,9 +247,9 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def panel_workers() -> int:
-    """Threads for the Schur panels: the CPUs this process may use divided
-    by the BLAS thread count, at least 1; always 1 off the main thread.
+def workers() -> int:
+    """Threads for every fan-out: the CPUs this process may use divided by
+    the BLAS thread count, at least 1; always 1 off the main thread.
 
     The BLAS thread count is `env_blas_threads()`, and with neither
     variable set it is all CPUs, as OpenBLAS assumes.
@@ -253,11 +261,31 @@ def panel_workers() -> int:
 
 
 @functools.cache
-def _helper() -> ThreadPoolExecutor:
-    """The process's one apply helper thread, made on first use; only
-    applies on the main thread call this, so the first use needs no lock."""
-    return ThreadPoolExecutor(max_workers=1,
-                              thread_name_prefix="glt-stokes-apply")
+def _pool() -> ThreadPoolExecutor:
+    """The process's one thread pool of `workers()` threads, made on first
+    use; only the main thread submits to it, so the first use needs no
+    lock."""
+    return ThreadPoolExecutor(max_workers=workers(),
+                              thread_name_prefix="glt-stokes")
+
+
+def fan_out(fn: Callable, items) -> list:
+    """[fn(item) for item in items], on the pool when `workers()` > 1 and
+    there are at least two items, else inline on the calling thread.
+
+    On the pool, the first exception in item order is raised here once
+    the running calls are done, and the queued calls are cancelled.
+    """
+    items = list(items)
+    if len(items) < 2 or workers() == 1:
+        return [fn(item) for item in items]
+    futures = [_pool().submit(fn, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
@@ -267,30 +295,21 @@ def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
     + B_y P_y^{-1} (B_y^T panel).
 
     The two solves may be one (P_x = P_y = P_A) or act on different
-    velocity spaces.  B^T is never densified whole.  With `panel_workers()`
-    > 1 the panels, PANEL // workers columns each, run on that many
-    threads; each writes its own columns of S, and the first exception a
-    panel raises is raised here once the running panels are done and the
-    rest cancelled.
+    velocity spaces.  B^T is never densified whole.  The panels, PANEL //
+    workers() columns each, go through `fan_out`; each writes its own
+    columns of S.
     """
     npres = div_x.shape[0]
     bx_t, by_t = div_x.T.tocsc(), div_y.T.tocsc()
     S = np.empty((npres, npres))
-    workers = panel_workers()
-    width = max(1, PANEL // workers)
+    width = max(1, PANEL // workers())
 
     def fill(start: int):
         panel = slice(start, start + width)
         S[:, panel] = (div_x @ pa_solve_x(bx_t[:, panel].toarray())
                        + div_y @ pa_solve_y(by_t[:, panel].toarray()))
 
-    starts = range(0, npres, width)
-    if workers == 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+    fan_out(fill, range(0, npres, width))
     return S
 
 
@@ -364,7 +383,7 @@ class SaddlePreconditioner:
     `phase_seconds` times the build: "velocity" (the velocity
     preconditioner and its factorization), "schur_panels" and "inverse".
     `apply_workers` is 2 when an apply on the main thread overlaps its two
-    halves (`panel_workers()` > 1 at build time and npres at least
+    halves (`workers()` > 1 at build time and npres at least
     OVERLAP_PRESSURE), else 1.
     """
 
@@ -392,9 +411,9 @@ class SaddlePreconditioner:
         multiplied by the deflated inverse, so it annihilates that
         direction.
 
-        With `apply_workers` == 2 and a call on the main thread, the
-        pressure half runs on the module's helper thread while this thread
-        does the velocity solve; each half writes its own rows of the
+        With `apply_workers` == 2 and `workers()` > 1 (so on the main
+        thread), the pressure half runs on the module's pool while this
+        thread does the velocity solve; each half writes its own rows of the
         result, which is bitwise that of the serial order.  An exception
         in either half reaches the caller once both are done.  Below
         OVERLAP_PRESSURE (set from the sweep in the module docstring) and
@@ -418,9 +437,8 @@ class SaddlePreconditioner:
             rp = R[2 * nvel:]
             out[2 * nvel:] = self.schur_inverse @ (rp - rp.sum(axis=0) / npres)
 
-        if (self.apply_workers > 1
-                and threading.current_thread() is threading.main_thread()):
-            pressure = _helper().submit(pressure_half)
+        if self.apply_workers > 1 and workers() > 1:
+            pressure = _pool().submit(pressure_half)
             try:
                 velocity_half()
             finally:
@@ -444,10 +462,10 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     t1 = time.perf_counter()
     inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
-    workers = panel_workers()
-    overlap = workers > 1 and len(inverse) >= OVERLAP_PRESSURE
+    count = workers()
+    overlap = count > 1 and len(inverse) >= OVERLAP_PRESSURE
     return SaddlePreconditioner(
         n=mesh.n, strategy=strategy, velocity_solver=vel,
         schur_inverse=inverse, schur_symmetry_defect=sym_defect,
-        schur_workers=workers, apply_workers=2 if overlap else 1,
+        schur_workers=count, apply_workers=2 if overlap else 1,
         phase_seconds={"velocity": t1 - t0, **seconds})

@@ -29,9 +29,9 @@ the class stiffness V^T A V, factored by the pivot-checked `SPDSolver`,
 through the panel loop `schur_panels`, then symmetrized and solved
 densely.  For the strip field that is four quarter-size pencils, about a
 sixteenth of the dense eigensolve and a quarter of the solves; a field
-that neither reflection keeps is solved as one full-size pencil.  On the
-main thread, when BLAS leaves CPUs idle (`panel_workers()` > 1), the
-classes run on that many threads.
+that neither reflection keeps is solved as one full-size pencil.  The
+classes go through `precond.fan_out`, so when BLAS leaves CPUs idle they
+run on the package's thread pool.
 
 The Weyl distance is a maximum over sample points of the difference of two
 empirical distribution functions; it searches the large symbol pool only
@@ -44,7 +44,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as sla
@@ -53,7 +52,7 @@ import scipy.sparse as sp
 from .assembly import ViscosityField
 from .glt_core import BlockSymbol
 from .mesh import reflection_permutations
-from .precond import SPDSolver, panel_workers, schur_panels, symmetrize
+from .precond import SPDSolver, fan_out, schur_panels, symmetrize
 from .symbols import saddle_symbol
 
 __all__ = [
@@ -371,10 +370,10 @@ def saddle_pencil_eigenvalues(system) -> np.ndarray:
     solved densely with W_c = Q^T W Q.  For the strip field, which both
     reflections of the unit square keep, that is four quarter-size
     pencils; with no reflection kept, the one class has the identity
-    bases and the block is the full-size pencil.  On the main thread with
-    `panel_workers()` > 1 the classes run on that many threads (and the
-    panels of each class inline); the eigenvalues are those of the serial
-    order.  A stiffness that is not positive definite raises `ValueError`.
+    bases and the block is the full-size pencil.  The classes go through
+    `fan_out` (on the pool, the panels of each class run inline); the
+    eigenvalues are those of the serial order.  A stiffness that is not
+    positive definite raises `ValueError`.
     """
     A, W = system.stiffness, system.pressure_mass
     signs, vel, pres = _pencil_classes(system)
@@ -389,13 +388,7 @@ def saddle_pencil_eigenvalues(system) -> np.ndarray:
         symmetrize(S)
         return sla.eigh(S, (Q.T @ W @ Q).toarray(), eigvals_only=True)
 
-    workers = min(panel_workers(), len(pres))
-    if workers == 1:
-        s_vals = [class_values(c) for c in pres]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            s_vals = list(pool.map(class_values, pres))
-    s_vals = np.maximum(np.concatenate(s_vals), 0.0)
+    s_vals = np.maximum(np.concatenate(fan_out(class_values, pres)), 0.0)
     lam_plus = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s_vals))
     lam_minus = 0.5 * (1.0 - np.sqrt(1.0 + 4.0 * s_vals))
     nu = system.velocity_count

@@ -1,15 +1,17 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 import scipy.io
 
+from glt_stokes import cli
 from glt_stokes.cli import (ExperimentConfig, emit_adherence_data,
                             example1_conformity, main, rhs_for_case,
                             run_group_table, run_solve_cell)
-from glt_stokes import precond
 from glt_stokes.mesh import build_mesh
-from glt_stokes.precond import panel_workers
+from glt_stokes.precond import workers
 
 
 def test_mesh_info_command(capsys, tmp_path):
@@ -159,7 +161,9 @@ def test_table_json_sidecar(tmp_path, monkeypatch):
                                              "inverse"}
         assert rec["velocity_min_pivot"] > 0
         assert 0.0 <= rec["schur_symmetry_defect"] <= 1e-10
-        assert rec["schur_workers"] == 1  # cells run off the main thread
+        # a cell runs inline with one worker or on a pool thread, where
+        # workers() is 1
+        assert rec["schur_workers"] == 1
         assert rec["apply_workers"] == 1
         assert rec["blas_threads"] == 3
         assert rec["gmres_wall_s"] == float(row["wall_time_s"])
@@ -263,25 +267,40 @@ def test_config_file_and_override(tmp_path, capsys):
     assert set(row["phase_seconds"]) == {"velocity", "schur_panels", "inverse"}
     assert row["velocity_min_pivot"] > 0
     assert 0.0 <= row["schur_symmetry_defect"] <= 1e-10
-    assert row["schur_workers"] == panel_workers()
+    assert row["schur_workers"] == workers()
     assert row["apply_workers"] == 1  # npres = 13 < OVERLAP_PRESSURE
 
 
-def test_thread_pool_env(monkeypatch):
-    from glt_stokes.cli import thread_pool_size
-    monkeypatch.setattr(precond.os, "sched_getaffinity",
-                        lambda pid: {0, 1, 2, 5, 7, 9}, raising=False)
-    monkeypatch.delenv("GLT_STOKES_THREADS", raising=False)
-    assert thread_pool_size() == 4  # six usable CPUs, at most four
-    # anything but a positive integer counts as unset
-    for value, size in (("2", 2), ("3", 3), ("abc", 4), ("0", 4),
-                        ("-2", 4), ("2.5", 4), ("", 4)):
-        monkeypatch.setenv("GLT_STOKES_THREADS", value)
-        assert thread_pool_size() == size, value
-    monkeypatch.setattr(precond.os, "sched_getaffinity",
-                        lambda pid: {3}, raising=False)
-    monkeypatch.delenv("GLT_STOKES_THREADS")
-    assert thread_pool_size() == 1
+def _table_with(monkeypatch, count, path):
+    """The table of two cases at n = 2 and 4 for G1 and G3(100) with
+    `workers()` = count, and the threads its cells ran on."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(2)), raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(3 - count))
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert workers() == count
+    threads, cell = [], run_solve_cell
+
+    def spy(cfg):
+        threads.append(threading.current_thread())
+        return cell(cfg)
+
+    monkeypatch.setattr(cli, "run_solve_cell", spy)
+    run_group_table([ExperimentConfig(n=n, group=group, gamma=gamma, case=case)
+                     for group, gamma in ((1, None), (3, 100.0))
+                     for case in "ac" for n in (2, 4)], path)
+    return path.read_text(), threads
+
+
+def test_table_cells_follow_the_worker_rule(tmp_path, monkeypatch):
+    # one worker: every cell on the main thread; two: on the pool, with a
+    # byte-identical CSV
+    serial, threads = _table_with(monkeypatch, 1, tmp_path / "one.csv")
+    assert threads and all(t is threading.main_thread() for t in threads)
+    pooled, threads = _table_with(monkeypatch, 2, tmp_path / "two.csv")
+    assert len(threads) == 8
+    assert all(t.name.startswith("glt-stokes") for t in threads)
+    assert pooled == serial
 
 
 def test_symbol_json_schema():

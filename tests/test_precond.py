@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 import os
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from glt_stokes.mesh import build_mesh
 from glt_stokes import precond
 from glt_stokes.precond import (PANEL, STRATEGIES, TILE, SPDSolver,
                                 build_saddle_preconditioner, build_schur,
-                                build_velocity_preconditioner, panel_workers,
+                                build_velocity_preconditioner, fan_out,
                                 schur_panels, symmetrize, tau_block_core,
-                                viscosity_scaling)
+                                viscosity_scaling, workers)
 
 ONE = ViscosityField.constant(1.0)
 
@@ -273,14 +276,23 @@ def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
 
 
 # ---------------------------------------------------------------------------
-# threaded Schur panels and the in-place inverse
+# the one worker rule, the shared pool and the threaded Schur panels
 
 def _fixed_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
 
 
-@pytest.mark.parametrize("openblas,omp,workers", [
+def _workers(monkeypatch, count):
+    """`count` usable CPUs and single-threaded BLAS: `workers()` reads
+    `count` on the main thread and 1 off it."""
+    _fixed_cpus(monkeypatch, count)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert workers() == count
+
+
+@pytest.mark.parametrize("openblas,omp,count", [
     (None, None, 1),      # BLAS takes every CPU
     ("1", None, 4),
     ("2", None, 2),
@@ -294,7 +306,7 @@ def _fixed_cpus(monkeypatch, count):
     ("0", "2", 2),
     (None, "4,2", 1),
 ])
-def test_panel_workers_rule(monkeypatch, openblas, omp, workers):
+def test_panel_workers_rule(monkeypatch, openblas, omp, count):
     _fixed_cpus(monkeypatch, 4)
     for name, value in (("OPENBLAS_NUM_THREADS", openblas),
                         ("OMP_NUM_THREADS", omp)):
@@ -302,22 +314,30 @@ def test_panel_workers_rule(monkeypatch, openblas, omp, workers):
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
-    assert panel_workers() == workers
+    assert workers() == count
 
 
 def test_panel_workers_one_off_main_thread(monkeypatch):
-    _fixed_cpus(monkeypatch, 4)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    _workers(monkeypatch, 4)
     seen = []
-    worker = threading.Thread(target=lambda: seen.append(panel_workers()))
+    worker = threading.Thread(target=lambda: seen.append(workers()))
     worker.start()
     worker.join(timeout=10)
     assert not worker.is_alive()
-    assert panel_workers() == 4 and seen == [1]
+    assert workers() == 4 and seen == [1]
 
 
-def _panels_with(monkeypatch, workers, system, solve):
-    monkeypatch.setattr(precond, "panel_workers", lambda: workers)
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A pool of this test's own, so its size is the test's `workers()`."""
+    monkeypatch.setattr(precond, "_pool",
+                        functools.cache(precond._pool.__wrapped__))
+    yield
+    precond._pool().shutdown()
+
+
+def _panels_with(monkeypatch, count, system, solve):
+    _workers(monkeypatch, count)
     return schur_panels(system.div_x, system.div_y, solve, solve)
 
 
@@ -336,7 +356,7 @@ def test_schur_panels_two_workers_bitwise(monkeypatch, group, gamma, n):
 
 
 def test_schur_panels_many_workers_under_fast_switching(monkeypatch, setup8):
-    # more workers than cores, 4-column tasks, a thread switch every
+    # 4-column tasks on the shared pool, a thread switch every
     # microsecond: a lost or misplaced column write would show
     _, _, system = setup8
     vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
@@ -365,7 +385,9 @@ class PanelFailure(RuntimeError):
     pass
 
 
-def test_schur_panels_worker_exception_propagates(monkeypatch, setup8):
+def test_schur_panels_worker_exception_propagates(monkeypatch, setup8,
+                                                  fresh_pool):
+    # ten 16-column panels, two solves each; the third solve fails
     _, _, system = setup8
     vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
     calls, lock = [], threading.Lock()
@@ -376,12 +398,40 @@ def test_schur_panels_worker_exception_propagates(monkeypatch, setup8):
             fail = len(calls) == 3
         if fail:
             raise PanelFailure("third panel")
+        time.sleep(0.01)
         return vel.solve(rhs)
 
-    before = threading.active_count()
     with pytest.raises(PanelFailure, match="third panel"):
         _panels_with(monkeypatch, 2, system, flaky)
-    assert threading.active_count() == before
+    # the queued panels were cancelled, and none starts later
+    seen = len(calls)
+    assert seen < 2 * 10 - 1
+    assert fan_out(lambda _: time.sleep(0.01), range(4)) == [None] * 4
+    assert len(calls) == seen
+
+
+def test_fan_out_exception_contract(monkeypatch, fresh_pool):
+    # the first failure in item order is raised once the running tasks are
+    # done; the queued ones are cancelled
+    _workers(monkeypatch, 2)
+    started, finished = [], []
+
+    def task(i):
+        started.append(i)
+        if i in (1, 3):
+            raise PanelFailure(f"task {i}")
+        time.sleep(0.2 if i == 0 else 0.05)
+        finished.append(i)
+        return i
+
+    assert fan_out(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
+    with pytest.raises(PanelFailure, match="task 1"):
+        fan_out(task, range(20))
+    ran = len(started)
+    assert set(finished) == set(started) - {1, 3} and 0 in finished
+    assert ran < 20
+    time.sleep(0.1)
+    assert len(started) == ran
 
 
 def test_symmetrize_matches_dense_formula():
@@ -410,7 +460,7 @@ def test_in_place_inverse(n):
 
 
 # ---------------------------------------------------------------------------
-# the overlapped apply: pressure half on the helper thread
+# the overlapped apply: pressure half on the pool
 
 class PressureFailure(RuntimeError):
     pass
@@ -418,8 +468,8 @@ class PressureFailure(RuntimeError):
 
 def _overlapped(monkeypatch, n, group=2, gamma=None, strategy="tau_block"):
     """A preconditioner built with the overlap forced on, and the list of
-    helper executors its applies submitted to."""
-    monkeypatch.setattr(precond, "panel_workers", lambda: 2)
+    pools its applies submitted to."""
+    _workers(monkeypatch, 2)
     monkeypatch.setattr(precond, "OVERLAP_PRESSURE", 0)
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
@@ -427,23 +477,23 @@ def _overlapped(monkeypatch, n, group=2, gamma=None, strategy="tau_block"):
     prec = build_saddle_preconditioner(mesh, mu, system, strategy)
     assert prec.apply_workers == 2
     submits = []
-    helper = precond._helper
+    pool = precond._pool
 
     def spy():
-        submits.append(helper())
+        submits.append(pool())
         return submits[-1]
 
-    monkeypatch.setattr(precond, "_helper", spy)
+    monkeypatch.setattr(precond, "_pool", spy)
     return prec, system, submits
 
 
 def test_apply_workers_follow_the_rule(monkeypatch, setup8):
     # npres = 145 at n = 8
-    monkeypatch.setattr(precond, "panel_workers", lambda: 2)
+    _workers(monkeypatch, 2)
     assert build_saddle_preconditioner(*setup8).apply_workers == 1
     monkeypatch.setattr(precond, "OVERLAP_PRESSURE", 145)
     assert build_saddle_preconditioner(*setup8).apply_workers == 2
-    monkeypatch.setattr(precond, "panel_workers", lambda: 1)
+    _workers(monkeypatch, 1)
     assert build_saddle_preconditioner(*setup8).apply_workers == 1
 
 
@@ -478,16 +528,6 @@ def test_overlapped_apply_under_fast_switching(monkeypatch):
     assert len(submits) == 200
     assert all(np.array_equal(got, expected[i % 2])
                for i, got in enumerate(results))
-
-
-def test_overlapped_apply_reuses_one_helper(monkeypatch):
-    prec, system, submits = _overlapped(monkeypatch, 4)
-    r = np.ones(system.dimension)
-    before = threading.active_count()
-    for _ in range(100):
-        prec.apply(r)
-        assert threading.active_count() <= before + 1
-    assert len(submits) == 100 and len(set(map(id, submits))) == 1
 
 
 class FailingInverse:
@@ -526,3 +566,52 @@ def test_apply_off_main_thread_stays_serial(monkeypatch):
     worker.join(timeout=30)
     assert not worker.is_alive()
     assert submits == [] and np.array_equal(got[0], expected)
+
+
+def test_one_pool_serves_every_fan_out(monkeypatch, tmp_path, fresh_pool):
+    # a Schur build, a four-class strip pencil, 100 overlapped applies and
+    # a small table: one pool, submitted to from the main thread only, and
+    # at most workers() more live threads
+    from glt_stokes.cli import ExperimentConfig, run_group_table
+    from glt_stokes.spectra import saddle_pencil_eigenvalues
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(precond, "OVERLAP_PRESSURE", 0)
+    made, submits = [], []
+    init, submit = ThreadPoolExecutor.__init__, ThreadPoolExecutor.submit
+
+    def spy_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def spy_submit(self, fn, *args, **kwargs):
+        future = submit(self, fn, *args, **kwargs)
+        submits.append((self, threading.current_thread(),
+                        threading.active_count(), fn.__qualname__))
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy_init)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy_submit)
+    before = threading.active_count()
+    mesh = build_mesh(8)
+    mu = viscosity_for_group(2)
+    system = assemble_saddle(mesh, mu)
+    prec = build_saddle_preconditioner(mesh, mu, system)
+    strip = assemble_saddle(build_mesh(4),
+                            ViscosityField.example1(1.0, 100.0, 0.5, 0.0))
+    saddle_pencil_eigenvalues(strip)
+    r = np.ones(system.dimension)
+    for _ in range(100):
+        prec.apply(r)
+    run_group_table([ExperimentConfig(n=2, group=1, case=c) for c in "abc"],
+                    tmp_path / "t.csv")
+    peak = max(threading.active_count(), *(s[2] for s in submits))
+    assert len(made) == 1
+    assert {id(s[0]) for s in submits} == {id(made[0])}
+    assert all(s[1] is threading.main_thread() for s in submits)
+    assert peak - before <= workers()
+    tasks = [s[3].split(".<locals>")[0] for s in submits]
+    assert tasks.count("SaddlePreconditioner.apply") == 100
+    assert tasks.count("saddle_pencil_eigenvalues") == 4
+    assert tasks.count("run_group_table") == 3
+    assert tasks.count("schur_panels") == -(-145 // (PANEL // 2))

@@ -15,7 +15,7 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
 from glt_stokes.glt_core import BlockSymbol
 from glt_stokes.mesh import build_mesh, reflection_permutations
 from glt_stokes import spectra
-from glt_stokes.precond import SPDSolver, schur_panels, symmetrize
+from glt_stokes.precond import SPDSolver, schur_panels, symmetrize, workers
 from glt_stokes.spectra import (outlier_check, pencil_class_sizes,
                                 sample_saddle_symbol, sample_symbol,
                                 saddle_pencil_eigenvalues, singular_values,
@@ -376,8 +376,12 @@ def test_saddle_pencil_classes_match_dense_oracle(n, field):
 def test_saddle_pencil_class_threads_bitwise(monkeypatch):
     # the four strip classes on two threads give the serial eigenvalues
     system = assemble_saddle(build_mesh(6), FIELDS["strip"][0])
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(2)), raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     runs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(spectra, "panel_workers", lambda: workers)
+    for blas, count in (("2", 1), ("1", 2)):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert workers() == count
         runs.append(saddle_pencil_eigenvalues(system))
     assert np.array_equal(runs[0], runs[1])
