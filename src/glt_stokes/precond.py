@@ -30,7 +30,7 @@ that is one worker and everything runs inline.  Work that fans out (the
 Schur panels, the strip-pencil classes of `spectra`, the cells of the
 `table` command) goes through `fan_out`, which runs inline when
 `workers()` is 1 or it has fewer than two tasks, and otherwise on the
-process's one thread pool of `workers()` threads, made on first use.  Only
+process's one thread pool, made on first use with `workers()` threads.  Only
 the main thread ever submits to that pool, and code on a pool thread sees
 one worker and runs its own fan-outs inline, so fan-outs never nest on the
 shared pool and cannot deadlock waiting for one another.
@@ -262,9 +262,10 @@ def workers() -> int:
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The process's one thread pool of `workers()` threads, made on first
-    use; only the main thread submits to it, so the first use needs no
-    lock."""
+    """The process's one thread pool, made on first use with `workers()`
+    threads as read then; a later change of the environment or the CPU
+    affinity changes `workers()` but not the pool.  Only the main thread
+    submits to it, so the first use needs no lock."""
     return ThreadPoolExecutor(max_workers=workers(),
                               thread_name_prefix="glt-stokes")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from glt_stokes import cli
+from glt_stokes import cli, precond
 from glt_stokes.cli import (ExperimentConfig, emit_adherence_data,
                             example1_conformity, main, rhs_for_case,
                             run_group_table, run_solve_cell)
@@ -292,13 +292,13 @@ def _table_with(monkeypatch, count, path):
     return path.read_text(), threads
 
 
-def test_table_cells_follow_the_worker_rule(tmp_path, monkeypatch):
+def test_table_cells_follow_the_worker_rule(tmp_path, monkeypatch, fresh_pool):
     # one worker: every cell on the main thread; two: on the pool, with a
     # byte-identical CSV
     serial, threads = _table_with(monkeypatch, 1, tmp_path / "one.csv")
     assert threads and all(t is threading.main_thread() for t in threads)
     pooled, threads = _table_with(monkeypatch, 2, tmp_path / "two.csv")
-    assert len(threads) == 8
+    assert len(threads) == 8 and precond._pool()._max_workers == 2
     assert all(t.name.startswith("glt-stokes") for t in threads)
     assert pooled == serial
 

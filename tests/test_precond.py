@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import os
 import sys
 import threading
@@ -327,15 +326,6 @@ def test_panel_workers_one_off_main_thread(monkeypatch):
     assert workers() == 4 and seen == [1]
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """A pool of this test's own, so its size is the test's `workers()`."""
-    monkeypatch.setattr(precond, "_pool",
-                        functools.cache(precond._pool.__wrapped__))
-    yield
-    precond._pool().shutdown()
-
-
 def _panels_with(monkeypatch, count, system, solve):
     _workers(monkeypatch, count)
     return schur_panels(system.div_x, system.div_y, solve, solve)
@@ -343,7 +333,8 @@ def _panels_with(monkeypatch, count, system, solve):
 
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
-def test_schur_panels_two_workers_bitwise(monkeypatch, group, gamma, n):
+def test_schur_panels_two_workers_bitwise(monkeypatch, fresh_pool, group,
+                                          gamma, n):
     # npres = 41 and 145 are not multiples of the 2-worker task width
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
@@ -355,8 +346,9 @@ def test_schur_panels_two_workers_bitwise(monkeypatch, group, gamma, n):
     assert np.array_equal(serial, threaded)
 
 
-def test_schur_panels_many_workers_under_fast_switching(monkeypatch, setup8):
-    # 4-column tasks on the shared pool, a thread switch every
+def test_schur_panels_many_workers_under_fast_switching(monkeypatch, setup8,
+                                                        fresh_pool):
+    # more workers than cores, 4-column tasks, a thread switch every
     # microsecond: a lost or misplaced column write would show
     _, _, system = setup8
     vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
@@ -367,10 +359,11 @@ def test_schur_panels_many_workers_under_fast_switching(monkeypatch, setup8):
         threaded = _panels_with(monkeypatch, 8, system, vel.solve)
     finally:
         sys.setswitchinterval(interval)
+    assert precond._pool()._max_workers == 8
     assert np.array_equal(serial, threaded)
 
 
-def test_schur_panels_repeatable_on_shared_solver(monkeypatch):
+def test_schur_panels_repeatable_on_shared_solver(monkeypatch, fresh_pool):
     mesh = build_mesh(16)
     mu = viscosity_for_group(2)
     system = assemble_saddle(mesh, mu)
@@ -500,7 +493,8 @@ def test_apply_workers_follow_the_rule(monkeypatch, setup8):
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
-def test_overlapped_apply_bitwise(monkeypatch, group, gamma, strategy, n):
+def test_overlapped_apply_bitwise(monkeypatch, fresh_pool, group, gamma,
+                                  strategy, n):
     prec, system, submits = _overlapped(monkeypatch, n, group, gamma, strategy)
     serial = dataclasses.replace(prec, apply_workers=1)
     rng = np.random.default_rng(n + group)
@@ -512,7 +506,7 @@ def test_overlapped_apply_bitwise(monkeypatch, group, gamma, strategy, n):
     assert len(submits) == 2
 
 
-def test_overlapped_apply_under_fast_switching(monkeypatch):
+def test_overlapped_apply_under_fast_switching(monkeypatch, fresh_pool):
     prec, system, submits = _overlapped(monkeypatch, 8)
     serial = dataclasses.replace(prec, apply_workers=1)
     rng = np.random.default_rng(11)
@@ -543,7 +537,8 @@ class FailingInverse:
         raise PressureFailure("pressure half")
 
 
-def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch):
+def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch,
+                                                           fresh_pool):
     prec, system, submits = _overlapped(monkeypatch, 4)
     r = np.random.default_rng(3).standard_normal(system.dimension)
     expected = dataclasses.replace(prec, apply_workers=1).apply(r)
@@ -556,7 +551,7 @@ def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch):
     assert len(submits) == 2
 
 
-def test_apply_off_main_thread_stays_serial(monkeypatch):
+def test_apply_off_main_thread_stays_serial(monkeypatch, fresh_pool):
     prec, system, submits = _overlapped(monkeypatch, 4)
     r = np.random.default_rng(4).standard_normal(system.dimension)
     expected = dataclasses.replace(prec, apply_workers=1).apply(r)

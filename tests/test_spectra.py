@@ -14,7 +14,7 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  viscosity_for_group)
 from glt_stokes.glt_core import BlockSymbol
 from glt_stokes.mesh import build_mesh, reflection_permutations
-from glt_stokes import spectra
+from glt_stokes import precond, spectra
 from glt_stokes.precond import SPDSolver, schur_panels, symmetrize, workers
 from glt_stokes.spectra import (outlier_check, pencil_class_sizes,
                                 sample_saddle_symbol, sample_symbol,
@@ -373,7 +373,7 @@ def test_saddle_pencil_classes_match_dense_oracle(n, field):
         assert np.array_equal(got, _full_size_pencil(system))
 
 
-def test_saddle_pencil_class_threads_bitwise(monkeypatch):
+def test_saddle_pencil_class_threads_bitwise(monkeypatch, fresh_pool):
     # the four strip classes on two threads give the serial eigenvalues
     system = assemble_saddle(build_mesh(6), FIELDS["strip"][0])
     monkeypatch.setattr(os, "sched_getaffinity",
@@ -384,4 +384,5 @@ def test_saddle_pencil_class_threads_bitwise(monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
         assert workers() == count
         runs.append(saddle_pencil_eigenvalues(system))
+    assert precond._pool()._max_workers == 2
     assert np.array_equal(runs[0], runs[1])
