@@ -119,10 +119,13 @@ SOLVE_COLUMNS = ("group", "case", "n", "dim", "strategy", "iterations",
 def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     """One (group, case, n) PGMRES run; returns the results.csv row
     (the `SOLVE_COLUMNS`) plus the stop reason, the restart-cycle count
-    and, when preconditioned, the build's phase timings, the smallest
-    velocity pivot, the Schur complement's relative symmetry defect, the
-    thread count its panels were built with and the threads an apply
-    uses."""
+    and, when preconditioned, the build's phase timings, the velocity
+    path ("lu" below `precond.DST_MIN_N`, "dst" from it on), the velocity
+    definiteness certificate `velocity_min_pivot` (the smallest LDL^T pivot
+    on the "lu" path, the smallest squared diagonal entry of the DST block
+    Cholesky factors on the "dst" path), the Schur complement's relative
+    symmetry defect, the thread count its panels were built with and the
+    threads an apply uses."""
     cfg.validate()
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
@@ -139,6 +142,7 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
         stats = gmres(M, b, prec.apply, restart=cfg.restart, tol=cfg.tol,
                       maxit=cfg.maxit)
         build = {"phase_seconds": prec.phase_seconds,
+                 "velocity_path": prec.velocity_solver.method,
                  "velocity_min_pivot": prec.velocity_solver.min_pivot,
                  "schur_symmetry_defect": prec.schur_symmetry_defect,
                  "schur_workers": prec.schur_workers,
@@ -185,8 +189,9 @@ PUBLISHED_ITERATIONS = {
 
 # per-cell diagnostics of `run_solve_cell` that the table's JSON sidecar
 # keeps and its CSV body leaves out
-SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_min_pivot",
-                "schur_symmetry_defect", "schur_workers", "apply_workers")
+SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_path",
+                "velocity_min_pivot", "schur_symmetry_defect", "schur_workers",
+                "apply_workers")
 
 
 def run_group_table(configs: list[ExperimentConfig], out_path: Path,

@@ -3,7 +3,8 @@
 Matrix-valued trigonometric polynomials (block symbols) with exact rational
 coefficients, Toeplitz generation, the tau (Hankel corner correction)
 approximation of banded Toeplitz matrices and the tau-algebra core of a
-two-level block symbol (one corner stripe rule serves both), and the
+two-level block symbol (one corner stripe rule serves both) with its
+DST-I blocks, and the
 slot-index array and structural helpers that embed the crisscross
 stiffness block into its extended block-Toeplitz form.
 """
@@ -23,6 +24,7 @@ __all__ = [
     "corner_stripes",
     "tau_approx",
     "tau_from_symbol",
+    "tau_blocks",
     "tau_eigenvalues",
     "dst1_matrix",
     "block_toeplitz_defect",
@@ -245,35 +247,44 @@ def tau_approx(band, N: int) -> np.ndarray:
     return T
 
 
-def tau_from_symbol(sym: BlockSymbol, n: int) -> sp.csr_matrix:
-    """Tau-algebra core sum_m tau_N(m) (x) S_m of a Hermitian two-level
-    symbol over the flattened index of the n x n cell grid (N = n^2).
+def _tau_classes(sym: BlockSymbol, n: int) -> dict:
+    """The symmetrized flat coefficients {m: S_m, m >= 0} of a Hermitian
+    two-level symbol over the flattened n x n cell grid.
 
     m = k1*n + k2 is the flat offset of the symbol offset k; F_m sums the
     coefficients whose offsets land on m (they collide only for small n),
-    S_0 = F_0 and S_m = (F_m + F_-m)/2.  tau_N(0) = I, and for m > 0
-    tau_N(m) is J^m + J^-m minus the `corner_stripes` of m, so every entry
-    class (r, c) is `tau_approx` of its symmetrized flat band.  For N > 2b
-    (b the largest |m|) each tau_N(m) is the sine-algebra member with
-    eigenvalues 2cos(m theta_j), theta_j = j pi/(N+1), and the DST-I in the
-    cell index block-diagonalizes the core into
-    S_0 + sum_m 2cos(m theta_j) S_m.  For smaller N the stripes overlap
-    and the same sum is returned without that structure.
+    S_0 = F_0 and S_m = (F_m + F_-m)/2.
     """
-    N = n * n
     flat: dict = {}
     for k, C in sym.float_coefficients().items():
         m = k[0] * n + k[1]
         flat[m] = flat.get(m, 0.0) + C
     zero = np.zeros((sym.s1, sym.s2))
+    return {m: flat[0] if m == 0
+            else 0.5 * (flat.get(m, zero) + flat.get(-m, zero))
+            for m in sorted({abs(m) for m in flat})}
+
+
+def tau_from_symbol(sym: BlockSymbol, n: int) -> sp.csr_matrix:
+    """Tau-algebra core sum_m tau_N(m) (x) S_m of a Hermitian two-level
+    symbol over the flattened index of the n x n cell grid (N = n^2), with
+    S_m the symmetrized flat coefficients of `_tau_classes`.
+
+    tau_N(0) = I, and for m > 0 tau_N(m) is J^m + J^-m minus the
+    `corner_stripes` of m, so every entry class (r, c) is `tau_approx` of
+    its symmetrized flat band.  For N > 2b (b the largest |m|) each
+    tau_N(m) is the sine-algebra member with eigenvalues 2cos(m theta_j),
+    theta_j = j pi/(N+1), and the DST-I in the cell index block-diagonalizes
+    the core into the `tau_blocks`.  For smaller N the stripes overlap and
+    the same sum is returned without that structure.
+    """
+    N = n * n
     rows, cols, vals = [], [], []
-    for m in sorted({abs(m) for m in flat}):
+    for m, S in _tau_classes(sym, n).items():
         if m == 0:
-            S = flat[0]
             i = j = np.arange(N)
             sign = np.ones(N)
         else:
-            S = 0.5 * (flat.get(m, zero) + flat.get(-m, zero))
             band = np.arange(m, N)
             hi, hj = corner_stripes(m, N)
             i = np.concatenate([band, band - m, hi])
@@ -288,6 +299,25 @@ def tau_from_symbol(sym: BlockSymbol, n: int) -> sp.csr_matrix:
         shape=(sym.s1 * N, sym.s2 * N)).tocsr()
     core.eliminate_zeros()
     return core
+
+
+def tau_blocks(sym: BlockSymbol, n: int) -> np.ndarray:
+    """The N = n^2 diagonal blocks S_0 + sum_m 2cos(m theta_j) S_m,
+    theta_j = j pi/(N+1), j = 1..N, of the `tau_from_symbol` core under the
+    orthonormal DST-I in the cell index, as an (N, s1, s2) array.
+
+    They are the blocks only for N > 2b; the core is never built.  The
+    integer m*j is reduced modulo 2(N+1) before the cosine, so no angle
+    grows with N.
+    """
+    N = n * n
+    j = np.arange(1, N + 1)
+    blocks = np.zeros((N, sym.s1, sym.s2))
+    for m, S in _tau_classes(sym, n).items():
+        weight = (np.ones(N) if m == 0
+                  else 2.0 * np.cos((m * j % (2 * N + 2)) * np.pi / (N + 1)))
+        blocks += weight[:, None, None] * S
+    return blocks
 
 
 def dst1_matrix(N: int) -> np.ndarray:

@@ -16,8 +16,18 @@ eigenvalue 1.56 at n = 1, 0.87 at n = 2).  The core is
 compressed to the true DOF set and scaled symmetrically by the nodal
 viscosity sampling D^{1/2} (.) D^{1/2}, where the sampling is the
 assembled-to-unit diagonal ratio (the per-node average of the adjacent
-element viscosities), so positive definiteness follows by congruence.  The
-pressure block is the explicit Schur complement of the preconditioner,
+element viscosities), so positive definiteness follows by congruence.
+
+The velocity preconditioner takes one of two paths, chosen by size alone.
+Below n = DST_MIN_N the core is assembled (`tau_block_core`) and factored
+by `SPDSolver`.  From DST_MIN_N on, `TauDSTSolver` never assembles it: it
+factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
+compression by the capacitance identity, and applies the inverse with two
+DSTs of length n^2 per call.  Both give the same solve to rounding (below
+1e-13 relative at n = 64); the sweep behind DST_MIN_N is at its
+definition.
+
+The pressure block is the explicit Schur complement of the preconditioner,
 built in panels of pressure columns and deflated on the constant-pressure
 kernel; its Cholesky factor is turned into the dense inverse once, so an
 apply is a matrix product rather than two triangular solves.
@@ -55,12 +65,13 @@ with single-threaded BLAS on 2 CPUs set that threshold: overlapping lost
 up to n = 18 (npres 685), was mixed at n = 20 and won from n = 22 (npres
 1013) on, reaching 4.2 -> 2.4 ms per apply at n = 32.
 
-Every sparse SPD block is factored one way, by `SPDSolver`: sparse LU
-under the symmetric minimum-degree ordering of A + A^T with diagonal
-pivots only.  Without row interchanges that LU is an LDL^T factorization,
-so by Sylvester's law of inertia the matrix is positive definite exactly
-when every pivot is positive; the pivots are checked instead of a
-separate eigenvalue estimate.
+Every assembled sparse SPD block is factored one way, by `SPDSolver`:
+sparse LU under the symmetric minimum-degree ordering of A + A^T with
+diagonal pivots only.  Without row interchanges that LU is an LDL^T
+factorization, so by Sylvester's law of inertia the matrix is positive
+definite exactly when every pivot is positive; the pivots are checked
+instead of a separate eigenvalue estimate.  `TauDSTSolver` certifies its
+core the same way through the Cholesky factors of its blocks.
 """
 
 from __future__ import annotations
@@ -79,13 +90,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SaddleSystem, ViscosityField, assemble_stiffness
-from .glt_core import tau_from_symbol, velocity_extension_map
+from .glt_core import tau_blocks, tau_from_symbol, velocity_extension_map
 from .mesh import StructuredMesh
 from .symbols import default_symbol_set
 
 __all__ = [
     "SaddlePreconditioner",
     "SPDSolver",
+    "TauDSTSolver",
     "build_velocity_preconditioner",
     "build_schur",
     "schur_panels",
@@ -98,6 +110,7 @@ __all__ = [
     "tau_block_core",
     "viscosity_scaling",
     "STRATEGIES",
+    "DST_MIN_N",
 ]
 
 STRATEGIES = ("tau_block", "frozen_sparse")
@@ -124,6 +137,28 @@ TILE = 256
 # costs about 0.05 ms, so small systems stay serial.
 OVERLAP_PRESSURE = 1000
 
+# Smallest n at which the tau_block strategy applies its core through the
+# DST-I blocks (`TauDSTSolver`) instead of a sparse LU of the assembled core
+# (`SPDSolver`).  A DST-I of length N = n^2 runs as an FFT of length
+# 2(N + 1), so its cost follows the factors of n^2 + 1.  Build, then
+# one-column apply, LU against DST, G3(100), single-threaded BLAS on 2 CPUs,
+# medians of 6 alternated trials: n = 16 (n^2 + 1 = 257, prime) 13 against
+# 3 ms, 0.16 against 0.46 ms; n = 24 (577, prime) 33 against 7 ms, 0.46
+# against 1.04 ms; n = 32 (5^2 * 41) 66 against 13 ms, 0.93 against 0.71
+# ms; n = 40 (1601, prime) 115 against 22 ms, 1.61 against 2.41 ms; n = 48
+# (5 * 461) 237 against 36 ms, 3.67 against 4.01 ms; n = 56 (3137, prime)
+# 328 against 56 ms, 4.95 against 5.60 ms; n = 64 (17 * 241) 409 against
+# 70 ms, 7.04 against 5.44 ms; n = 80 (37 * 173) 0.85 against 0.14 s, 15.2
+# against 9.3 ms; n = 96 (13 * 709) 1.51 against 0.22 s, 23.7 against 17.2
+# ms; n = 128 (5 * 29 * 113) 3.49 against 0.55 s, 43.0 against 28.4 ms.
+# The build is 5-7 times cheaper at every size, but below 64 the LU apply
+# is faster except at n = 32, which stays on the LU so that every result
+# at n <= 32 is bitwise that of the LU.
+DST_MIN_N = 64
+
+# Stencil diagonal of the off-grid velocity DOFs in the tau core.
+OFF_GRID_DIAGONAL = 16.0 / 3.0
+
 
 def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
     """Compressed tau-block core: the Kronecker sum
@@ -146,7 +181,8 @@ def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
     keep = (rows >= 0) & (cols >= 0)
     off_grid = np.flatnonzero(~mask)
     return sp.coo_matrix(
-        (np.concatenate([ext.data[keep], np.full(len(off_grid), 16.0 / 3.0)]),
+        (np.concatenate([ext.data[keep],
+                         np.full(len(off_grid), OFF_GRID_DIAGONAL)]),
          (np.concatenate([rows[keep], off_grid]),
           np.concatenate([cols[keep], off_grid]))),
         shape=(nvel, nvel)).tocsr()
@@ -157,11 +193,17 @@ class SPDSolver:
 
     The factorization is LDL^T in the form of a symmetric-mode sparse LU;
     the matrix is rejected unless the LU needed no row interchange and
-    every pivot is positive.  `min_pivot` is the smallest pivot.
+    every pivot is positive.  `min_pivot` is the smallest pivot, `size` the
+    order of the matrix; `phase_seconds` is filled by
+    `build_velocity_preconditioner`.
     """
+
+    method = "lu"
 
     def __init__(self, matrix: sp.spmatrix):
         self.matrix = matrix.tocsc()
+        self.size = self.matrix.shape[0]
+        self.phase_seconds: dict = {}
         try:
             self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.0,
@@ -188,6 +230,111 @@ class SPDSolver:
         return out
 
 
+class TauDSTSolver:
+    """Inverse of the scaled tau core D^{1/2} (T_SS (+) (16/3) I_off) D^{1/2}
+    (what `SPDSolver` factors on `tau_block_core`), applied through the DST-I
+    blocks of T without assembling it.
+
+    T = Q Lambda Q is the extended tau core on the 8N slots (N = n^2 cells),
+    Q = DST-I (x) I_8 and Lambda = diag(B_j) its `tau_blocks`; S are the DOF
+    slots and Z the 5n - 1 zero-filled ones.  With X = T^{-1} the
+    capacitance identity (Buzbee, Dorr, George & Golub 1971) gives
+    T_SS^{-1} = X_SS - X_SZ X_ZZ^{-1} X_ZS.  G, the rows of Q at the Z slots
+    (a |Z| x N matrix, one GEMM per slot), reads X_ZS r = G Lambda^{-1} Q r
+    and X_SZ c = (Q Lambda^{-1} G^T c)_S, and X_ZZ = G Lambda^{-1} G^T is
+    formed once and Cholesky-factored.  An apply is then two DSTs and two
+    batched 8x8 block products:
+
+        w = Lambda^{-1} Q r,  c = X_ZZ^{-1} G w,
+        x_S = (Q (w - Lambda^{-1} G^T c))_S.
+
+    The off-grid DOFs and the scaling D are diagonal.  Arrays are laid out
+    (slot, column, cell), so both DSTs run over a contiguous last axis.
+
+    Needs n >= 3: below it N <= 2b (b = n + 1 the flat bandwidth), the corner
+    stripes overlap and T is not a sine-algebra member.  Every block must be
+    positive definite; `min_pivot` is the smallest squared diagonal entry of
+    the block Cholesky factors, `size` the DOF count; `phase_seconds` is
+    filled by `build_velocity_preconditioner`.
+    """
+
+    method = "dst"
+
+    def __init__(self, n: int, blocks: np.ndarray, scaling: np.ndarray):
+        if n < 3:
+            raise ValueError(f"the DST-I tau solver needs n >= 3, got n = {n}")
+        N = n * n
+        if blocks.shape != (N, 8, 8):
+            raise ValueError(f"expected {N} blocks of 8x8 at n = {n}, "
+                             f"got shape {blocks.shape}")
+        # scipy.fft is imported by the build, not with the module: it adds
+        # about 5 MB to the peak memory of every process, and only this
+        # path uses it
+        import scipy.fft
+
+        # orthonormal DST-I along the last axis, in place where scipy can
+        self._dst = functools.partial(scipy.fft.dst, type=1, norm="ortho",
+                                      axis=-1, overwrite_x=True)
+        flat, mask = velocity_extension_map(n)
+        self.size = len(mask)
+        self.phase_seconds: dict = {}
+        self._on, self._off = np.flatnonzero(mask), np.flatnonzero(~mask)
+        self._slots, self._cells = flat % 8, flat // 8
+        self._inv_sqrt_d = 1.0 / np.sqrt(scaling)
+        try:
+            L = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"not positive definite: a DST-I block ({exc})") from exc
+        self.min_pivot = float((np.diagonal(L, axis1=1, axis2=2) ** 2).min())
+        L_inv = np.linalg.inv(L)
+        # Lambda^{-1} as an (8, 8, N) array: slot, slot, cell
+        self._lam_inv = np.ascontiguousarray(
+            (np.swapaxes(L_inv, 1, 2) @ L_inv).transpose(1, 2, 0))
+
+        # the Z slots grouped by slot, cells ascending within each group;
+        # G[z[s]] holds the DST-I rows of the cells whose slot s is in Z
+        zero = np.setdiff1d(np.arange(8 * N), flat)
+        zero = zero[np.argsort(zero % 8, kind="stable")]
+        bounds = np.searchsorted(zero % 8, np.arange(9))
+        self._z = z = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        phase = np.outer(zero // 8 + 1, np.arange(1, N + 1)) % (2 * N + 2)
+        self._G = G = np.sqrt(2.0 / (N + 1)) * np.sin(phase * (np.pi / (N + 1)))
+        X_ZZ = np.empty((len(zero), len(zero)))
+        for s in range(8):
+            for t in range(s, 8):
+                X_ZZ[z[s], z[t]] = (G[z[s]] * self._lam_inv[s, t]) @ G[z[t]].T
+                X_ZZ[z[t], z[s]] = X_ZZ[z[s], z[t]].T
+        try:
+            self._X_ZZ = sla.cho_factor(X_ZZ, lower=True)
+        except sla.LinAlgError as exc:
+            raise ValueError(f"not positive definite: X_ZZ ({exc})") from exc
+
+    def _block_solve(self, X: np.ndarray) -> np.ndarray:
+        """Lambda^{-1} X for X laid out (slot, column, cell)."""
+        return np.einsum("stj,tkj->skj", self._lam_inv, X)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """P^{-1} rhs for a vector or a column block."""
+        rhs = np.asarray(rhs, dtype=float)
+        R = rhs.reshape(len(rhs), -1) * self._inv_sqrt_d[:, None]
+        G, z, slots, cells = self._G, self._z, self._slots, self._cells
+        X = np.zeros((8, R.shape[1], G.shape[1]))
+        X[slots, :, cells] = R[self._on]
+        W = self._block_solve(self._dst(X))
+        c = sla.cho_solve(self._X_ZZ,
+                          np.concatenate([G[z[s]] @ W[s].T for s in range(8)]))
+        for s in range(8):
+            X[s] = c[z[s]].T @ G[z[s]]
+        W -= self._block_solve(X)
+        W = self._dst(W)
+        out = np.empty_like(R)
+        out[self._on] = W[slots, :, cells]
+        out[self._off] = R[self._off] / OFF_GRID_DIAGONAL
+        out *= self._inv_sqrt_d[:, None]
+        return out.reshape(rhs.shape)
+
+
 def viscosity_scaling(mesh: StructuredMesh, mu: ViscosityField,
                       stiffness: sp.spmatrix | None = None) -> np.ndarray:
     """Nodal viscosity samples d with d_i = (A(mu))_ii / (A(1))_ii, the
@@ -201,24 +348,45 @@ def viscosity_scaling(mesh: StructuredMesh, mu: ViscosityField,
 
 def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
                                   strategy: str = "tau_block",
-                                  stiffness: sp.spmatrix | None = None) -> SPDSolver:
-    """SPD approximation of the viscosity-weighted stiffness block.
+                                  stiffness: sp.spmatrix | None = None,
+                                  ) -> SPDSolver | TauDSTSolver:
+    """SPD approximation of the viscosity-weighted stiffness block, built
+    and factored.
 
     tau_block: the compressed tau-block core under the symmetric nodal
-    viscosity scaling D^{1/2} core D^{1/2}.  frozen_sparse: unit-viscosity
-    stiffness under the same scaling (which is exact for constant fields).
+    viscosity scaling D^{1/2} core D^{1/2}; from n = DST_MIN_N on it is
+    applied by `TauDSTSolver` from its DST-I blocks, below it assembled
+    (`tau_block_core`) and factored by `SPDSolver`.  frozen_sparse:
+    unit-viscosity stiffness under the same scaling (which is exact for
+    constant fields), factored by `SPDSolver`.
+
+    The solver's `phase_seconds` times the two phases of the build:
+    "velocity_core" (the scaling and the core, or the DST blocks) and
+    "velocity_factor" (the LU, or the block factors, G and X_ZZ).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
     n = mesh.n
-    D = sp.diags(np.sqrt(viscosity_scaling(mesh, mu, stiffness)))
+    t0 = time.perf_counter()
+    d = viscosity_scaling(mesh, mu, stiffness)
 
-    if strategy == "frozen_sparse":
-        core = assemble_stiffness(mesh, ViscosityField.constant())
+    if strategy == "tau_block" and n >= DST_MIN_N:
+        blocks = tau_blocks(default_symbol_set().stiffness, n)
+        t1 = time.perf_counter()
+        solver = TauDSTSolver(n, blocks, d)
     else:
-        core = tau_block_core(n, mesh.velocity_count)
-    P = (D @ core @ D).tocsc()
-    return SPDSolver(0.5 * (P + P.T))
+        if strategy == "frozen_sparse":
+            core = assemble_stiffness(mesh, ViscosityField.constant())
+        else:
+            core = tau_block_core(n, mesh.velocity_count)
+        D = sp.diags(np.sqrt(d))
+        P = (D @ core @ D).tocsc()
+        P = 0.5 * (P + P.T)
+        t1 = time.perf_counter()
+        solver = SPDSolver(P)
+    solver.phase_seconds = {"velocity_core": t1 - t0,
+                            "velocity_factor": time.perf_counter() - t1}
+    return solver
 
 
 def _env_threads(name: str) -> int | None:
@@ -381,8 +549,8 @@ class SaddlePreconditioner:
 
     Only the inverse of the deflated Schur complement is kept.
     `schur_workers` is the thread count its panels were built with, and
-    `phase_seconds` times the build: "velocity" (the velocity
-    preconditioner and its factorization), "schur_panels" and "inverse".
+    `phase_seconds` times the build: "velocity_core" and "velocity_factor"
+    (see `build_velocity_preconditioner`), "schur_panels" and "inverse".
     `apply_workers` is 2 when an apply on the main thread overlaps its two
     halves (`workers()` > 1 at build time and npres at least
     OVERLAP_PRESSURE), else 1.
@@ -390,7 +558,7 @@ class SaddlePreconditioner:
 
     n: int
     strategy: str
-    velocity_solver: SPDSolver
+    velocity_solver: SPDSolver | TauDSTSolver
     schur_inverse: np.ndarray = field(repr=False)
     schur_symmetry_defect: float = 0.0
     schur_workers: int = 1
@@ -399,7 +567,7 @@ class SaddlePreconditioner:
 
     @property
     def velocity_count(self) -> int:
-        return self.velocity_solver.matrix.shape[0]
+        return self.velocity_solver.size
 
     @property
     def dimension(self) -> int:
@@ -457,10 +625,8 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
                                 system: SaddleSystem,
                                 strategy: str = "tau_block") -> SaddlePreconditioner:
     """Assemble, factor and wire up the full saddle preconditioner."""
-    t0 = time.perf_counter()
     vel = build_velocity_preconditioner(mesh, mu, strategy,
                                         stiffness=system.stiffness)
-    t1 = time.perf_counter()
     inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
     count = workers()
@@ -469,4 +635,4 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
         n=mesh.n, strategy=strategy, velocity_solver=vel,
         schur_inverse=inverse, schur_symmetry_defect=sym_defect,
         schur_workers=count, apply_workers=2 if overlap else 1,
-        phase_seconds={"velocity": t1 - t0, **seconds})
+        phase_seconds={**vel.phase_seconds, **seconds})

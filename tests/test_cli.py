@@ -157,8 +157,9 @@ def test_table_json_sidecar(tmp_path, monkeypatch):
         assert rec["error"] is None
         assert rec["stop_reason"] == row["stop_reason"]
         assert rec["cycles"] == row["cycles"] >= 1
-        assert set(rec["phase_seconds"]) == {"velocity", "schur_panels",
-                                             "inverse"}
+        assert set(rec["phase_seconds"]) == {
+            "velocity_core", "velocity_factor", "schur_panels", "inverse"}
+        assert rec["velocity_path"] == "lu"
         assert rec["velocity_min_pivot"] > 0
         assert 0.0 <= rec["schur_symmetry_defect"] <= 1e-10
         # a cell runs inline with one worker or on a pool thread, where
@@ -264,7 +265,9 @@ def test_config_file_and_override(tmp_path, capsys):
     # the CSV leaves out
     assert row["stop_reason"] in ("converged", "breakdown", "maxit")
     assert row["cycles"] >= 1
-    assert set(row["phase_seconds"]) == {"velocity", "schur_panels", "inverse"}
+    assert set(row["phase_seconds"]) == {"velocity_core", "velocity_factor",
+                                         "schur_panels", "inverse"}
+    assert row["velocity_path"] == "lu"
     assert row["velocity_min_pivot"] > 0
     assert 0.0 <= row["schur_symmetry_defect"] <= 1e-10
     assert row["schur_workers"] == workers()

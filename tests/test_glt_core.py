@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glt_stokes.assembly import ViscosityField, assemble_stiffness
 from glt_stokes.glt_core import (BlockSymbol, block_toeplitz_defect,
                                  dst1_matrix, extend_to_block_toeplitz,
-                                 tau_approx, tau_eigenvalues,
+                                 tau_approx, tau_blocks, tau_eigenvalues,
                                  tau_from_symbol, toeplitz_from_symbol,
                                  velocity_extension_map,
                                  velocity_slot_assignment,
@@ -142,6 +143,13 @@ def test_tau_dst_diagonalization_symmetric(b, data):
     assert np.abs(T - S @ np.diag(lam) @ S).max() < 1e-10
 
 
+@pytest.mark.parametrize("N", range(1, 13))
+def test_scipy_dst1_is_dst1_matrix(N):
+    # the orthonormal DST-I convention the tau DST path relies on
+    got = scipy.fft.dst(np.eye(N), type=1, norm="ortho", axis=0)
+    assert np.abs(got - dst1_matrix(N)).max() <= 1e-14
+
+
 def test_tau_rejects_small_n():
     with pytest.raises(ValueError):
         tau_approx([1, -4, 6, -4, 1], 4)
@@ -169,11 +177,14 @@ def test_tau_core_block_diagonal_under_dst(n):
     B = Q @ tau_from_symbol(default_symbol_set().stiffness, n).toarray() @ Q
     scale = np.abs(B).max()
     theta = np.arange(1, N + 1) * np.pi / (N + 1)
+    blocks = tau_blocks(default_symbol_set().stiffness, n)
+    assert blocks.shape == (N, 8, 8)
     off = B.copy()
     for j in range(N):
         blk = slice(8 * j, 8 * j + 8)
         expect = flat[0] + sum(2 * np.cos(m * theta[j]) * S[m] for m in S)
         assert np.abs(B[blk, blk] - expect).max() <= 1e-13
+        assert np.abs(blocks[j] - expect).max() <= 1e-13
         assert np.linalg.eigvalsh(0.5 * (B[blk, blk] + B[blk, blk].T))[0] > 0
         off[blk, blk] = 0.0
     assert np.abs(off).max() <= 1e-13 * scale

@@ -12,14 +12,15 @@ import scipy.sparse as sp
 
 from glt_stokes.assembly import (ViscosityField, assemble_saddle,
                                  assemble_stiffness, viscosity_for_group)
-from glt_stokes.glt_core import zero_distribution_fraction
+from glt_stokes.glt_core import tau_blocks, zero_distribution_fraction
 from glt_stokes.mesh import build_mesh
 from glt_stokes import precond
-from glt_stokes.precond import (PANEL, STRATEGIES, TILE, SPDSolver,
-                                build_saddle_preconditioner, build_schur,
-                                build_velocity_preconditioner, fan_out,
-                                schur_panels, symmetrize, tau_block_core,
-                                viscosity_scaling, workers)
+from glt_stokes.precond import (DST_MIN_N, PANEL, STRATEGIES, TILE, SPDSolver,
+                                TauDSTSolver, build_saddle_preconditioner,
+                                build_schur, build_velocity_preconditioner,
+                                fan_out, schur_panels, symmetrize,
+                                tau_block_core, viscosity_scaling, workers)
+from glt_stokes.symbols import default_symbol_set
 
 ONE = ViscosityField.constant(1.0)
 
@@ -84,6 +85,74 @@ def test_spd_solver_min_pivot(n):
     block = np.random.default_rng(n).standard_normal((len(rhs), PANEL + 5))
     cols = np.column_stack([vel.solve(c) for c in block.T])
     assert np.abs(vel.solve(block) - cols).max() <= 1e-14 * np.abs(cols).max()
+
+
+ALL_GROUPS = [(1, None), (2, None), (3, 1.0), (3, 10.0), (3, 100.0)]
+
+
+def _lu_reference(mesh, mu):
+    """`SPDSolver` on D^{1/2} tau_block_core D^{1/2}, the LU path."""
+    D = sp.diags(np.sqrt(viscosity_scaling(mesh, mu)))
+    P = (D @ tau_block_core(mesh.n, mesh.velocity_count) @ D).tocsc()
+    return SPDSolver(0.5 * (P + P.T))
+
+
+def _assert_same_solves(dst, lu, seed):
+    rng = np.random.default_rng(seed)
+    assert dst.size == lu.size
+    for rhs in (rng.standard_normal(lu.size),
+                rng.standard_normal((lu.size, 16))):
+        ref = lu.solve(rhs)
+        got = dst.solve(rhs)
+        assert got.shape == rhs.shape
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 16, 32])
+@pytest.mark.parametrize("group,gamma", ALL_GROUPS)
+def test_dst_solver_matches_lu(n, group, gamma):
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(group, gamma)
+    dst = TauDSTSolver(n, tau_blocks(default_symbol_set().stiffness, n),
+                       viscosity_scaling(mesh, mu))
+    assert dst.min_pivot > 0
+    _assert_same_solves(dst, _lu_reference(mesh, mu), n + group)
+
+
+def test_velocity_path_follows_size():
+    # the DST path from DST_MIN_N = 64 on, the LU below it; at n = 64 the
+    # two agree
+    mu = viscosity_for_group(3, 100.0)
+    small = build_velocity_preconditioner(build_mesh(32), mu)
+    assert DST_MIN_N == 64
+    assert isinstance(small, SPDSolver) and small.method == "lu"
+    mesh = build_mesh(64)
+    vel = build_velocity_preconditioner(mesh, mu)
+    assert isinstance(vel, TauDSTSolver) and vel.method == "dst"
+    assert vel.size == mesh.velocity_count
+    for solver in (small, vel):
+        assert set(solver.phase_seconds) == {"velocity_core", "velocity_factor"}
+        assert min(solver.phase_seconds.values()) >= 0
+    _assert_same_solves(vel, _lu_reference(mesh, mu), 64)
+    # frozen_sparse stays on the LU at every size
+    frozen = build_velocity_preconditioner(build_mesh(DST_MIN_N), ONE,
+                                           "frozen_sparse")
+    assert isinstance(frozen, SPDSolver)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_dst_solver_rejects_small_n(n):
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        TauDSTSolver(n, np.tile(np.eye(8), (n * n, 1, 1)), np.ones(5))
+
+
+def test_dst_solver_rejects_indefinite_block():
+    n = 4
+    mesh = build_mesh(n)
+    blocks = tau_blocks(default_symbol_set().stiffness, n)
+    blocks[5] -= 10.0 * np.eye(8)
+    with pytest.raises(ValueError, match="not positive definite"):
+        TauDSTSolver(n, blocks, viscosity_scaling(mesh, ONE))
 
 
 def test_tau_core_difference_structure():
