@@ -61,6 +61,12 @@ class ExperimentConfig:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.restart < 1:
+            raise ValueError(f"restart must be at least 1, got {self.restart}")
+        if self.maxit < 0:
+            raise ValueError(f"maxit must be non-negative, got {self.maxit}")
         return self
 
     def viscosity(self) -> ViscosityField:

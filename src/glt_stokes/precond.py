@@ -18,14 +18,25 @@ viscosity sampling D^{1/2} (.) D^{1/2}, where the sampling is the
 assembled-to-unit diagonal ratio (the per-node average of the adjacent
 element viscosities), so positive definiteness follows by congruence.
 
+Neither tau core commutes with the x <-> y mirror, while frozen_sparse
+does: the 8-DOF cell tiling the symbol is read over is not
+mirror-symmetric.  At n = 8, with Pi the mirror of the saddle DOFs (which
+commutes with K in all five viscosity groups), the largest entry of
+Pi P^{-1} K Pi - P^{-1} K is 0.095-0.23 of the largest of P^{-1} K for this
+core, about 1e-1 to 2e-1 for the two-level core tau_n (x) tau_n (x) M_8 (a
+probe, not in the package), and 2e-16 to 2e-15 for frozen_sparse.  So the
+singular values of P^{-1} K (acceptance criterion 8) cannot be split into
+mirror halves as the spectra of A and M are.
+
 The velocity preconditioner takes one of two paths, chosen by size alone.
 Below n = DST_MIN_N the core is assembled (`tau_block_core`) and factored
 by `SPDSolver`.  From DST_MIN_N on, `TauDSTSolver` never assembles it: it
 factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
 compression by the capacitance identity, and applies the inverse with two
-DSTs of length n^2 per call.  Both give the same solve to rounding (below
-1e-13 relative at n = 64); the sweep behind DST_MIN_N is at its
-definition.
+DSTs of length n^2 per call.  Both give the same solve to rounding: the
+largest entry of the difference is 1.3e-14 to 3.4e-14 of the largest of
+the LU solve at n = 32 and 3.2e-14 to 1.0e-13 at n = 64, in the five
+viscosity groups.  The sweep behind DST_MIN_N is at its definition.
 
 The pressure block is the explicit Schur complement of the preconditioner,
 built in panels of pressure columns and deflated on the constant-pressure
@@ -47,8 +58,12 @@ shared pool and cannot deadlock waiting for one another.
 
 The panels are independent, and the sparse solves and products they make
 release the GIL.  A task takes PANEL // workers() columns, so as many
-columns are in flight as in the serial loop; with OpenBLAS the result is
-bitwise that of the serial loop (checked at n = 4 to 32).  The Schur
+columns are in flight as in the serial loop.  On the LU path the result
+is bitwise that of the serial loop with OpenBLAS (checked at n = 4 to 32
+while n = 32 was on it).  On the DST path the GEMMs of the capacitance
+step round differently with the width of the block, so at n = 32 the
+Schur complement built on 2 workers differs from the serial one by up to
+6e-17 (G1, G2, G3(100)); the acceptance printouts are the same.  The Schur
 complement is then symmetrized, deflated, factored and inverted in its one
 npres^2 array.
 
@@ -63,7 +78,8 @@ at least OVERLAP_PRESSURE pressure unknowns, below which a round trip to
 the pool costs more than it saves.  A sweep of G2 applies at n = 16 to 32
 with single-threaded BLAS on 2 CPUs set that threshold: overlapping lost
 up to n = 18 (npres 685), was mixed at n = 20 and won from n = 22 (npres
-1013) on, reaching 4.2 -> 2.4 ms per apply at n = 32.
+1013) on, reaching 4.3 -> 2.7 ms per apply at n = 32 (apply_workers 1
+against 2, DST velocity path).
 
 Every assembled sparse SPD block is factored one way, by `SPDSolver`:
 sparse LU under the symmetric minimum-degree ordering of A + A^T with
@@ -117,10 +133,12 @@ STRATEGIES = ("tau_block", "frozen_sparse")
 
 # Columns per dense block: `SPDSolver.solve` takes a wider right-hand side
 # this many columns at a time, and `build_schur` densifies this many columns
-# of B_x^T and of B_y^T at a time.  Sparse triangular solves slow down per
-# column as the block widens: at n = 32 the Schur build took the same time
-# with panels of 8 to 64 pressure columns, longer with 128, and about twice
-# as long with all 2113 in one solve.
+# of B_x^T and of B_y^T at a time (PANEL // workers() per task).  Both
+# velocity solvers slow down per column as the block widens.  G2 Schur
+# panels at n = 32 on the DST path, medians of 3 alternated trials, with
+# PANEL = 8, 16, 32, 64, 128 and all 2113 pressure columns: 2.20, 1.62,
+# 1.55, 1.55, 1.83 and 2.33 s with single-threaded BLAS and 2 workers;
+# 3.42, 3.12, 3.29, 3.44, 4.61 and 5.31 s with two OpenBLAS threads and 1.
 PANEL = 32
 
 # Square tiles of the in-place passes over a dense npres x npres array.
@@ -133,28 +151,37 @@ TILE = 256
 # 0.99 ms, 841 (n = 20) 0.94-1.22 against 0.80-1.12 ms (won 3, 10 and 7 of
 # 10 trials in three sweeps), 1013 (n = 22) 1.34 against 1.00 ms, 1201
 # (n = 24) 1.60-1.87 against 1.27-1.36 ms, 1625 (n = 28) 2.85 against 1.99
-# ms, 2113 (n = 32) 4.22 against 2.43 ms.  One round trip to the pool
-# costs about 0.05 ms, so small systems stay serial.
+# ms (all these on the LU velocity path), 2113 (n = 32, DST velocity path)
+# 4.32 against 2.72 ms.  One round trip to the pool costs about 0.05 ms, so
+# small systems stay serial.
 OVERLAP_PRESSURE = 1000
 
 # Smallest n at which the tau_block strategy applies its core through the
 # DST-I blocks (`TauDSTSolver`) instead of a sparse LU of the assembled core
 # (`SPDSolver`).  A DST-I of length N = n^2 runs as an FFT of length
-# 2(N + 1), so its cost follows the factors of n^2 + 1.  Build, then
-# one-column apply, LU against DST, G3(100), single-threaded BLAS on 2 CPUs,
-# medians of 6 alternated trials: n = 16 (n^2 + 1 = 257, prime) 13 against
-# 3 ms, 0.16 against 0.46 ms; n = 24 (577, prime) 33 against 7 ms, 0.46
-# against 1.04 ms; n = 32 (5^2 * 41) 66 against 13 ms, 0.93 against 0.71
-# ms; n = 40 (1601, prime) 115 against 22 ms, 1.61 against 2.41 ms; n = 48
-# (5 * 461) 237 against 36 ms, 3.67 against 4.01 ms; n = 56 (3137, prime)
-# 328 against 56 ms, 4.95 against 5.60 ms; n = 64 (17 * 241) 409 against
-# 70 ms, 7.04 against 5.44 ms; n = 80 (37 * 173) 0.85 against 0.14 s, 15.2
-# against 9.3 ms; n = 96 (13 * 709) 1.51 against 0.22 s, 23.7 against 17.2
-# ms; n = 128 (5 * 29 * 113) 3.49 against 0.55 s, 43.0 against 28.4 ms.
-# The build is 5-7 times cheaper at every size, but below 64 the LU apply
-# is faster except at n = 32, which stays on the LU so that every result
-# at n <= 32 is bitwise that of the LU.
-DST_MIN_N = 64
+# 2(N + 1), so its cost follows the factors of n^2 + 1.  The velocity build
+# is 3.5-5 times cheaper on the DST at every size; the applies decide.
+# Whole G2 saddle build (this preconditioner plus `build_schur`, whose
+# panels are 16-column applies), then 1-, 2- and 16-column applies, LU
+# against DST, single-threaded BLAS and 2 workers on 2 CPUs, medians of 4
+# alternated trials (2 from n = 48):
+#   n = 24 (n^2 + 1 = 577, prime): 0.79 against 1.43 s, 0.73/1.19/7.0
+#     against 1.38/2.88/18.4 ms;
+#   n = 28 (5 * 157): 1.44 against 1.75 s, 1.05/1.72/10.5 against
+#     1.21/2.59/14.3 ms;
+#   n = 32 (5^2 * 41): 2.41 against 1.88 s (DST lower in 4 of 4),
+#     1.33/1.97/13.4 against 0.86/2.05/9.9 ms;
+#   n = 36 (1297, prime) 4.6 against 7.2 s; n = 40 (1601, prime) 7.8
+#   against 11.4 s; n = 48 (5 * 461) 17.3 against 25.4 s; n = 56 (3137,
+#   prime) 35.5 against 44.7 s; n = 64 (17 * 241) 66.6 against 75.7 s.
+# So the DST path wins the saddle build at n = 32 only, and loses it by
+# 14-55 % at every size measured above, n = 36 to 64: a saddle system there
+# builds faster on the LU.  No workload, test or table builds one: the
+# saddle system runs at n <= 32, and n = 64 runs the velocity block alone,
+# whose one-column apply the DST wins (7.04 against 5.44 ms at n = 64, and
+# at n = 80 to 128).  The sweeps are in BENCH_15.json (saddle build, n = 24
+# to 64) and BENCH_14.json (velocity only, n = 16 to 128).
+DST_MIN_N = 32
 
 # Stencil diagonal of the off-grid velocity DOFs in the tau core.
 OFF_GRID_DIAGONAL = 16.0 / 3.0
@@ -242,8 +269,8 @@ class TauDSTSolver:
     T_SS^{-1} = X_SS - X_SZ X_ZZ^{-1} X_ZS.  G, the rows of Q at the Z slots
     (a |Z| x N matrix, one GEMM per slot), reads X_ZS r = G Lambda^{-1} Q r
     and X_SZ c = (Q Lambda^{-1} G^T c)_S, and X_ZZ = G Lambda^{-1} G^T is
-    formed once and Cholesky-factored.  An apply is then two DSTs and two
-    batched 8x8 block products:
+    formed once, Cholesky-factored and inverted.  An apply is then two DSTs
+    and two batched 8x8 block products:
 
         w = Lambda^{-1} Q r,  c = X_ZZ^{-1} G w,
         x_S = (Q (w - Lambda^{-1} G^T c))_S.
@@ -306,9 +333,14 @@ class TauDSTSolver:
                 X_ZZ[z[s], z[t]] = (G[z[s]] * self._lam_inv[s, t]) @ G[z[t]].T
                 X_ZZ[z[t], z[s]] = X_ZZ[z[s], z[t]].T
         try:
-            self._X_ZZ = sla.cho_factor(X_ZZ, lower=True)
+            cho, _ = sla.cho_factor(X_ZZ, lower=True, overwrite_a=True)
         except sla.LinAlgError as exc:
             raise ValueError(f"not positive definite: X_ZZ ({exc})") from exc
+        # kept inverted: one product per apply in place of two triangular
+        # solves, which took 2-7 ms against 0.3 ms of a 16-column apply at
+        # n = 32 under two OpenBLAS threads; dpotri fills the lower triangle
+        inv, _ = sla.lapack.dpotri(cho, lower=True, overwrite_c=True)
+        self._X_ZZ_inv = np.tril(inv) + np.tril(inv, -1).T
 
     def _block_solve(self, X: np.ndarray) -> np.ndarray:
         """Lambda^{-1} X for X laid out (slot, column, cell)."""
@@ -322,8 +354,8 @@ class TauDSTSolver:
         X = np.zeros((8, R.shape[1], G.shape[1]))
         X[slots, :, cells] = R[self._on]
         W = self._block_solve(self._dst(X))
-        c = sla.cho_solve(self._X_ZZ,
-                          np.concatenate([G[z[s]] @ W[s].T for s in range(8)]))
+        c = self._X_ZZ_inv @ np.concatenate([G[z[s]] @ W[s].T
+                                             for s in range(8)])
         for s in range(8):
             X[s] = c[z[s]].T @ G[z[s]]
         W -= self._block_solve(X)
@@ -362,7 +394,7 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
 
     The solver's `phase_seconds` times the two phases of the build:
     "velocity_core" (the scaling and the core, or the DST blocks) and
-    "velocity_factor" (the LU, or the block factors, G and X_ZZ).
+    "velocity_factor" (the LU, or the block factors, G and X_ZZ^{-1}).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")

@@ -65,7 +65,13 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
     `converged` means the test held on the returned iterate.  The true
     relative residual ||b - Mx|| / ||b|| is reported beside it and never
     used to stop.  An Arnoldi breakdown or maxit steps end the iteration too.
+    A restart below 1 (a cycle that takes no step) or a negative maxit is
+    rejected.
     """
+    if restart < 1:
+        raise ValueError(f"restart must be at least 1, got {restart}")
+    if maxit < 0:
+        raise ValueError(f"maxit must be non-negative, got {maxit}")
     t0 = time.time()
     matvec = as_operator(M)
     pinv = as_operator(P) if P is not None else (lambda v: v)

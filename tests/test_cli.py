@@ -75,6 +75,22 @@ def test_config_validation():
         ExperimentConfig(strategy="magic").validate()
 
 
+@pytest.mark.parametrize("field,value", [("restart", 0), ("restart", -3),
+                                         ("maxit", -1), ("tol", 0.0),
+                                         ("tol", -1.0)])
+def test_config_rejects_bad_solver_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value}).validate()
+
+
+def test_solve_command_rejects_negative_tol(tmp_path):
+    # a negative tol used to run quietly to maxit
+    with pytest.raises(ValueError, match="tol"):
+        main(["solve", "-n", "2", "--tol", "-1", "--output-dir",
+              str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
 def test_rhs_cases_deterministic():
     mesh = build_mesh(2)
     dim = 63

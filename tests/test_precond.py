@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 from glt_stokes.assembly import (ViscosityField, assemble_saddle,
                                  assemble_stiffness, viscosity_for_group)
+from glt_stokes.cli import rhs_for_case
 from glt_stokes.glt_core import tau_blocks, zero_distribution_fraction
 from glt_stokes.mesh import build_mesh
 from glt_stokes import precond
@@ -20,6 +21,7 @@ from glt_stokes.precond import (DST_MIN_N, PANEL, STRATEGIES, TILE, SPDSolver,
                                 build_schur, build_velocity_preconditioner,
                                 fan_out, schur_panels, symmetrize,
                                 tau_block_core, viscosity_scaling, workers)
+from glt_stokes.solvers import gmres
 from glt_stokes.symbols import default_symbol_set
 
 ONE = ViscosityField.constant(1.0)
@@ -77,7 +79,8 @@ def test_spd_solver_rejects_indefinite(size):
 
 @pytest.mark.parametrize("n", [4, 32])
 def test_spd_solver_min_pivot(n):
-    vel = build_velocity_preconditioner(build_mesh(n), viscosity_for_group(1))
+    mesh = build_mesh(n)
+    vel = _lu_reference(mesh, viscosity_for_group(1))
     assert vel.min_pivot > 0
     rhs = np.ones(vel.matrix.shape[0])
     assert np.abs(vel.matrix @ vel.solve(rhs) - rhs).max() < 1e-10
@@ -120,24 +123,50 @@ def test_dst_solver_matches_lu(n, group, gamma):
 
 
 def test_velocity_path_follows_size():
-    # the DST path from DST_MIN_N = 64 on, the LU below it; at n = 64 the
-    # two agree
+    # the DST path from DST_MIN_N = 32 on, the LU below it; on the DST path
+    # the two agree
     mu = viscosity_for_group(3, 100.0)
-    small = build_velocity_preconditioner(build_mesh(32), mu)
-    assert DST_MIN_N == 64
+    assert DST_MIN_N == 32
+    small = build_velocity_preconditioner(build_mesh(31), mu)
     assert isinstance(small, SPDSolver) and small.method == "lu"
-    mesh = build_mesh(64)
-    vel = build_velocity_preconditioner(mesh, mu)
-    assert isinstance(vel, TauDSTSolver) and vel.method == "dst"
-    assert vel.size == mesh.velocity_count
-    for solver in (small, vel):
+    solvers = [small]
+    for n in (32, 64):
+        mesh = build_mesh(n)
+        vel = build_velocity_preconditioner(mesh, mu)
+        assert isinstance(vel, TauDSTSolver) and vel.method == "dst"
+        assert vel.size == mesh.velocity_count
+        _assert_same_solves(vel, _lu_reference(mesh, mu), n)
+        solvers.append(vel)
+    for solver in solvers:
         assert set(solver.phase_seconds) == {"velocity_core", "velocity_factor"}
         assert min(solver.phase_seconds.values()) >= 0
-    _assert_same_solves(vel, _lu_reference(mesh, mu), 64)
     # frozen_sparse stays on the LU at every size
     frozen = build_velocity_preconditioner(build_mesh(DST_MIN_N), ONE,
                                            "frozen_sparse")
     assert isinstance(frozen, SPDSolver)
+
+
+def test_saddle_preconditioner_on_dst_path_keeps_lu_count():
+    # G2, n = 32, case a: the saddle preconditioner takes the DST path, and
+    # GMRES takes the 88 iterations of the same preconditioner built on
+    # SPDSolver over the scaled tau_block_core (the criterion 9a cell)
+    n = 32
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(2)
+    system = assemble_saddle(mesh, mu)
+    M = system.full_matrix()
+    ns = system.nullspace_vector()
+    ns /= np.linalg.norm(ns)
+    b = rhs_for_case("a", mesh, system.dimension)
+    b -= ns * (ns @ b)
+    prec = build_saddle_preconditioner(mesh, mu, system)
+    assert prec.velocity_solver.method == "dst"
+    lu = _lu_reference(mesh, mu)
+    inverse, _, _ = build_schur(system.div_x, system.div_y, lu.solve)
+    ref = dataclasses.replace(prec, velocity_solver=lu, schur_inverse=inverse)
+    counts = [gmres(M, b, p.apply, restart=20, tol=1e-5).iterations
+              for p in (prec, ref)]
+    assert counts == [88, 88]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -75,6 +75,24 @@ def test_gmres_nonconvergence_reported():
     assert (st.stop_reason, st.cycles) == ("maxit", 3)
 
 
+@pytest.mark.parametrize("restart,maxit", [(0, 10), (-1, 10), (20, -1)])
+def test_gmres_rejects_bad_restart_and_maxit(restart, maxit):
+    # a cycle of restart 0 takes no step, so the step count never reaches
+    # maxit; the matvec gives up after 50 calls so that such a loop fails
+    # instead of hanging
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        if len(calls) > 50:
+            raise RuntimeError("gmres did not return")
+        return 2.0 * v
+
+    with pytest.raises(ValueError, match="restart|maxit"):
+        gmres(matvec, np.ones(10), restart=restart, maxit=maxit)
+    assert not calls
+
+
 def test_gmres_stops_on_preconditioned_residual():
     # G3(100), n = 8, case b: the preconditioned test is met while the true
     # residual is still about 5e-2; the solve stops there, with no short
