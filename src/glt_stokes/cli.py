@@ -27,8 +27,9 @@ from .mesh import StructuredMesh, build_mesh, saddle_dimension
 from .precond import (STRATEGIES, SPDSolver, build_saddle_preconditioner,
                       env_blas_threads, fan_out)
 from .solvers import gmres, minres
-from .spectra import (DEFAULT_GRID, pencil_class_sizes, sample_saddle_symbol,
-                      sample_symbol, singular_values, symmetric_eigenvalues,
+from .spectra import (DEFAULT_GRID, pencil_class_sizes, pool_quantiles,
+                      sample_saddle_symbol, sample_symbol, singular_values,
+                      solved_frequency_count, symmetric_eigenvalues,
                       wathen_condition_number, weyl_distance)
 from .symbols import default_symbol_set
 
@@ -346,10 +347,20 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
     return rows
 
 
+def _symbol_grid(target: str, grid) -> tuple:
+    """The grid a target's symbol is sampled on: `grid` itself, except for
+    the viscosity-independent divergence symbols (Bx, By), whose pool folds
+    the physical points into the frequencies, (1, 1, n_x n_t1, n_y n_t2)."""
+    nx, ny, nt1, nt2 = grid
+    if target in ("Bx", "By"):
+        return (1, 1, nx * nt1, ny * nt2)
+    return tuple(grid)
+
+
 def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
     """Sorted matrix values of a spectrum target (eigenvalues of A and M,
     singular values of Bx and By) and the sampler of its symbol, a
-    function of the sampling grid.
+    function of the sampling grid (`_symbol_grid`).
 
     The eigensolves pass the x <-> y swap of the mesh as the mirror: the
     velocity swap for A, and for M the swap that also exchanges the u_x
@@ -366,10 +377,9 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
         pick = ("Bx", "By").index(target)
 
         def sampler(grid):
-            nx, ny, nt1, nt2 = grid
             syms = default_symbol_set()
             return sample_symbol((syms.div_x, syms.div_y)[pick], None,
-                                 (1, 1, nx * nt1, ny * nt2))
+                                 _symbol_grid(target, grid))
         return singular_values(assemble_divergence(mesh)[pick]), sampler
     if target == "M":
         mirror = np.concatenate([rv + nvel, rv, rp + 2 * nvel])
@@ -382,20 +392,37 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
 def emit_adherence_data(target: str, cfg: ExperimentConfig,
                         out_path: Path) -> float:
     """Rank-aligned matrix spectrum vs symbol quantiles, plus the KS
-    distance; targets: A, Bx, By, M."""
+    distance; targets: A, Bx, By, M.
+
+    The quantiles are read off the sorted symbol pool (`pool_quantiles`).
+    Next to the CSV, `<out>.json` holds the seconds of the matrix spectrum
+    (mesh and assembly included), of the symbol pool and of the KS
+    distance, the pool's length, and the frequency points whose symbol
+    was solved (`solved_frequency_count`, per distinct viscosity weight
+    for M).
+    """
     cfg.validate()
+    t0 = time.perf_counter()
     values, sampler = target_spectrum(target, build_mesh(cfg.n),
                                       cfg.viscosity())
+    t1 = time.perf_counter()
     pool = sampler(cfg.grid)
+    t2 = time.perf_counter()
     ks_distance = weyl_distance(values, pool)
+    t3 = time.perf_counter()
     ranks = (np.arange(len(values)) + 0.5) / len(values)
-    quantiles = np.quantile(pool, ranks)
+    quantiles = pool_quantiles(pool, ranks)
     rows = [[i, f"{values[i]:.12e}", f"{quantiles[i]:.12e}"]
             for i in range(len(values))]
     header = cfg.header_lines() + [f"# target: {target}",
                                    f"# ks_distance={ks_distance:.6f}"]
     _write_csv(out_path, header, ["index", "matrix_value", "symbol_quantile"],
                rows)
+    out_path.with_name(out_path.name + ".json").write_text(json.dumps({
+        "matrix_spectrum_s": t1 - t0, "symbol_pool_s": t2 - t1,
+        "ks_s": t3 - t2, "pool_size": len(pool),
+        "frequency_points_solved": solved_frequency_count(
+            _symbol_grid(target, cfg.grid))}, indent=1))
     return ks_distance
 
 

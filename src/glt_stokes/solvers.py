@@ -72,7 +72,7 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
         raise ValueError(f"restart must be at least 1, got {restart}")
     if maxit < 0:
         raise ValueError(f"maxit must be non-negative, got {maxit}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     matvec = as_operator(M)
     pinv = as_operator(P) if P is not None else (lambda v: v)
     b = np.asarray(b, dtype=float)
@@ -84,7 +84,8 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
     bnorm_true = np.linalg.norm(b)
     history = []
     if bnorm == 0.0 or bnorm_true == 0.0:
-        return SolveStats(0, 0.0, True, [0.0], time.time() - t0, x, 0.0)
+        return SolveStats(0, 0.0, True, [0.0], time.perf_counter() - t0, x,
+                          0.0)
 
     total = 0
     cycles = 0
@@ -141,7 +142,8 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
                    "converged" if converged else "maxit")
     true_rel = np.linalg.norm(r) / bnorm_true
     return SolveStats(total, float(true_rel), bool(converged), history,
-                      time.time() - t0, x, float(rel), stop_reason, cycles)
+                      time.perf_counter() - t0, x, float(rel), stop_reason,
+                      cycles)
 
 
 def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
@@ -156,7 +158,7 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
     `preconditioned_residual` come from the P^{-1}-norm residual of the
     returned iterate, recomputed with the kernel projected out.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     matvec = as_operator(M)
     pinv = as_operator(P) if P is not None else (lambda v: v)
     b = np.asarray(b, dtype=float)
@@ -181,7 +183,7 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
     b = project(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return SolveStats(0, 0.0, True, [0.0], time.time() - t0,
+        return SolveStats(0, 0.0, True, [0.0], time.perf_counter() - t0,
                           np.zeros(ndim), 0.0)
 
     x = np.zeros(ndim)
@@ -252,4 +254,5 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
     if stop_reason == "converged" and prec_rel > tol:
         stop_reason = "stagnation"
     return SolveStats(iters, float(true_rel), bool(prec_rel <= tol), history,
-                      time.time() - t0, x, float(prec_rel), stop_reason, 1)
+                      time.perf_counter() - t0, x, float(prec_rel),
+                      stop_reason, 1)

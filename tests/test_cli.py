@@ -256,6 +256,33 @@ def test_emit_adherence_counts(tmp_path):
     assert 0 <= ks_b <= 1
 
 
+@pytest.mark.parametrize("target,pool_size,solved", [
+    ("A", 16 * 20 * 8, 10), ("Bx", 16 * 20 * 2, 160), ("M", 16 * 20 * 18, 10)])
+def test_emit_adherence_sidecar(tmp_path, target, pool_size, solved):
+    # grid (4, 4, 5, 4): 16 physical and 20 frequency points; the Bx pool
+    # folds the physical points into 320 frequencies
+    cfg = ExperimentConfig(n=4, group=3, gamma=100.0, grid=(4, 4, 5, 4))
+    out = tmp_path / "adh.csv"
+    ks = emit_adherence_data(target, cfg, out)
+    side = json.loads((tmp_path / "adh.csv.json").read_text())
+    assert sorted(side) == ["frequency_points_solved", "ks_s",
+                            "matrix_spectrum_s", "pool_size", "symbol_pool_s"]
+    assert (side["pool_size"], side["frequency_points_solved"]) == \
+        (pool_size, solved)
+    assert min(side["matrix_spectrum_s"], side["symbol_pool_s"],
+               side["ks_s"]) >= 0
+    # the CSV holds the rank-aligned values and np.quantile of the pool
+    values, sampler = cli.target_spectrum(target, build_mesh(4),
+                                          cfg.viscosity())
+    ranks = (np.arange(len(values)) + 0.5) / len(values)
+    quantiles = np.quantile(sampler(cfg.grid), ranks)
+    assert out.read_text().splitlines()[2:] == [
+        f"# target: {target}", f"# ks_distance={ks:.6f}",
+        "index,matrix_value,symbol_quantile"] + [
+        f"{i},{v:.12e},{q:.12e}" for i, (v, q) in enumerate(zip(values,
+                                                                 quantiles))]
+
+
 def test_solve_command_appends(tmp_path, capsys):
     out = "cells.csv"
     assert main(["solve", "-n", "2", "--group", "1", "--case", "a",

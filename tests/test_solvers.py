@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from glt_stokes.cli import rhs_for_case
 from glt_stokes.mesh import build_mesh
 from glt_stokes.precond import (SPDSolver, build_saddle_preconditioner,
                                 usable_cpus)
+from glt_stokes import solvers
 from glt_stokes.solvers import gmres, minres
 
 
@@ -251,3 +253,15 @@ def test_preconditioned_saddle_solve_small():
     assert st.preconditioned_residual <= 1e-5
     # solve verification: residual small relative to the preconditioner scale
     assert st.final_relative_residual < 1e-2
+
+
+@pytest.mark.parametrize("solve", [gmres, minres])
+def test_wall_time_from_monotonic_clock(monkeypatch, solve):
+    # wall_time is the difference of two perf_counter readings; the
+    # module's clock is replaced by one that has no other timer
+    ticks = iter([10.0, 12.5])
+    clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
+    monkeypatch.setattr(solvers, "time", clock)
+    st = solve(sp.diags(np.arange(1.0, 9.0)), np.ones(8))
+    assert st.converged
+    assert st.wall_time == 2.5

@@ -17,10 +17,11 @@ from glt_stokes.mesh import build_mesh, reflection_permutations
 from glt_stokes import precond, spectra
 from glt_stokes.precond import SPDSolver, schur_panels, symmetrize, workers
 from glt_stokes.spectra import (outlier_check, pencil_class_sizes,
-                                sample_saddle_symbol, sample_symbol,
-                                saddle_pencil_eigenvalues, singular_values,
+                                pool_quantiles, sample_saddle_symbol,
+                                sample_symbol, saddle_pencil_eigenvalues,
+                                singular_values, solved_frequency_count,
                                 symmetric_eigenvalues, weyl_distance)
-from glt_stokes.symbols import default_symbol_set
+from glt_stokes.symbols import default_symbol_set, saddle_symbol
 
 ONE = ViscosityField.constant(1.0)
 
@@ -112,6 +113,107 @@ def test_sample_symbol_viscosity_independent_rectangular():
     a = sample_symbol(G, None, (1, 1, 12, 12))
     b = sample_symbol(G, None, (7, 3, 12, 12))
     assert np.array_equal(a, b)
+
+
+def _full_grid_pool(symbol, mu, grid):
+    """The pool of `sample_symbol` with the symbol solved at every
+    frequency point, one LAPACK call per point."""
+    thetas, points = spectra._midpoint_grid(grid)
+    vals = symbol.eval_grid(thetas)
+    if symbol.hermitian:
+        freq = np.linalg.eigvalsh(vals)
+    else:
+        freq = np.linalg.svd(vals, compute_uv=False)
+    if mu is None:
+        return np.sort(freq.ravel())
+    return np.sort((mu(points)[:, None, None] * freq[None]).ravel())
+
+
+def _full_grid_saddle_pool(mu, grid):
+    """The pool of `sample_saddle_symbol` solved at every frequency point
+    of every physical point."""
+    thetas, points = spectra._midpoint_grid(grid)
+    vel, div = saddle_symbol(thetas)
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(div + w * vel).ravel() for w in mu(points)]))
+
+
+@pytest.mark.parametrize("grid", [(3, 2, 6, 4), (2, 3, 5, 3), (2, 2, 1, 1)],
+                         ids=["even", "odd", "one-point"])
+@pytest.mark.parametrize("target", ["stiffness", "stiffness-mu", "div_x",
+                                    "div_y", "saddle"])
+def test_paired_pools_match_full_grid(grid, target, monkeypatch):
+    # each sampler solves the first ceil(nt/2) frequency points only, and
+    # its pool has the full-grid length and values
+    mu = viscosity_for_group(3, 100.0)
+    solved = []
+    if target == "saddle":
+        def spy(thetas):
+            solved.append(len(thetas))
+            return saddle_symbol(thetas)
+        monkeypatch.setattr(spectra, "saddle_symbol", spy)
+        got, want = sample_saddle_symbol(mu, grid), \
+            _full_grid_saddle_pool(mu, grid)
+    else:
+        symbol = default_symbol_set().by_name(target.split("-")[0])
+        weight = mu if target == "stiffness-mu" else None
+        want = _full_grid_pool(symbol, weight, grid)
+        eval_grid = BlockSymbol.eval_grid
+
+        def spy(self, thetas):
+            solved.append(len(thetas))
+            return eval_grid(self, thetas)
+        monkeypatch.setattr(BlockSymbol, "eval_grid", spy)
+        got = sample_symbol(symbol, weight, grid)
+    nt = grid[2] * grid[3]
+    assert solved == [solved_frequency_count(grid)] == [(nt + 1) // 2]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_two_column_singular_values_match_svd():
+    syms = default_symbol_set()
+    thetas, _ = spectra._midpoint_grid((1, 1, 324, 324))
+    nearest = thetas[np.argsort(np.abs(thetas).sum(axis=1))[:8]]
+    rng = np.random.default_rng(7)
+    stacks = [syms.div_x.eval_grid(nearest), syms.div_y.eval_grid(nearest),
+              syms.div_x.eval_grid(rng.uniform(-np.pi, np.pi, (200, 2))),
+              rng.standard_normal((50, 8, 2))
+              + 1j * rng.standard_normal((50, 8, 2)),
+              np.outer(rng.standard_normal(8), [1.0, -3.0])[None] + 0j]
+    for F in stacks:
+        want = np.linalg.svd(F, compute_uv=False)
+        got = spectra._two_column_singular_values(F)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # rank one (parallel columns, or one zero column) and all zero: the
+    # smaller singular value is an exact zero
+    F = np.zeros((4, 8, 2), dtype=complex)
+    F[0, 2] = [3.0, -1.5]
+    F[1, :, 1] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    F[2, :, 0] = rng.standard_normal(8)
+    got = spectra._two_column_singular_values(F)
+    assert np.array_equal(got[:, 1], np.zeros(4))
+    assert np.abs(got[:, 0] - np.linalg.norm(F, axis=(1, 2))).max() <= 1e-15
+    assert got[3, 0] == 0.0
+
+
+@pytest.mark.parametrize("size", [1, 2, 1_889_568])
+def test_pool_quantiles_bitwise_numpy(size):
+    # the M pool at the default grid holds 1,889,568 values; numpy's
+    # interpolation changes form at t = 0.5, and both forms occur here
+    rng = np.random.default_rng(size)
+    pool = np.sort(rng.standard_normal(size)
+                   * 10.0 ** rng.integers(-3, 4, size))
+    count = 4515
+    ranks = np.concatenate([(np.arange(count) + 0.5) / count,
+                            [0.0, 0.5, 1.0], rng.uniform(size=1000)])
+    got = pool_quantiles(pool, ranks)
+    assert got.view(np.uint64).tolist() == \
+        np.quantile(pool, ranks).view(np.uint64).tolist()
+    if size > 1:
+        t = (size - 1) * ranks % 1.0
+        assert np.any(t >= 0.5) and np.any((t > 0) & (t < 0.5))
 
 
 def test_weyl_distance_trivial_cases():
