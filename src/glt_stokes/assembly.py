@@ -254,22 +254,31 @@ def _centroid_viscosity(mesh: StructuredMesh, mu: ViscosityField) -> np.ndarray:
     return vals
 
 
+def _element_triplets(row_dofs: np.ndarray, col_dofs: np.ndarray,
+                      table: np.ndarray, weight: np.ndarray):
+    """COO triplets (rows, cols, vals) of the element matrices
+    weight[e] * table at rows row_dofs[e] and columns col_dofs[e], element
+    by element, each row-major; entries at an eliminated DOF (-1) or at a
+    zero of the table are dropped."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    flat = table.ravel()
+    vals = (weight[:, None] * flat[None, :]).ravel()
+    keep = (rows >= 0) & (cols >= 0) & np.tile(flat != 0.0, len(weight))
+    return rows[keep], cols[keep], vals[keep]
+
+
 def assemble_stiffness(mesh: StructuredMesh, mu: ViscosityField) -> sp.csr_matrix:
     """Viscosity-weighted P2 stiffness block (one velocity component).
 
     Symmetric positive definite of size 8n^2-4n+1; entry (i,j) sums
     mu(centroid_T) times the exact gradient integral over each triangle.
     """
-    mu_t = _centroid_viscosity(mesh, mu)
     nvel = mesh.velocity_count
-    dofs = mesh.tri_velocity
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    table = _STIFFNESS_TABLE.ravel()
-    vals = (mu_t[:, None] * table[None, :]).ravel()
-    keep = (rows >= 0) & (cols >= 0) & np.tile(table != 0.0, len(dofs))
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                      shape=(nvel, nvel)).tocsr()
+    rows, cols, vals = _element_triplets(
+        mesh.tri_velocity, mesh.tri_velocity, _STIFFNESS_TABLE,
+        _centroid_viscosity(mesh, mu))
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(nvel, nvel)).tocsr()
     A.sum_duplicates()
     return A
 
@@ -283,23 +292,17 @@ def assemble_divergence(mesh: StructuredMesh) -> tuple[sp.csr_matrix, sp.csr_mat
     """
     npres = mesh.pressure_count
     nvel = mesh.velocity_count
+    # the weight -1 turns the element tables of div into those of -div
+    minus = np.full(len(mesh.triangles) // 4, -1.0)
     blocks = []
     for tables in (_DIVX_TABLES, _DIVY_TABLES):
-        rows_all, cols_all, vals_all = [], [], []
-        for k in range(4):
-            vdofs = mesh.tri_velocity[k::4]
-            pdofs = mesh.triangles[k::4]
-            table = tables[k].ravel()
-            rows = np.repeat(pdofs, 6, axis=1).ravel()
-            cols = np.tile(vdofs, (1, 3)).ravel()
-            vals = np.broadcast_to(table, (len(vdofs), 18)).ravel()
-            keep = (cols >= 0) & np.tile(table != 0.0, len(vdofs))
-            rows_all.append(rows[keep])
-            cols_all.append(cols[keep])
-            vals_all.append(-vals[keep])
+        rows, cols, vals = zip(*(
+            _element_triplets(mesh.triangles[k::4], mesh.tri_velocity[k::4],
+                              tables[k], minus)
+            for k in range(4)))
         B = sp.coo_matrix(
-            (np.concatenate(vals_all),
-             (np.concatenate(rows_all), np.concatenate(cols_all))),
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
             shape=(npres, nvel)).tocsr()
         B.sum_duplicates()
         # exact-rational sums can cancel to rounding dust; drop it
@@ -313,11 +316,9 @@ def assemble_pressure_mass(mesh: StructuredMesh, mu: ViscosityField) -> sp.csr_m
     """P1 mass matrix weighted by 1/viscosity (raw Galerkin scaling)."""
     mu_t = _centroid_viscosity(mesh, mu)
     npres = mesh.pressure_count
-    dofs = mesh.triangles
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    scale = 1.0 / (mu_t * mesh.n ** 2)
-    vals = (scale[:, None] * _MASS_TABLE.ravel()[None, :]).ravel()
+    rows, cols, vals = _element_triplets(
+        mesh.triangles, mesh.triangles, _MASS_TABLE,
+        1.0 / (mu_t * mesh.n ** 2))
     M = sp.coo_matrix((vals, (rows, cols)), shape=(npres, npres)).tocsr()
     M.sum_duplicates()
     return M

@@ -2,9 +2,15 @@
 spectra, preconditioner diagnostics, solver runs, the iteration tables,
 and the strip-viscosity benchmark.
 
-Every output file starts with comment lines carrying the artifact version
-and the full configuration, so re-running a config reproduces the file
-byte for byte.
+`spectrum`, `compare` and `precond-spectrum` start their CSV with a
+version line, a config line (`ExperimentConfig.header_lines`) and comment
+lines of their own; `table` with a version line, a cell count and its
+settings; `example1` with a version line and two description lines (its
+rows carry mu0, mu1, w, delta and n, not the MINRES tolerance).  Re-running
+any of them rewrites the CSV byte for byte; their `<out>.json` sidecars of
+timings differ.  `solve` writes no comment lines: a new file gets the
+`SOLVE_COLUMNS` line, each run appends one row, whose `wall_time_s` varies,
+and a file whose first line is not that column line is refused.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +29,8 @@ import scipy.sparse as sp
 from . import __version__
 from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
                        assemble_stiffness, viscosity_for_group)
-from .mesh import StructuredMesh, build_mesh, saddle_dimension
+from .mesh import (StructuredMesh, build_mesh, reflection_permutations,
+                   saddle_dimension)
 from .precond import (STRATEGIES, SPDSolver, build_saddle_preconditioner,
                       env_blas_threads, fan_out)
 from .solvers import gmres, minres
@@ -90,6 +97,12 @@ def _write_csv(path: Path, header_lines, columns, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
+def _write_sidecar(out_path: Path, payload) -> None:
+    """Write `payload` as indented JSON to `<out>.json` beside `out_path`."""
+    out_path.with_name(out_path.name + ".json").write_text(
+        json.dumps(payload, indent=1))
+
+
 def rhs_for_case(case: str, mesh: StructuredMesh, dim: int,
                  seed: int = 42) -> np.ndarray:
     """Right-hand sides of the benchmark cases on the assembled system.
@@ -143,20 +156,18 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     ns = ns / np.linalg.norm(ns)
     b = b - ns * (ns @ b)
 
-    build = {}
+    build, apply = {}, None
     if preconditioned:
         prec = build_saddle_preconditioner(mesh, mu, system, cfg.strategy)
-        stats = gmres(M, b, prec.apply, restart=cfg.restart, tol=cfg.tol,
-                      maxit=cfg.maxit)
+        apply = prec.apply
         build = {"phase_seconds": prec.phase_seconds,
                  "velocity_path": prec.velocity_solver.method,
                  "velocity_min_pivot": prec.velocity_solver.min_pivot,
                  "schur_symmetry_defect": prec.schur_symmetry_defect,
                  "schur_workers": prec.schur_workers,
                  "apply_workers": prec.apply_workers}
-    else:
-        stats = gmres(M, b, None, restart=cfg.restart, tol=cfg.tol,
-                      maxit=cfg.maxit)
+    stats = gmres(M, b, apply, restart=cfg.restart, tol=cfg.tol,
+                  maxit=cfg.maxit)
     return {
         "group": group_label(cfg),
         "case": cfg.case,
@@ -256,8 +267,7 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
                                  if row["wall_time_s"] else None),
                 "cell_wall_s": row["cell_wall_s"],
                 "error": row.get("error")} for row in rows]
-    out_path.with_name(out_path.name + ".json").write_text(
-        json.dumps(sidecar, indent=1))
+    _write_sidecar(out_path, sidecar)
     return rows
 
 
@@ -293,6 +303,9 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
     pencil's reflection classes (`pencil_class_sizes`), and the MINRES
     seconds and stop reason.
     """
+    columns = ["mu0", "mu1", "w", "delta", "n", "dim", "lambda_max",
+               "lambda_min_nonzero", "condition_number", "minres_iterations",
+               "minres_converged", "minres_residual"]
     rows, records = [], []
     for delta in delta_list:
         for n in n_list:
@@ -314,16 +327,11 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
                 psolve = SPDSolver(P)
                 stats = minres(M, b, psolve.solve, nullspace=ns, tol=tol,
                                maxit=maxit)
-                rows.append({
-                    "mu0": mu0, "mu1": mu1, "w": w, "delta": delta, "n": n,
-                    "dim": system.dimension,
-                    "lambda_max": f"{lam_max:.6e}",
-                    "lambda_min_nonzero": f"{lam_min:.6e}",
-                    "condition_number": f"{cond:.6e}",
-                    "minres_iterations": stats.iterations,
-                    "minres_converged": stats.converged,
-                    "minres_residual": f"{stats.final_relative_residual:.3e}",
-                })
+                rows.append(dict(zip(columns, [
+                    mu0, mu1, w, delta, n, system.dimension,
+                    f"{lam_max:.6e}", f"{lam_min:.6e}", f"{cond:.6e}",
+                    stats.iterations, stats.converged,
+                    f"{stats.final_relative_residual:.3e}"])))
                 records.append({
                     "mu1": mu1, "delta": delta, "n": n,
                     "pencil_s": pencil_s,
@@ -331,10 +339,6 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
                     "minres_s": stats.wall_time,
                     "stop_reason": stats.stop_reason,
                 })
-    columns = list(rows[0].keys()) if rows else [
-        "mu0", "mu1", "w", "delta", "n", "dim", "lambda_max",
-        "lambda_min_nonzero", "condition_number", "minres_iterations",
-        "minres_converged", "minres_residual"]
     header = [f"# glt-stokes {__version__}",
               "# strip-viscosity benchmark on uniform conforming meshes",
               "# note: uniform meshes replace the graded meshes of the "
@@ -342,8 +346,7 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
               "need not be"]
     _write_csv(out_path, header, columns,
                [[row[c] for c in columns] for row in rows])
-    out_path.with_name(out_path.name + ".json").write_text(
-        json.dumps(records, indent=1))
+    _write_sidecar(out_path, records)
     return rows
 
 
@@ -367,7 +370,7 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
     and u_y blocks; a field that is not swap-invariant falls back to one
     full-size block.
     """
-    rv, rp = mesh.swap_permutations()
+    rv, rp = reflection_permutations(mesh.n, "swap")
     nvel = mesh.velocity_count
     if target == "A":
         return (symmetric_eigenvalues(assemble_stiffness(mesh, mu), rv),
@@ -418,11 +421,11 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
                                    f"# ks_distance={ks_distance:.6f}"]
     _write_csv(out_path, header, ["index", "matrix_value", "symbol_quantile"],
                rows)
-    out_path.with_name(out_path.name + ".json").write_text(json.dumps({
+    _write_sidecar(out_path, {
         "matrix_spectrum_s": t1 - t0, "symbol_pool_s": t2 - t1,
         "ks_s": t3 - t2, "pool_size": len(pool),
         "frequency_points_solved": solved_frequency_count(
-            _symbol_grid(target, cfg.grid))}, indent=1))
+            _symbol_grid(target, cfg.grid))})
     return ks_distance
 
 
@@ -615,13 +618,20 @@ def main(argv=None) -> int:
 
     if args.command == "solve":
         cfg = _config_from_args(args)
-        row = run_solve_cell(cfg, preconditioned=not args.unpreconditioned)
         out = Path(cfg.output_dir) / args.out
         new = not out.exists()
+        columns = ",".join(SOLVE_COLUMNS)
+        if not new:
+            with open(out) as fh:
+                first = fh.readline().rstrip("\n")
+            if first != columns:
+                raise SystemExit(f"{out} does not start with the solve "
+                                 f"columns {columns}; not appending to it")
+        row = run_solve_cell(cfg, preconditioned=not args.unpreconditioned)
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "a") as fh:
             if new:
-                fh.write(",".join(SOLVE_COLUMNS) + "\n")
+                fh.write(columns + "\n")
             fh.write(",".join(str(row[k]) for k in SOLVE_COLUMNS) + "\n")
         print(json.dumps(row, indent=1, default=str))
         return 0
@@ -638,11 +648,8 @@ def main(argv=None) -> int:
             for gamma in gamma_list:
                 for case in cases:
                     for n in sizes:
-                        configs.append(ExperimentConfig(
-                            n=n, group=g, gamma=gamma, case=case,
-                            strategy=cfg.strategy, tol=cfg.tol,
-                            restart=cfg.restart, maxit=cfg.maxit,
-                            seed=cfg.seed, output_dir=cfg.output_dir))
+                        configs.append(replace(cfg, n=n, group=g,
+                                               gamma=gamma, case=case))
         out = Path(cfg.output_dir) / args.out
         meta = {"groups": groups, "cases": cases, "sizes": sizes,
                 "gammas": gammas, "strategy": cfg.strategy, "tol": cfg.tol,

@@ -102,11 +102,7 @@ class BlockSymbol:
         """Evaluate at one frequency point; returns complex (s1, s2)."""
         if len(theta) != self.levels:
             raise ValueError(f"expected {self.levels} angles, got {len(theta)}")
-        th = np.asarray(theta, dtype=float)
-        out = np.zeros((self.s1, self.s2), dtype=complex)
-        for k, m in self._float_cache.items():
-            out += m * np.exp(1j * float(np.dot(k, th)))
-        return out
+        return self.eval_grid(np.asarray(theta, dtype=float)[None, :])[0]
 
     def eval_grid(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate at (N, levels) points; returns complex (N, s1, s2)."""

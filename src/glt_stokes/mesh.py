@@ -32,8 +32,12 @@ class StructuredMesh:
     vertices: np.ndarray          # (nv, 2) int, P1 vertex lattice coords
     triangles: np.ndarray         # (4n^2, 3) int, vertex indices, ccw
     velocity_nodes: np.ndarray    # (nvel, 2) int, interior P2 node coords
-    pressure_nodes: np.ndarray    # (npres, 2) int, all P1 vertex coords
     tri_velocity: np.ndarray = field(repr=False, default=None)  # (4n^2, 6) velocity dof or -1
+
+    @property
+    def pressure_nodes(self) -> np.ndarray:
+        """(npres, 2) int coordinates of the pressure DOFs: the P1 vertices."""
+        return self.vertices
 
     @property
     def denominator(self) -> int:
@@ -59,18 +63,6 @@ class StructuredMesh:
         """Float centroid coordinates of all triangles, in cell order."""
         pts = self.vertices[self.triangles] / float(self.denominator)
         return pts.mean(axis=1)
-
-    def swap_permutations(self) -> tuple[np.ndarray, np.ndarray]:
-        """The reflection (x, y) -> (y, x) as DOF permutations (Rv, Rp):
-        velocity node i sits at the mirror image of node Rv[i], pressure
-        node k at that of node Rp[k].
-
-        Nodes are matched on their integer lattice coordinates, and each
-        permutation is checked to be an involution.
-        """
-        return tuple(
-            _mirror_permutation(nodes, _MIRRORS["swap"], self.denominator)
-            for nodes in (self.velocity_nodes, self.pressure_nodes))
 
     def dump(self) -> str:
         """Plain-text dump: one `v ix iy denom` line per vertex, one
@@ -179,14 +171,18 @@ def _mirror_permutation(nodes: np.ndarray, mirror, lim: int) -> np.ndarray:
 
 
 def reflection_permutations(n: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """The reflection x -> 1 - x (axis "x") or y -> 1 - y (axis "y") of the
-    mesh with n squares per side, as DOF permutations (Rv, Rp) in the sense
-    of `StructuredMesh.swap_permutations`.
+    """The reflection (x, y) -> (y, x) (axis "swap"), x -> 1 - x (axis "x")
+    or y -> 1 - y (axis "y") of the mesh with n squares per side, as DOF
+    permutations (Rv, Rp): velocity node i sits at the mirror image of node
+    Rv[i], pressure node k at that of node Rp[k].
 
-    Both node sets are read off the lattice rule for n, so no mesh is built.
+    Both node sets are read off the lattice rule for n, so no mesh is
+    built; nodes are matched on their integer lattice coordinates, and each
+    permutation is checked to be an involution.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"unknown reflection axis {axis!r}; pick x or y")
+    if axis not in _MIRRORS:
+        raise ValueError(f"unknown reflection axis {axis!r}; "
+                         f"pick one of {tuple(_MIRRORS)}")
     if n < 1:
         raise ValueError(f"grid parameter must be >= 1, got {n}")
     return tuple(_mirror_permutation(np.column_stack(lattice(n)),
@@ -230,6 +226,5 @@ def build_mesh(n: int) -> StructuredMesh:
         vertices=vertices,
         triangles=triangles,
         velocity_nodes=np.column_stack([vx, vy]),
-        pressure_nodes=vertices.copy(),
         tri_velocity=velocity_index[py, px],
     )

@@ -41,7 +41,8 @@ viscosity groups.  The sweep behind DST_MIN_N is at its definition.
 The pressure block is the explicit Schur complement of the preconditioner,
 built in panels of pressure columns and deflated on the constant-pressure
 kernel; its Cholesky factor is turned into the dense inverse once, so an
-apply is a matrix product rather than two triangular solves.
+apply is a matrix product rather than two triangular solves.  The same
+in-place inverse (`_spd_inverse`) serves the X_ZZ block of `TauDSTSolver`.
 
 Every thread decision of the package follows one rule, `workers()`: the
 CPUs this process may use divided by the BLAS threads the environment asks
@@ -79,7 +80,10 @@ the pool costs more than it saves.  A sweep of G2 applies at n = 16 to 32
 with single-threaded BLAS on 2 CPUs set that threshold: overlapping lost
 up to n = 18 (npres 685), was mixed at n = 20 and won from n = 22 (npres
 1013) on, reaching 4.3 -> 2.7 ms per apply at n = 32 (apply_workers 1
-against 2, DST velocity path).
+against 2, DST velocity path).  The apply submits to the pool directly:
+through `fan_out` it was 0.13-0.46 ms (6-25 %) slower, bitwise equal (G2,
+n = 32, OPENBLAS_NUM_THREADS=1, medians of 300 applies in 3 alternating
+process pairs: 2.30-2.51 against 1.84-2.38 ms).
 
 Every assembled sparse SPD block is factored one way, by `SPDSolver`:
 sparse LU under the symmetric minimum-degree ordering of A + A^T with
@@ -327,20 +331,15 @@ class TauDSTSolver:
         self._z = z = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         phase = np.outer(zero // 8 + 1, np.arange(1, N + 1)) % (2 * N + 2)
         self._G = G = np.sqrt(2.0 / (N + 1)) * np.sin(phase * (np.pi / (N + 1)))
-        X_ZZ = np.empty((len(zero), len(zero)))
+        # X_ZZ is formed in its upper block triangle, the part `_spd_inverse`
+        # reads, and kept inverted: one product per apply in place of two
+        # triangular solves, which took 2-7 ms against 0.3 ms of a 16-column
+        # apply at n = 32 under two OpenBLAS threads
+        X_ZZ = np.zeros((len(zero), len(zero)))
         for s in range(8):
             for t in range(s, 8):
                 X_ZZ[z[s], z[t]] = (G[z[s]] * self._lam_inv[s, t]) @ G[z[t]].T
-                X_ZZ[z[t], z[s]] = X_ZZ[z[s], z[t]].T
-        try:
-            cho, _ = sla.cho_factor(X_ZZ, lower=True, overwrite_a=True)
-        except sla.LinAlgError as exc:
-            raise ValueError(f"not positive definite: X_ZZ ({exc})") from exc
-        # kept inverted: one product per apply in place of two triangular
-        # solves, which took 2-7 ms against 0.3 ms of a 16-column apply at
-        # n = 32 under two OpenBLAS threads; dpotri fills the lower triangle
-        inv, _ = sla.lapack.dpotri(cho, lower=True, overwrite_c=True)
-        self._X_ZZ_inv = np.tril(inv) + np.tril(inv, -1).T
+        self._X_ZZ_inv = _spd_inverse(X_ZZ, "X_ZZ")
 
     def _block_solve(self, X: np.ndarray) -> np.ndarray:
         """Lambda^{-1} X for X laid out (slot, column, cell)."""
@@ -535,6 +534,32 @@ def symmetrize(S: np.ndarray) -> float:
     return float(defect / scale)
 
 
+def _spd_inverse(S: np.ndarray, label: str) -> np.ndarray:
+    """Inverse, C-contiguous and in S's memory, of the symmetric positive
+    definite matrix held in the upper triangle of the C-contiguous S.
+
+    LAPACK factors and inverts S's transpose, its Fortran view, and leaves
+    the inverse in the same triangle, which is mirrored tile by tile.  A
+    failed factorization or inversion raises ValueError naming `label`.
+    """
+    try:
+        cho, lower = sla.cho_factor(S.T, lower=True, overwrite_a=True)
+    except sla.LinAlgError as exc:
+        raise ValueError(f"{label} is not positive definite ({exc})") from exc
+    inv, info = sla.lapack.dpotri(cho, lower=lower, overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"{label} could not be inverted: info {info}")
+    inv = inv.T
+    for rows, cols in _tile_pairs(len(inv)):
+        if rows == cols:
+            tile = inv[rows, cols]
+            low = np.tril_indices(len(tile), -1)
+            tile[low] = tile.T[low]
+        else:
+            inv[cols, rows] = inv[rows, cols].T
+    return inv
+
+
 def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
     """Inverse of the deflated explicit Schur complement
     B P_A^{-1} B^T + 1/npres, built from `schur_panels` in its one
@@ -544,33 +569,16 @@ def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
     the rank-one shift by the normalized constant-pressure projector, so
     the inverse acts as the pseudo-inverse of B P_A^{-1} B^T on the
     complement of the kernel.  After `symmetrize` and the shift, the array
-    is factored and inverted in place through its transpose, the Fortran
-    view of the same symmetric matrix; the lower triangle that LAPACK
-    leaves is mirrored tile by tile, and the inverse is returned
-    C-contiguous.  `seconds` splits the build into its "schur_panels" and
-    "inverse" phases.
+    is inverted in place by `_spd_inverse` and returned C-contiguous.
+    `seconds` splits the build into its "schur_panels" and "inverse"
+    phases.
     """
     t0 = time.perf_counter()
     S = schur_panels(div_x, div_y, pa_solve, pa_solve)
     t1 = time.perf_counter()
     sym_defect = symmetrize(S)
     S += 1.0 / len(S)
-    try:
-        cho, lower = sla.cho_factor(S.T, lower=True, overwrite_a=True)
-    except sla.LinAlgError as exc:
-        raise ValueError(f"Schur factorization failed after deflation: {exc}")
-    inv, info = sla.lapack.dpotri(cho, lower=lower, overwrite_c=True)
-    if info != 0:
-        raise ValueError(f"Schur inversion failed after deflation: info {info}")
-    # the C view holds the inverse in its upper triangle
-    inv = inv.T
-    for rows, cols in _tile_pairs(len(inv)):
-        if rows == cols:
-            tile = inv[rows, cols]
-            low = np.tril_indices(len(tile), -1)
-            tile[low] = tile.T[low]
-        else:
-            inv[cols, rows] = inv[rows, cols].T
+    inv = _spd_inverse(S, "the deflated Schur complement")
     return inv, sym_defect, {"schur_panels": t1 - t0,
                              "inverse": time.perf_counter() - t1}
 
@@ -648,9 +656,6 @@ class SaddlePreconditioner:
             velocity_half()
             pressure_half()
         return out.reshape(np.shape(r))
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.apply(r)
 
 
 def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,

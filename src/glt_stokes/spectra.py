@@ -91,10 +91,6 @@ DEFAULT_GRID = (18, 18, 18, 18)
 DENSE_LIMIT = 20000
 
 
-def _dense(M) -> np.ndarray:
-    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-
-
 def _max_abs(M: sp.spmatrix) -> float:
     return float(np.abs(M.data).max()) if M.nnz else 0.0
 
@@ -222,7 +218,7 @@ def symmetric_eigenvalues(S, mirror=None) -> np.ndarray:
 
 def singular_values(R) -> np.ndarray:
     """Singular values of a rectangular matrix, sorted ascending."""
-    A = _dense(R)
+    A = R.toarray() if sp.issparse(R) else np.asarray(R, dtype=float)
     if min(A.shape) > DENSE_LIMIT:
         raise ValueError(f"dense SVD refused beyond {DENSE_LIMIT}")
     return np.sort(np.linalg.svd(A, compute_uv=False))

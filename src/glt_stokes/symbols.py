@@ -16,6 +16,7 @@ diagonals, 1 for the midpoint-midpoint terms).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -284,14 +285,9 @@ def build_symbol_set() -> StokesSymbolSet:
     )
 
 
-_SET = None
-
-
+@functools.cache
 def default_symbol_set() -> StokesSymbolSet:
-    global _SET
-    if _SET is None:
-        _SET = build_symbol_set()
-    return _SET
+    return build_symbol_set()
 
 
 def saddle_symbol(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

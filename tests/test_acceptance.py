@@ -20,8 +20,8 @@ from glt_stokes.glt_core import (block_toeplitz_defect,
 from glt_stokes.mesh import build_mesh, saddle_dimension
 from glt_stokes.precond import build_saddle_preconditioner
 from glt_stokes.solvers import gmres, minres
-from glt_stokes.spectra import (sample_symbol, singular_values,
-                                symmetric_eigenvalues,
+from glt_stokes.spectra import (outlier_check, sample_symbol,
+                                singular_values, symmetric_eigenvalues,
                                 wathen_condition_number, weyl_distance)
 from glt_stokes.symbols import default_symbol_set
 
@@ -176,11 +176,7 @@ def test_criterion_6_outlier_bounds():
         one = stiffness_eigs(0, None, n)  # unit viscosity
         for group, gamma in GROUP_INSTANCES:
             mu = viscosity_for_group(group, gamma)
-            lam = stiffness_eigs(group, gamma, n)
-            lo = mu.essinf * one
-            hi = mu.esssup * one
-            tol = 1e-10 * np.maximum(np.abs(lo), np.abs(hi))
-            good = bool(np.all(lam >= lo - tol) and np.all(lam <= hi + tol))
+            good = outlier_check(stiffness_eigs(group, gamma, n), one, mu)
             ok &= good
             if not good:
                 details.append(f"violated at G{group}(g={gamma}) n={n}")

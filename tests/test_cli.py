@@ -297,6 +297,19 @@ def test_solve_command_appends(tmp_path, capsys):
     assert all(len(ln.split(",")) == 10 for ln in lines)
 
 
+def test_solve_command_refuses_a_table_file(tmp_path, capsys):
+    # table and solve both default to results.csv; solve used to append its
+    # 10-field row under the table's 11-column header
+    assert main(["table", "--groups", "1", "--cases", "a", "--sizes", "2",
+                 "--output-dir", str(tmp_path)]) == 0
+    out = tmp_path / "results.csv"
+    before = out.read_text()
+    with pytest.raises(SystemExit, match="results.csv"):
+        main(["solve", "-n", "2", "--group", "1", "--case", "a",
+              "--output-dir", str(tmp_path)])
+    assert out.read_text() == before
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 2, "group": 1, "case": "a"}))

@@ -62,26 +62,21 @@ def test_vertex_set_symmetric_under_swap(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_swap_permutations_reflect_every_dof(n):
-    mesh = build_mesh(n)
-    for perm, nodes in zip(mesh.swap_permutations(),
-                           (mesh.velocity_nodes, mesh.pressure_nodes)):
-        assert np.array_equal(perm[perm], np.arange(len(nodes)))
-        assert np.array_equal(nodes[perm], nodes[:, ::-1])
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("axis", ["swap", "x", "y"])
 def test_reflection_permutations_mirror_every_dof(n, axis):
-    # x -> 1 - x and y -> 1 - y, read off the lattice rule without a mesh,
-    # send each velocity and pressure node of build_mesh(n) to its image
+    # (x, y) -> (y, x), x -> 1 - x and y -> 1 - y, read off the lattice rule
+    # without a mesh, send each velocity and pressure node of build_mesh(n)
+    # to its image
     mesh = build_mesh(n)
-    col = "xy".index(axis)
     for perm, nodes in zip(reflection_permutations(n, axis),
                            (mesh.velocity_nodes, mesh.pressure_nodes)):
         assert np.array_equal(perm[perm], np.arange(len(nodes)))
-        image = nodes.copy()
-        image[:, col] = 4 * n - nodes[:, col]
+        if axis == "swap":
+            image = nodes[:, ::-1]
+        else:
+            col = "xy".index(axis)
+            image = nodes.copy()
+            image[:, col] = 4 * n - nodes[:, col]
         assert np.array_equal(nodes[perm], image)
 
 

@@ -1,5 +1,8 @@
+import functools
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +18,24 @@ def test_all_names_resolve(module):
     names = getattr(module, "__all__", [])
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_bench_hooks_resolve():
+    # bench/recorder.py wraps these (module, attribute) pairs by name, so a
+    # renamed function fails here rather than in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "recorder.py"
+    spec = importlib.util.spec_from_file_location("bench_recorder", path)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    hooks = {**recorder.SETUP_HOOKS, **recorder.TRACE_HOOKS}
+    assert hooks
+    missing = []
+    for module, attr in hooks:
+        owner = importlib.import_module(f"{recorder.PACKAGE}.{module}")
+        try:
+            target = functools.reduce(getattr, attr.split("."), owner)
+        except AttributeError:
+            target = None
+        if not callable(target):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

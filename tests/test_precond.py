@@ -261,6 +261,20 @@ def test_schur_properties():
     assert np.abs(inverse @ (S + 1.0 / npres) - np.eye(npres)).max() < 1e-12
 
 
+def test_spd_inverse_reads_the_upper_triangle_and_names_the_matrix():
+    # two tile rows, so an off-diagonal tile is mirrored too
+    rng = np.random.default_rng(5)
+    size = TILE + 44
+    X = rng.standard_normal((size, size))
+    S = X @ X.T + size * np.eye(size)
+    inverse = precond._spd_inverse(np.triu(S), "the test matrix")
+    assert inverse.flags.c_contiguous
+    assert np.array_equal(inverse, inverse.T)
+    assert np.abs(inverse @ S - np.eye(size)).max() < 1e-12
+    with pytest.raises(ValueError, match="the test matrix is not positive"):
+        precond._spd_inverse(-np.eye(3), "the test matrix")
+
+
 def test_schur_smallest_system():
     mesh = build_mesh(1)
     system = assemble_saddle(mesh, ONE)

@@ -308,7 +308,7 @@ def test_sample_saddle_symbol_matches_per_point_pools(group, gamma):
 def _targets(n, mu):
     """(name, matrix, mirror) for the stiffness and the saddle matrix."""
     mesh = build_mesh(n)
-    rv, rp = mesh.swap_permutations()
+    rv, rp = reflection_permutations(n, "swap")
     nvel = mesh.velocity_count
     return (("A", assemble_stiffness(mesh, mu), rv),
             ("M", assemble_saddle(mesh, mu).full_matrix(),
@@ -363,7 +363,7 @@ def test_mirror_falls_back_to_one_block(monkeypatch):
 def test_mirror_must_be_an_involution():
     S = assemble_stiffness(build_mesh(2), ONE)
     dim = S.shape[0]
-    rv, _ = build_mesh(2).swap_permutations()
+    rv, _ = reflection_permutations(2, "swap")
     for bad in (np.roll(np.arange(dim), 1), rv[:-1], rv + 0.0,
                 np.where(rv == 0, dim, rv), np.zeros(dim, dtype=int)):
         with pytest.raises(ValueError):
