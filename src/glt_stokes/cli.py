@@ -642,14 +642,10 @@ def main(argv=None) -> int:
         cases = args.cases.split(",")
         sizes = [int(s) for s in args.sizes.split(",")]
         gammas = [float(g) for g in args.gammas.split(",")]
-        configs = []
-        for g in groups:
-            gamma_list = gammas if g == 3 else [None]
-            for gamma in gamma_list:
-                for case in cases:
-                    for n in sizes:
-                        configs.append(replace(cfg, n=n, group=g,
-                                               gamma=gamma, case=case))
+        configs = [replace(cfg, n=n, group=g, gamma=gamma, case=case)
+                   for g in groups
+                   for gamma in (gammas if g == 3 else [None])
+                   for case in cases for n in sizes]
         out = Path(cfg.output_dir) / args.out
         meta = {"groups": groups, "cases": cases, "sizes": sizes,
                 "gammas": gammas, "strategy": cfg.strategy, "tol": cfg.tol,

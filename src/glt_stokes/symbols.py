@@ -16,7 +16,6 @@ diagonals, 1 for the midpoint-midpoint terms).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -285,9 +284,14 @@ def build_symbol_set() -> StokesSymbolSet:
     )
 
 
-@functools.cache
+_SET = None
+
+
 def default_symbol_set() -> StokesSymbolSet:
-    return build_symbol_set()
+    global _SET
+    if _SET is None:
+        _SET = build_symbol_set()
+    return _SET
 
 
 def saddle_symbol(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
