@@ -32,12 +32,13 @@ from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
 from .mesh import (StructuredMesh, build_mesh, reflection_permutations,
                    saddle_dimension)
 from .precond import (STRATEGIES, SPDSolver, build_saddle_preconditioner,
-                      env_blas_threads, fan_out)
+                      env_blas_threads, fan_out, workers)
 from .solvers import gmres, minres
-from .spectra import (DEFAULT_GRID, pencil_class_sizes, pool_quantiles,
-                      sample_saddle_symbol, sample_symbol, singular_values,
-                      solved_frequency_count, symmetric_eigenvalues,
-                      wathen_condition_number, weyl_distance)
+from .spectra import (DEFAULT_GRID, mirror_class_sizes, pencil_class_sizes,
+                      pool_quantiles, sample_saddle_symbol, sample_symbol,
+                      singular_values, solved_frequency_count,
+                      symmetric_eigenvalues, wathen_condition_number,
+                      weyl_distance)
 from .symbols import default_symbol_set
 
 GROUPS = (1, 2, 3)
@@ -362,18 +363,21 @@ def _symbol_grid(target: str, grid) -> tuple:
 
 def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
     """Sorted matrix values of a spectrum target (eigenvalues of A and M,
-    singular values of Bx and By) and the sampler of its symbol, a
-    function of the sampling grid (`_symbol_grid`).
+    singular values of Bx and By), the sizes of the dense blocks they were
+    solved in, and the sampler of its symbol, a function of the sampling
+    grid (`_symbol_grid`).
 
     The eigensolves pass the x <-> y swap of the mesh as the mirror: the
     velocity swap for A, and for M the swap that also exchanges the u_x
     and u_y blocks; a field that is not swap-invariant falls back to one
-    full-size block.
+    full-size block (`mirror_class_sizes`).  A singular value target is
+    one block.
     """
     rv, rp = reflection_permutations(mesh.n, "swap")
     nvel = mesh.velocity_count
     if target == "A":
-        return (symmetric_eigenvalues(assemble_stiffness(mesh, mu), rv),
+        A = assemble_stiffness(mesh, mu)
+        return (symmetric_eigenvalues(A, rv), mirror_class_sizes(A, rv),
                 lambda grid: sample_symbol(default_symbol_set().stiffness,
                                            mu, grid))
     if target in ("Bx", "By"):
@@ -383,11 +387,12 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
             syms = default_symbol_set()
             return sample_symbol((syms.div_x, syms.div_y)[pick], None,
                                  _symbol_grid(target, grid))
-        return singular_values(assemble_divergence(mesh)[pick]), sampler
+        values = singular_values(assemble_divergence(mesh)[pick])
+        return values, [len(values)], sampler
     if target == "M":
+        M = assemble_saddle(mesh, mu).full_matrix()
         mirror = np.concatenate([rv + nvel, rv, rp + 2 * nvel])
-        return (symmetric_eigenvalues(assemble_saddle(mesh, mu).full_matrix(),
-                                      mirror),
+        return (symmetric_eigenvalues(M, mirror), mirror_class_sizes(M, mirror),
                 lambda grid: sample_saddle_symbol(mu, grid))
     raise ValueError(f"unknown target {target!r}; pick A, Bx, By or M")
 
@@ -400,14 +405,15 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
     The quantiles are read off the sorted symbol pool (`pool_quantiles`).
     Next to the CSV, `<out>.json` holds the seconds of the matrix spectrum
     (mesh and assembly included), of the symbol pool and of the KS
-    distance, the pool's length, and the frequency points whose symbol
-    was solved (`solved_frequency_count`, per distinct viscosity weight
-    for M).
+    distance, the pool's length, the frequency points whose symbol was
+    solved (`solved_frequency_count`, per distinct viscosity weight for
+    M), the sizes of the dense blocks the matrix spectrum was solved in
+    (`target_spectrum`), and the `workers()` count they ran with.
     """
     cfg.validate()
     t0 = time.perf_counter()
-    values, sampler = target_spectrum(target, build_mesh(cfg.n),
-                                      cfg.viscosity())
+    values, classes, sampler = target_spectrum(target, build_mesh(cfg.n),
+                                               cfg.viscosity())
     t1 = time.perf_counter()
     pool = sampler(cfg.grid)
     t2 = time.perf_counter()
@@ -422,7 +428,8 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
     _write_csv(out_path, header, ["index", "matrix_value", "symbol_quantile"],
                rows)
     _write_sidecar(out_path, {
-        "matrix_spectrum_s": t1 - t0, "symbol_pool_s": t2 - t1,
+        "matrix_spectrum_s": t1 - t0, "matrix_classes": classes,
+        "matrix_workers": workers(), "symbol_pool_s": t2 - t1,
         "ks_s": t3 - t2, "pool_size": len(pool),
         "frequency_points_solved": solved_frequency_count(
             _symbol_grid(target, cfg.grid))})
@@ -586,8 +593,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         out = Path(cfg.output_dir) / args.out
         if args.command == "spectrum":
-            vals, _ = target_spectrum(args.target, build_mesh(cfg.n),
-                                      cfg.viscosity())
+            vals, _, _ = target_spectrum(args.target, build_mesh(cfg.n),
+                                         cfg.viscosity())
             _write_csv(out, cfg.header_lines() + [f"# target: {args.target}"],
                        ["index", "value"],
                        [[i, f"{v:.12e}"] for i, v in enumerate(vals)])

@@ -108,9 +108,10 @@ class BlockSymbol:
         """Evaluate at (N, levels) points; returns complex (N, s1, s2)."""
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         out = np.zeros((len(th), self.s1, self.s2), dtype=complex)
+        term = np.empty_like(out)
         for k, m in self._float_cache.items():
             phase = np.exp(1j * (th @ np.asarray(k, dtype=float)))
-            out += phase[:, None, None] * m[None, :, :]
+            out += np.multiply(phase[:, None, None], m[None, :, :], out=term)
         return out
 
     def conj_transpose(self) -> "BlockSymbol":

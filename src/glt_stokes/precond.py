@@ -49,13 +49,14 @@ CPUs this process may use divided by the BLAS threads the environment asks
 for (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else all CPUs, OpenBLAS's
 own default), and 1 off the main thread.  With the default threaded BLAS
 that is one worker and everything runs inline.  Work that fans out (the
-Schur panels, the strip-pencil classes of `spectra`, the cells of the
-`table` command) goes through `fan_out`, which runs inline when
-`workers()` is 1 or it has fewer than two tasks, and otherwise on the
-process's one thread pool, made on first use with `workers()` threads.  Only
-the main thread ever submits to that pool, and code on a pool thread sees
-one worker and runs its own fan-outs inline, so fan-outs never nest on the
-shared pool and cannot deadlock waiting for one another.
+Schur panels, the mirror halves and the strip-pencil classes of
+`spectra`, the cells of the `table` command) goes through `fan_out`,
+which runs inline when `workers()` is 1 or it has fewer than two tasks,
+and otherwise on the process's one thread pool, made on first use with
+`workers()` threads.  Only the main thread ever submits to that pool, and
+code on a pool thread sees one worker and runs its own fan-outs inline,
+so fan-outs never nest on the shared pool and cannot deadlock waiting for
+one another.
 
 The panels are independent, and the sparse solves and products they make
 release the GIL.  A task takes PANEL // workers() columns, so as many
@@ -475,9 +476,11 @@ def fan_out(fn: Callable, items) -> list:
 
     On the pool, the first exception in item order is raised here once
     the running calls are done, and the queued calls are cancelled.
+    `items` is iterated on the calling thread: inline, each item is drawn
+    just before its call, so a generator of large items need not hold
+    them all at once; for the pool, all are drawn before the first call.
     """
-    items = list(items)
-    if len(items) < 2 or workers() == 1:
+    if workers() == 1 or len(items := list(items)) < 2:
         return [fn(item) for item in items]
     futures = [_pool().submit(fn, item) for item in items]
     try:

@@ -31,6 +31,23 @@ spectrum is the union of two half-size dense spectra: about a quarter of
 the work of one full-size solve, and the largest dense array is a quarter
 of the full-size one.
 
+Every dense symmetric eigensolve (a mirror half, a pencil class) calls
+LAPACK dsyevd or dsygvd itself, through ctypes on scipy's Cython LAPACK
+table, in place on a Fortran-ordered block (`_eigensolve`): no copy of the
+block is made, and the call releases the GIL.  The two mirror halves go
+through `precond.fan_out`.  When BLAS leaves a CPU idle (`workers()` > 1)
+the calling thread forms both blocks and their work arrays, and the two
+solves run at once on the pool.  The pool threads only run LAPACK:
+forming the blocks there left their temporaries resident in glibc's
+per-thread heaps, 10-14 MB more peak memory in the `spectra-n16`
+benchmark.  The peak then holds two blocks, as much as one block and the
+copy that `np.linalg.eigvalsh` makes of it.  With the default threaded
+BLAS (one worker) each block is formed just before its solve and freed
+after it, so the peak holds one.  The eigenvalues are bit for bit those of
+`scipy.linalg.eigh`, which calls the same routines, and, on the mirror
+halves of A and M at n = 4 to 16, those of `np.linalg.eigvalsh`, which
+calls numpy's own OpenBLAS build.
+
 The strip-viscosity condition numbers reduce the mass-preconditioned
 saddle spectrum to a pressure-size Schur pencil (B A^{-1} B^T, W), and the
 same argument splits it further.  The mesh is also invariant under the
@@ -46,7 +63,7 @@ densely.  For the strip field that is four quarter-size pencils, about a
 sixteenth of the dense eigensolve and a quarter of the solves; a field
 that neither reflection keeps is solved as one full-size pencil.  The
 classes go through `precond.fan_out`, so when BLAS leaves CPUs idle they
-run on the package's thread pool.
+run on the package's thread pool, the GIL-free dense solves included.
 
 The Weyl distance is a maximum over sample points of the difference of two
 empirical distribution functions; it searches the large symbol pool only
@@ -61,8 +78,8 @@ import functools
 import itertools
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import cython_lapack
 
 from .assembly import ViscosityField
 from .glt_core import BlockSymbol
@@ -81,6 +98,7 @@ __all__ = [
     "outlier_check",
     "saddle_pencil_eigenvalues",
     "pencil_class_sizes",
+    "mirror_class_sizes",
     "wathen_condition_number",
     "DEFAULT_GRID",
     "DENSE_LIMIT",
@@ -176,22 +194,83 @@ def _release_free_heap() -> None:
         trim(0)
 
 
-def symmetric_eigenvalues(S, mirror=None) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending.
+@functools.cache
+def _lapack(name: str):
+    """LAPACK routine `name` from scipy's Cython table
+    (`scipy.linalg.cython_lapack`), taking every argument as a pointer.
 
-    `mirror` is an optional involution of the row indices (an integer
-    array with mirror[mirror] = arange(dim)).  If S commutes with it, to
-    1e-12 relative to the largest entry, the halves V^T S V on its even
-    and odd bases V are solved densely, one after the other; otherwise,
-    and when `mirror` is None, S is solved as one full-size block.
+    A ctypes CFUNCTYPE call releases the GIL while the routine runs."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule)           # "void (char *, int *, ...)"
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (
+        signature.count(b",") + 1))(get_pointer(capsule, signature))
 
-    With a mirror the result is the spectrum of the mirror-averaged
-    matrix (S + P S P^T)/2, P the permutation matrix.  By Weyl's
-    inequality it differs from the spectrum of S by at most
-    ||S - P S P^T||_2 / 2.  `DENSE_LIMIT` bounds the largest block formed.
-    Before the blocks are formed, the C heap's free pages are handed back
-    to the OS (`_release_free_heap`).
+
+def _eigensolve(a: np.ndarray, b: np.ndarray | None = None):
+    """A call that returns the eigenvalues, ascending, of the symmetric a,
+    or of the pencil (a, b) with b symmetric positive definite.
+
+    The call runs LAPACK dsyevd, or dsygvd with itype 1, on the lower
+    triangles in place, so a and b are overwritten.  Each must be a square
+    float64 Fortran-contiguous array of one size; anything else raises
+    ValueError here and is never copied.  Every array the routine needs
+    (the eigenvalues, and the work arrays that its workspace query sizes)
+    is allocated here, on the calling thread, so the call only runs
+    LAPACK, without the GIL.  The call runs once: it then drops its
+    arguments, a, b and the work arrays with them.  A nonzero LAPACK info
+    raises ValueError naming the routine.
     """
+    for m in (a,) if b is None else (a, b):
+        if not (isinstance(m, np.ndarray) and m.dtype == np.float64
+                and m.ndim == 2 and m.shape == (len(a), len(a))
+                and m.flags.f_contiguous):
+            raise ValueError("eigensolve needs square float64 Fortran-ordered "
+                             f"arrays of one size, got {getattr(m, 'shape', m)}")
+    name = "dsyevd" if b is None else "dsygvd"
+    routine = _lapack(name)
+    n, lead, info = (ctypes.c_int(len(a)), ctypes.c_int(max(1, len(a))),
+                     ctypes.c_int())
+    w = np.empty(len(a))
+    # an array's .ctypes passes its address and holds the array
+    head = [b"N", b"L", ctypes.byref(n), a.ctypes, ctypes.byref(lead)]
+    if b is not None:
+        head = ([ctypes.byref(ctypes.c_int(1))] + head
+                + [b.ctypes, ctypes.byref(lead)])
+
+    def arguments(work, iwork, lwork: int, liwork: int) -> list:
+        return head + [w.ctypes, work.ctypes, ctypes.byref(ctypes.c_int(lwork)),
+                       iwork.ctypes, ctypes.byref(ctypes.c_int(liwork)),
+                       ctypes.byref(info)]
+
+    def check() -> None:
+        if info.value:
+            raise ValueError(f"LAPACK {name} failed: info {info.value}")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    routine(*arguments(work, iwork, -1, -1))        # workspace query
+    check()
+    work = np.empty(max(1, int(work[0])))
+    iwork = np.empty(max(1, int(iwork[0])), dtype=np.intc)
+    args = arguments(work, iwork, len(work), len(iwork))
+
+    def solve() -> np.ndarray:
+        routine(*args)
+        args.clear()
+        check()
+        return w
+    return solve
+
+
+def _mirror_classes(S, mirror) -> tuple:
+    """S as a float CSR matrix, checked square and symmetric, and the
+    bases of the classes `symmetric_eigenvalues` solves it on: the even
+    and odd bases of `mirror` when S commutes with it, else the one
+    identity class."""
     S = sp.csr_matrix(S, dtype=float)
     dim = S.shape[0]
     if S.shape[1] != dim:
@@ -208,12 +287,43 @@ def symmetric_eigenvalues(S, mirror=None) -> np.ndarray:
         raise ValueError("matrix is not symmetric to 1e-12")
     if mirror is not None and _parity(S, mirror, mirror) != 1:
         mirror = None
-    bases = _class_bases([] if mirror is None else [mirror], dim).values()
+    return S, list(_class_bases([] if mirror is None else [mirror],
+                                dim).values())
+
+
+def symmetric_eigenvalues(S, mirror=None) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, sorted ascending.
+
+    `mirror` is an optional involution of the row indices (an integer
+    array with mirror[mirror] = arange(dim)).  If S commutes with it, to
+    1e-12 relative to the largest entry, the halves V^T S V on its even
+    and odd bases V are solved densely; otherwise, and when `mirror` is
+    None, S is solved as one full-size block (`mirror_class_sizes`).
+
+    With a mirror the result is the spectrum of the mirror-averaged
+    matrix (S + P S P^T)/2, P the permutation matrix.  By Weyl's
+    inequality it differs from the spectrum of S by at most
+    ||S - P S P^T||_2 / 2.  `DENSE_LIMIT` bounds the largest block formed.
+    Before the blocks are formed, the C heap's free pages are handed back
+    to the OS (`_release_free_heap`).  Each block is formed in Fortran
+    order on the calling thread and solved in place (`_eigensolve`),
+    through `fan_out`: with `workers()` > 1 both halves are formed first
+    and solved at once on the pool, otherwise each is formed just before
+    its solve and freed after it.
+    """
+    S, bases = _mirror_classes(S, mirror)
     if max(V.shape[1] for V in bases) > DENSE_LIMIT:
         raise ValueError(f"dense eigensolve refused beyond {DENSE_LIMIT}")
     _release_free_heap()
-    return np.sort(np.concatenate(
-        [np.linalg.eigvalsh((V.T @ S @ V).toarray()) for V in bases]))
+    solves = (_eigensolve((V.T @ S @ V).toarray(order="F")) for V in bases)
+    return np.sort(np.concatenate(fan_out(lambda solve: solve(), solves)))
+
+
+def mirror_class_sizes(S, mirror=None) -> list:
+    """Sizes of the dense blocks `symmetric_eigenvalues(S, mirror)` solves:
+    the even and the odd half when S commutes with `mirror`, else the one
+    full-size block."""
+    return [V.shape[1] for V in _mirror_classes(S, mirror)[1]]
 
 
 def singular_values(R) -> np.ndarray:
@@ -468,7 +578,7 @@ def saddle_pencil_eigenvalues(system) -> np.ndarray:
                          Q.T @ system.div_y @ vel[e_y],
                          solves[e_x], solves[e_y])
         symmetrize(S)
-        return sla.eigh(S, (Q.T @ W @ Q).toarray(), eigvals_only=True)
+        return _eigensolve(S.T, (Q.T @ W @ Q).toarray(order="F"))()
 
     s_vals = np.maximum(np.concatenate(fan_out(class_values, pres)), 0.0)
     lam_plus = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s_vals))

@@ -266,14 +266,19 @@ def test_emit_adherence_sidecar(tmp_path, target, pool_size, solved):
     ks = emit_adherence_data(target, cfg, out)
     side = json.loads((tmp_path / "adh.csv.json").read_text())
     assert sorted(side) == ["frequency_points_solved", "ks_s",
-                            "matrix_spectrum_s", "pool_size", "symbol_pool_s"]
+                            "matrix_classes", "matrix_spectrum_s",
+                            "matrix_workers", "pool_size", "symbol_pool_s"]
     assert (side["pool_size"], side["frequency_points_solved"]) == \
         (pool_size, solved)
+    # A and M split into the two x <-> y mirror halves (113 and 267 rows)
+    assert side["matrix_classes"] == {"A": [64, 49], "Bx": [41],
+                                      "M": [138, 129]}[target]
+    assert side["matrix_workers"] == workers()
     assert min(side["matrix_spectrum_s"], side["symbol_pool_s"],
                side["ks_s"]) >= 0
     # the CSV holds the rank-aligned values and np.quantile of the pool
-    values, sampler = cli.target_spectrum(target, build_mesh(4),
-                                          cfg.viscosity())
+    values, _, sampler = cli.target_spectrum(target, build_mesh(4),
+                                             cfg.viscosity())
     ranks = (np.arange(len(values)) + 0.5) / len(values)
     quantiles = np.quantile(sampler(cfg.grid), ranks)
     assert out.read_text().splitlines()[2:] == [

@@ -1,5 +1,7 @@
 import itertools
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -319,12 +321,12 @@ def _block_sizes(monkeypatch):
     """Record the size of every dense block `symmetric_eigenvalues`
     solves."""
     sizes = []
-    eigvalsh = np.linalg.eigvalsh
+    eigensolve = spectra._eigensolve
 
-    def spy(H):
-        sizes.append(len(H))
-        return eigvalsh(H)
-    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", spy)
+    def spy(a, b=None):
+        sizes.append(len(a))
+        return eigensolve(a, b)
+    monkeypatch.setattr(spectra, "_eigensolve", spy)
     return sizes
 
 
@@ -338,6 +340,7 @@ def test_mirror_split_matches_dense(group, gamma, n, monkeypatch):
         monkeypatch.undo()
         pairs = int(np.sum(mirror > np.arange(len(mirror))))
         assert sizes == [len(mirror) - pairs, pairs], name
+        assert spectra.mirror_class_sizes(S, mirror) == sizes, name
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
@@ -356,8 +359,124 @@ def test_mirror_falls_back_to_one_block(monkeypatch):
         sizes = _block_sizes(monkeypatch)
         got = symmetric_eigenvalues(S, mirror)
         monkeypatch.undo()
-        assert sizes == [S.shape[0]]
+        assert sizes == spectra.mirror_class_sizes(S, mirror) == [S.shape[0]]
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("group,gamma", [(1, None), (2, None), (3, 100.0)])
+def test_in_place_eigensolve_equals_eigvalsh(group, gamma, n):
+    # the class blocks of A and M, solved in place by LAPACK dsyevd, give
+    # numpy's eigvalsh bit for bit
+    for name, S, mirror in _targets(n, viscosity_for_group(group, gamma)):
+        for V in spectra._class_bases([mirror], len(mirror)).values():
+            block = V.T @ S @ V
+            ref = np.linalg.eigvalsh(block.toarray())
+            got = spectra._eigensolve(block.toarray(order="F"))()
+            assert np.array_equal(got, ref), name
+
+
+def test_pencil_solves_equal_scipy_eigh(monkeypatch):
+    # each strip-field class pencil, solved in place by dsygvd, gives
+    # scipy's generalized eigh bit for bit
+    system = assemble_saddle(build_mesh(8), FIELDS["strip"][0])
+    eigensolve = spectra._eigensolve
+    calls = []
+
+    def spy(a, b=None):
+        inputs = (a.copy(order="F"), b.copy(order="F"))
+        solve = eigensolve(a, b)
+
+        def recorded():
+            values = solve()
+            calls.append(inputs + (values,))
+            return values
+        return recorded
+    monkeypatch.setattr(spectra, "_eigensolve", spy)
+    saddle_pencil_eigenvalues(system)
+    assert sorted(len(c[2]) for c in calls) == \
+        sorted(pencil_class_sizes(system)["pressure"])
+    for a, b, got in calls:
+        assert np.array_equal(got, sla.eigh(a, b, eigvals_only=True))
+
+
+def _two_worker_settings(monkeypatch):
+    """Pretend to run on 2 CPUs; the (OPENBLAS_NUM_THREADS, workers())
+    settings that give 1 and 2 workers there."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(2)), raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    return (("2", 1), ("1", 2))
+
+
+def test_mirror_halves_threads_bitwise(monkeypatch, fresh_pool):
+    # the two halves of A and M run on the pool with 2 workers and give
+    # the eigenvalues of the inline solves
+    targets = _targets(8, viscosity_for_group(3, 100.0))
+    eigensolve = spectra._eigensolve
+    threads = []
+
+    def spy(a, b=None):
+        solve = eigensolve(a, b)
+
+        def on_thread():
+            threads.append(threading.current_thread().name)
+            return solve()
+        return on_thread
+    monkeypatch.setattr(spectra, "_eigensolve", spy)
+    runs = []
+    for blas, count in _two_worker_settings(monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert workers() == count
+        threads.clear()
+        runs.append([symmetric_eigenvalues(S, mirror)
+                     for _, S, mirror in targets])
+        pool = [name.startswith("glt-stokes") for name in threads]
+        assert pool == [count == 2] * 4
+    for one, two in zip(*runs):
+        assert np.array_equal(one, two)
+
+
+def test_eigensolve_rejects_what_it_would_copy():
+    square = np.asfortranarray(np.eye(4))
+    for bad in (np.asfortranarray(np.ones((3, 4))), np.eye(4),
+                np.asfortranarray(np.eye(4, dtype=np.float32)),
+                np.asfortranarray(np.eye(8))[::2, ::2], np.eye(4).tolist()):
+        with pytest.raises(ValueError, match="Fortran"):
+            spectra._eigensolve(bad)
+        with pytest.raises(ValueError, match="Fortran"):
+            spectra._eigensolve(square, bad)
+    with pytest.raises(ValueError, match="Fortran"):
+        spectra._eigensolve(square, np.asfortranarray(np.eye(3)))
+
+
+def test_eigensolve_failure_names_the_routine():
+    a = np.asfortranarray(np.diag([1.0, 2.0, 3.0]))
+    b = np.asfortranarray(np.diag([1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError, match="dsygvd failed: info 5"):
+        spectra._eigensolve(a, b)()
+    # an indefinite pressure mass reaches dsygvd through the pencil
+    system = assemble_saddle(build_mesh(4), ONE)
+    with pytest.raises(ValueError, match="dsygvd"):
+        saddle_pencil_eigenvalues(
+            replace(system, pressure_mass=-system.pressure_mass))
+
+
+def test_eigensolve_releases_the_gil(fresh_pool):
+    # while a pool thread is inside a 1500^2 solve, the main thread's loop
+    # keeps advancing: no pause comes near the length of the solve, as
+    # one would if the call held the GIL
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((1500, 1500))
+    solve = spectra._eigensolve(np.asfortranarray(a + a.T))
+    start = last = time.perf_counter()
+    longest = 0.0
+    future = precond._pool().submit(solve)
+    while not future.done():
+        now = time.perf_counter()
+        longest, last = max(longest, now - last), now
+    assert len(future.result()) == 1500
+    assert longest < 0.5 * (last - start)
 
 
 def test_mirror_must_be_an_involution():
@@ -478,11 +597,8 @@ def test_saddle_pencil_classes_match_dense_oracle(n, field):
 def test_saddle_pencil_class_threads_bitwise(monkeypatch, fresh_pool):
     # the four strip classes on two threads give the serial eigenvalues
     system = assemble_saddle(build_mesh(6), FIELDS["strip"][0])
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(2)), raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     runs = []
-    for blas, count in (("2", 1), ("1", 2)):
+    for blas, count in _two_worker_settings(monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
         assert workers() == count
         runs.append(saddle_pencil_eigenvalues(system))
