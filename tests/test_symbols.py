@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from glt_stokes import spectra
 from glt_stokes.assembly import viscosity_for_group
-from glt_stokes.symbols import (build_symbol_set, default_symbol_set,
-                                saddle_symbol)
+from glt_stokes.glt_core import BlockSymbol
+from glt_stokes.symbols import (StokesSymbolSet, build_symbol_set,
+                                default_symbol_set, saddle_symbol)
 
 F = Fraction
 
@@ -170,3 +172,42 @@ def test_by_name_lookup(syms):
 
 def test_default_set_cached():
     assert default_symbol_set() is default_symbol_set()
+
+
+def _full_entry_eval_grid(self, thetas):
+    """`BlockSymbol.eval_grid` multiplying and adding every entry of every
+    coefficient, zeros included."""
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    out = np.zeros((len(th), self.s1, self.s2), dtype=complex)
+    term = np.empty_like(out)
+    for k, m in self.float_coefficients().items():
+        phase = np.exp(1j * (th @ np.asarray(k, dtype=float)))
+        out += np.multiply(phase[:, None, None], m[None, :, :], out=term)
+    return out
+
+
+def _eval_points():
+    """The solved half of a paired midpoint grid, and random points."""
+    grid = (1, 1, 36, 35)
+    thetas, _ = spectra._midpoint_grid(grid)
+    rng = np.random.default_rng(19)
+    return [thetas[:spectra.solved_frequency_count(grid)],
+            rng.uniform(-np.pi, np.pi, (500, 2))]
+
+
+@pytest.mark.parametrize("name", list(StokesSymbolSet.__dataclass_fields__))
+def test_eval_grid_skips_structural_zeros_bitwise(name):
+    symbol = getattr(default_symbol_set(), name)
+    for thetas in _eval_points():
+        th = thetas[:, :symbol.levels]
+        assert np.array_equal(symbol.eval_grid(th),
+                              _full_entry_eval_grid(symbol, th))
+
+
+def test_saddle_symbol_parts_unchanged_by_sparse_eval(monkeypatch):
+    for thetas in _eval_points():
+        got = saddle_symbol(thetas)
+        with monkeypatch.context() as m:
+            m.setattr(BlockSymbol, "eval_grid", _full_entry_eval_grid)
+            want = saddle_symbol(thetas)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
