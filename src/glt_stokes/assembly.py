@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import StructuredMesh, saddle_dimension
+from .mesh import _TRIANGLE_OFFSETS, StructuredMesh, saddle_dimension
 
 __all__ = [
     "ViscosityField",
@@ -49,7 +49,6 @@ class ViscosityField:
     evaluator: Callable[[np.ndarray], np.ndarray]
     essinf: float
     esssup: float
-    params: dict = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -60,14 +59,14 @@ class ViscosityField:
         if value <= 0:
             raise ValueError("viscosity must be positive")
         return ViscosityField("constant", lambda p: np.full(len(p), float(value)),
-                              float(value), float(value), {"value": value})
+                              float(value), float(value))
 
     @staticmethod
     def group2() -> "ViscosityField":
         # xy + e^(x+y), increasing in both variables on the unit square
         def ev(p):
             return p[:, 0] * p[:, 1] + np.exp(p[:, 0] + p[:, 1])
-        return ViscosityField("group2", ev, 1.0, 1.0 + math.e ** 2, {})
+        return ViscosityField("group2", ev, 1.0, 1.0 + math.e ** 2)
 
     @staticmethod
     def group3(gamma: float) -> "ViscosityField":
@@ -79,7 +78,7 @@ class ViscosityField:
             inside = (p[:, 0] <= 0.5) & (p[:, 1] <= 0.5)
             return np.where(inside, float(gamma), 1.0 + p[:, 0] + p[:, 1])
         return ViscosityField("group3", ev, min(float(gamma), 1.5),
-                              max(float(gamma), 3.0), {"gamma": gamma})
+                              max(float(gamma), 3.0))
 
     @staticmethod
     def example1(mu0: float, mu1: float, w: float, delta: float) -> "ViscosityField":
@@ -101,13 +100,12 @@ class ViscosityField:
                 vals = np.where(ramp, mu0 + (mu1 - mu0) * (w + delta - t) / delta,
                                 vals)
             return vals
-        return ViscosityField("example1", ev, min(mu0, mu1), max(mu0, mu1),
-                              {"mu0": mu0, "mu1": mu1, "w": w, "delta": delta})
+        return ViscosityField("example1", ev, min(mu0, mu1), max(mu0, mu1))
 
     @staticmethod
     def custom(fn: Callable[[np.ndarray], np.ndarray], essinf: float,
                esssup: float) -> "ViscosityField":
-        return ViscosityField("custom", fn, float(essinf), float(esssup), {})
+        return ViscosityField("custom", fn, float(essinf), float(esssup))
 
 
 def viscosity_for_group(group: int, gamma: float | None = None) -> ViscosityField:
@@ -129,16 +127,10 @@ def viscosity_for_group(group: int, gamma: float | None = None) -> ViscosityFiel
 # All four triangles of a square are congruent right isosceles triangles
 # (right angle at the center vertex, listed last), so one exact stiffness
 # table serves every orientation; the divergence tables depend on the
-# orientation.  Tables are computed once on size-1 model triangles with
-# Fraction arithmetic; stiffness is scale-free, divergence values are the
-# n-scaled ones, mass values the n^2-scaled ones.
-
-_MODEL_TRIANGLES = {
-    "south": ((0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))),
-    "west": ((0, 1), (0, 0), (Fraction(1, 2), Fraction(1, 2))),
-    "east": ((1, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2))),
-    "north": ((1, 1), (0, 1), (Fraction(1, 2), Fraction(1, 2))),
-}
+# orientation.  Tables are computed once with Fraction arithmetic on the
+# size-1 model triangles, a square's south, west, east and north triangles
+# (`mesh._TRIANGLE_OFFSETS` / 4); stiffness is scale-free, divergence
+# values are the n-scaled ones, mass values the n^2-scaled ones.
 
 
 def _barycentric_gradients(verts):
@@ -220,27 +212,10 @@ def _as_float(table):
     return np.array([[float(v) for v in row] for row in table])
 
 
-_STIFFNESS_TABLE = None
-_DIVX_TABLES = None
-_DIVY_TABLES = None
-_MASS_TABLE = None
-
-
-def _build_tables():
-    global _STIFFNESS_TABLE, _DIVX_TABLES, _DIVY_TABLES, _MASS_TABLE
-    divx, divy = [], []
-    for name in ("south", "west", "east", "north"):
-        K, Dx, Dy, M = _element_tables(_MODEL_TRIANGLES[name])
-        if _STIFFNESS_TABLE is None:
-            _STIFFNESS_TABLE = _as_float(K)
-            _MASS_TABLE = _as_float(M)
-        divx.append(_as_float(Dx))
-        divy.append(_as_float(Dy))
-    _DIVX_TABLES = divx
-    _DIVY_TABLES = divy
-
-
-_build_tables()
+_K, _DX, _DY, _M = zip(*map(_element_tables, _TRIANGLE_OFFSETS / 4))
+_STIFFNESS_TABLE, _MASS_TABLE = _as_float(_K[0]), _as_float(_M[0])
+_DIVX_TABLES = [_as_float(t) for t in _DX]
+_DIVY_TABLES = [_as_float(t) for t in _DY]
 
 
 # ---------------------------------------------------------------------------

@@ -351,21 +351,15 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
     return rows
 
 
-def _symbol_grid(target: str, grid) -> tuple:
-    """The grid a target's symbol is sampled on: `grid` itself, except for
-    the viscosity-independent divergence symbols (Bx, By), whose pool folds
-    the physical points into the frequencies, (1, 1, n_x n_t1, n_y n_t2)."""
-    nx, ny, nt1, nt2 = grid
-    if target in ("Bx", "By"):
-        return (1, 1, nx * nt1, ny * nt2)
-    return tuple(grid)
-
-
-def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
+def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField,
+                    grid=DEFAULT_GRID):
     """Sorted matrix values of a spectrum target (eigenvalues of A and M,
     singular values of Bx and By), the sizes of the dense blocks they were
-    solved in, and the sampler of its symbol, a function of the sampling
-    grid (`_symbol_grid`).
+    solved in, the sampler of its symbol (no arguments) and the grid that
+    samples.  That grid is `grid` itself, except for the
+    viscosity-independent divergence symbols (Bx, By), whose pool folds
+    the physical points of (n_x, n_y, n_t1, n_t2) into the frequencies,
+    (1, 1, n_x n_t1, n_y n_t2).
 
     The eigensolves pass the x <-> y swap of the mesh as the mirror: the
     velocity swap for A, and for M the swap that also exchanges the u_x
@@ -378,22 +372,23 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField):
     if target == "A":
         A = assemble_stiffness(mesh, mu)
         return (symmetric_eigenvalues(A, rv), mirror_class_sizes(A, rv),
-                lambda grid: sample_symbol(default_symbol_set().stiffness,
-                                           mu, grid))
+                lambda: sample_symbol(default_symbol_set().stiffness, mu,
+                                      grid), grid)
     if target in ("Bx", "By"):
         pick = ("Bx", "By").index(target)
+        nx, ny, nt1, nt2 = grid
+        folded = (1, 1, nx * nt1, ny * nt2)
 
-        def sampler(grid):
+        def sampler():
             syms = default_symbol_set()
-            return sample_symbol((syms.div_x, syms.div_y)[pick], None,
-                                 _symbol_grid(target, grid))
+            return sample_symbol((syms.div_x, syms.div_y)[pick], None, folded)
         values = singular_values(assemble_divergence(mesh)[pick])
-        return values, [len(values)], sampler
+        return values, [len(values)], sampler, folded
     if target == "M":
         M = assemble_saddle(mesh, mu).full_matrix()
         mirror = np.concatenate([rv + nvel, rv, rp + 2 * nvel])
         return (symmetric_eigenvalues(M, mirror), mirror_class_sizes(M, mirror),
-                lambda grid: sample_saddle_symbol(mu, grid))
+                lambda: sample_saddle_symbol(mu, grid), grid)
     raise ValueError(f"unknown target {target!r}; pick A, Bx, By or M")
 
 
@@ -412,10 +407,10 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
     """
     cfg.validate()
     t0 = time.perf_counter()
-    values, classes, sampler = target_spectrum(target, build_mesh(cfg.n),
-                                               cfg.viscosity())
+    values, classes, sampler, grid = target_spectrum(
+        target, build_mesh(cfg.n), cfg.viscosity(), cfg.grid)
     t1 = time.perf_counter()
-    pool = sampler(cfg.grid)
+    pool = sampler()
     t2 = time.perf_counter()
     ks_distance = weyl_distance(values, pool)
     t3 = time.perf_counter()
@@ -431,8 +426,7 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
         "matrix_spectrum_s": t1 - t0, "matrix_classes": classes,
         "matrix_workers": workers(), "symbol_pool_s": t2 - t1,
         "ks_s": t3 - t2, "pool_size": len(pool),
-        "frequency_points_solved": solved_frequency_count(
-            _symbol_grid(target, cfg.grid))})
+        "frequency_points_solved": solved_frequency_count(grid)})
     return ks_distance
 
 
@@ -578,10 +572,11 @@ def main(argv=None) -> int:
             print(json.dumps(tables, indent=1))
             return 0
         sym = syms.by_name(args.name)
+        thetas = (args.theta1, args.theta2)
         if sym.levels == 2:
-            val = sym.eval(args.theta1, args.theta2)
+            val = sym.eval(*thetas)
         else:
-            val = sym.eval(args.theta2)
+            val = sym.eval(thetas[syms.slice_angle(args.name)])
         if sym in (syms.stiffness, syms.stiffness_pre):
             mu = viscosity_for_group(args.group, args.gamma)
             val = float(mu(np.array([[args.x, args.y]]))[0]) * val
@@ -593,8 +588,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         out = Path(cfg.output_dir) / args.out
         if args.command == "spectrum":
-            vals, _, _ = target_spectrum(args.target, build_mesh(cfg.n),
-                                         cfg.viscosity())
+            vals = target_spectrum(args.target, build_mesh(cfg.n),
+                                   cfg.viscosity())[0]
             _write_csv(out, cfg.header_lines() + [f"# target: {args.target}"],
                        ["index", "value"],
                        [[i, f"{v:.12e}"] for i, v in enumerate(vals)])

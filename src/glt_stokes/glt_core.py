@@ -122,14 +122,16 @@ class BlockSymbol:
                            hermitian=self.hermitian)
 
     def map_entries(self, fn) -> "BlockSymbol":
-        """New symbol with fn applied to every rational coefficient."""
+        """New symbol with fn applied to every rational coefficient; it
+        keeps the `hermitian` flag, whose check it reruns."""
         coeffs = {}
         for k, m in self.coeffs.items():
             out = np.empty_like(m)
             for idx, v in np.ndenumerate(m):
                 out[idx] = fn(v)
             coeffs[k] = out
-        return BlockSymbol(self.s1, self.s2, self.levels, coeffs)
+        return BlockSymbol(self.s1, self.s2, self.levels, coeffs,
+                           hermitian=self.hermitian)
 
     def __eq__(self, other):
         if not isinstance(other, BlockSymbol):

@@ -621,8 +621,6 @@ class SaddlePreconditioner:
     OVERLAP_PRESSURE), else 1.
     """
 
-    n: int
-    strategy: str
     velocity_solver: SPDSolver | TauDSTSolver
     schur_inverse: np.ndarray = field(repr=False)
     schur_symmetry_defect: float = 0.0
@@ -633,10 +631,6 @@ class SaddlePreconditioner:
     @property
     def velocity_count(self) -> int:
         return self.velocity_solver.size
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.velocity_count + len(self.schur_inverse)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Blockwise inverse of a (dim,) residual or a (dim, k) block of
@@ -694,7 +688,7 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     count = workers()
     overlap = count > 1 and len(inverse) >= OVERLAP_PRESSURE
     return SaddlePreconditioner(
-        n=mesh.n, strategy=strategy, velocity_solver=vel,
-        schur_inverse=inverse, schur_symmetry_defect=sym_defect,
-        schur_workers=count, apply_workers=2 if overlap else 1,
+        velocity_solver=vel, schur_inverse=inverse,
+        schur_symmetry_defect=sym_defect, schur_workers=count,
+        apply_workers=2 if overlap else 1,
         phase_seconds={**vel.phase_seconds, **seconds})

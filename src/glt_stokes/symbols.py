@@ -6,12 +6,16 @@ the 8x8 Hermitian symbol built here; the two divergence blocks carry 8x2
 rectangular symbols.  All coefficients are exact rationals with
 denominators dividing 12.
 
-Two stiffness symbols are kept: the raw per-triangle stencil table
-(`stiffness_pre`, whose entries are single-element values) and the
-sampling-multiplicity-scaled `stiffness` symbol actually generating the
-assembled matrix, where each entry is multiplied by the number of adjacent
-viscosity samples (2 for midpoint couplings, 4 for center and 8 for corner
-diagonals, 1 for the midpoint-midpoint terms).
+One table is typed per block: the raw per-triangle stiffness stencil
+(`stiffness_pre`, whose entries are single-element values) and the two
+divergence tables.  The rest is derived from them.  The `stiffness`
+symbol that generates the assembled matrix multiplies each raw entry by
+the number of adjacent viscosity samples (`_MULTIPLICITY`: 2 for midpoint
+couplings, 4 for center and 8 for corner diagonals, 1 for the
+midpoint-midpoint terms).  The six unilevel symbols are slices of a
+two-level one at a fixed offset of one level (`_SLICES`): g0 and g1 of
+`stiffness_pre` in theta1, functions of theta2, and div_*0 and div_*1 of
+the divergence symbols in theta2, functions of theta1.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ __all__ = [
 F = Fraction
 
 
-def _entries_to_coeffs(table, levels):
+def _entries_to_coeffs(table):
     """Convert an s1 x s2 table of {offset: Fraction} dicts into the
     coefficient-matrix form {offset: s1 x s2 matrix}."""
     s1, s2 = len(table), len(table[0])
@@ -40,8 +44,7 @@ def _entries_to_coeffs(table, levels):
     for r in range(s1):
         for c in range(s2):
             for k, v in table[r][c].items():
-                key = (k,) if np.isscalar(k) else tuple(k)
-                mat = coeffs.setdefault(key, [[F(0)] * s2 for _ in range(s1)])
+                mat = coeffs.setdefault(k, [[F(0)] * s2 for _ in range(s1)])
                 mat[r][c] += v
     return coeffs
 
@@ -55,50 +58,10 @@ def _z():
     return {}
 
 
-def _h2(sign=1):
-    """(1/6)(1 + e^{sign i theta}) as a 1-level entry."""
-    return {(0,): F(1, 6), (sign,): F(1, 6)}
-
-
-def _h3(sign=1, scale=1):
-    """scale * (1/6)(1 + e^{sign i theta1})(1 + e^{sign i theta2})."""
-    s = F(scale, 6)
+def _h3(sign=1):
+    """(1/6)(1 + e^{sign i theta1})(1 + e^{sign i theta2})."""
+    s = F(1, 6)
     return {(0, 0): s, (sign, 0): s, (0, sign): s, (sign, sign): s}
-
-
-def _unilevel_g0():
-    q = F(8, 3)
-    a = F(-2, 3)
-    b = F(-4, 3)
-    rows = [
-        [_e(q, 0), _z(), _e(a, 0), _e(b, 1), _z(), _z(), _z(), _z()],
-        [_z(), _e(q, 0), _e(a, 0), _e(b, 0), _z(), _z(), _z(), _z()],
-        [_e(a, 0), _e(a, 0), _e(1, 0), _z(), _e(a, 0), _e(a, 1), _z(), _h2(+1)],
-        [_e(b, -1), _e(b, 0), _z(), _e(q, 0), _e(b, 0), _e(b, 0), _z(), _z()],
-        [_z(), _z(), _e(a, 0), _e(b, 0), _e(q, 0), _z(), _e(b, 0), _e(a, 0)],
-        [_z(), _z(), _e(a, -1), _e(b, 0), _z(), _e(q, 0), _e(b, -1), _e(a, 0)],
-        [_z(), _z(), _z(), _z(), _e(b, 0), _e(b, 1), _e(q, 0), _z()],
-        [_z(), _z(), _h2(-1), _z(), _e(a, 0), _e(a, 0), _z(), _e(F(1, 2), 0)],
-    ]
-    return BlockSymbol(8, 8, 1, _entries_to_coeffs(rows, 1), hermitian=True)
-
-
-def _unilevel_g1():
-    # (2,7) is an edge-edge coupling (single sample, -4/3), forced by the
-    # 2-level tables and confirmed against the assembled stiffness
-    a = F(-2, 3)
-    b = F(-4, 3)
-    rows = [
-        [_z()] * 6 + [_e(b, 0), _e(a, 1)],
-        [_z()] * 6 + [_e(b, 0), _e(a, 0)],
-        [_z()] * 7 + [_h2(+1)],
-        [_z()] * 8,
-        [_z()] * 8,
-        [_z()] * 8,
-        [_z()] * 8,
-        [_z()] * 8,
-    ]
-    return BlockSymbol(8, 8, 1, _entries_to_coeffs(rows, 1))
 
 
 def _stiffness_pre():
@@ -124,33 +87,7 @@ def _stiffness_pre():
         [_e(a, -1, -1), _e(a, -1, 0), _h3(-1), _z(), _e(a, 0, 0),
          _e(a, 0, 0), _z(), _e(F(1, 2), 0, 0)],
     ]
-    return BlockSymbol(8, 8, 2, _entries_to_coeffs(rows, 2), hermitian=True)
-
-
-def _stiffness_full():
-    """Multiplicity-scaled 8x8 2-level symbol (every entry -4/3 or a
-    diagonal 16/3 / 4, plus the ±(1/3)-weighted corner-center window)."""
-    q = F(16, 3)
-    b = F(-4, 3)
-    rows = [
-        [_e(q, 0, 0), _z(), _e(b, 0, 0), _e(b, 0, 1), _z(), _z(),
-         _e(b, 1, 0), _e(b, 1, 1)],
-        [_z(), _e(q, 0, 0), _e(b, 0, 0), _e(b, 0, 0), _z(), _z(),
-         _e(b, 1, 0), _e(b, 1, 0)],
-        [_e(b, 0, 0), _e(b, 0, 0), _e(4, 0, 0), _z(), _e(b, 0, 0),
-         _e(b, 0, 1), _z(), _h3(+1, scale=2)],
-        [_e(b, 0, -1), _e(b, 0, 0), _z(), _e(q, 0, 0), _e(b, 0, 0),
-         _e(b, 0, 0), _z(), _z()],
-        [_z(), _z(), _e(b, 0, 0), _e(b, 0, 0), _e(q, 0, 0), _z(),
-         _e(b, 0, 0), _e(b, 0, 0)],
-        [_z(), _z(), _e(b, 0, -1), _e(b, 0, 0), _z(), _e(q, 0, 0),
-         _e(b, 0, -1), _e(b, 0, 0)],
-        [_e(b, -1, 0), _e(b, -1, 0), _z(), _z(), _e(b, 0, 0), _e(b, 0, 1),
-         _e(q, 0, 0), _z()],
-        [_e(b, -1, -1), _e(b, -1, 0), _h3(-1, scale=2), _z(), _e(b, 0, 0),
-         _e(b, 0, 0), _z(), _e(4, 0, 0)],
-    ]
-    return BlockSymbol(8, 8, 2, _entries_to_coeffs(rows, 2), hermitian=True)
+    return BlockSymbol(8, 8, 2, _entries_to_coeffs(rows), hermitian=True)
 
 
 # sampling multiplicity per raw coefficient value: midpoint couplings and
@@ -171,7 +108,12 @@ def _apply_multiplicity(value: Fraction) -> Fraction:
 # divergence symbol tables: columns are the two pressure classes
 # (corner, center); rows follow the velocity slots
 
-def _divergence_x_coeffs():
+def _divergence(c00, c10, c01, c11):
+    return BlockSymbol(8, 2, 2, {
+        (0, 0): c00, (-1, 0): c10, (0, -1): c01, (-1, -1): c11})
+
+
+def _divergence_x():
     c00 = [[F(-1, 6), F(1, 6)], [F(-1, 12), F(1, 6)], [0, 0], [0, 0],
            [F(-1, 12), F(-1, 6)], [0, F(-1, 6)], [0, F(-1, 6)], [0, 0]]
     c10 = [[F(-1, 12), 0], [F(-1, 6), 0], [0, 0], [F(-1, 6), 0],
@@ -180,10 +122,10 @@ def _divergence_x_coeffs():
            [F(1, 6), 0], [F(1, 12), 0], [0, F(1, 6)], [0, 0]]
     c11 = [[0, 0], [F(1, 12), 0], [0, 0], [F(1, 6), 0],
            [F(1, 12), 0], [F(1, 6), 0], [0, 0], [0, 0]]
-    return c00, c10, c01, c11
+    return _divergence(c00, c10, c01, c11)
 
 
-def _divergence_y_coeffs():
+def _divergence_y():
     c00 = [[F(-1, 6), F(1, 6)], [F(-1, 12), F(-1, 6)], [0, 0], [0, F(-1, 6)],
            [F(-1, 12), F(1, 6)], [0, F(-1, 6)], [0, 0], [0, 0]]
     c10 = [[F(1, 12), 0], [F(1, 6), 0], [0, 0], [0, F(1, 6)],
@@ -192,18 +134,33 @@ def _divergence_y_coeffs():
            [F(-1, 6), 0], [F(-1, 12), 0], [F(-1, 6), 0], [0, 0]]
     c11 = [[0, 0], [F(1, 12), 0], [0, 0], [0, 0],
            [F(1, 12), 0], [F(1, 6), 0], [F(1, 6), 0], [0, 0]]
-    return c00, c10, c01, c11
+    return _divergence(c00, c10, c01, c11)
 
 
-def _divergence_symbols():
-    out = []
-    for c00, c10, c01, c11 in (_divergence_x_coeffs(), _divergence_y_coeffs()):
-        two_level = BlockSymbol(8, 2, 2, {
-            (0, 0): c00, (-1, 0): c10, (0, -1): c01, (-1, -1): c11})
-        uni0 = BlockSymbol(8, 2, 1, {(0,): c00, (-1,): c10})
-        uni1 = BlockSymbol(8, 2, 1, {(0,): c01, (-1,): c11})
-        out.append((two_level, uni0, uni1))
-    return out
+# the unilevel symbols: name -> (two-level symbol, level held fixed, its
+# offset); each is a function of the other level's angle
+_SLICES = {
+    "g0": ("stiffness_pre", 0, 0), "g1": ("stiffness_pre", 0, 1),
+    "div_x0": ("div_x", 1, 0), "div_x1": ("div_x", 1, -1),
+    "div_y0": ("div_y", 1, 0), "div_y1": ("div_y", 1, -1),
+}
+
+
+def _slice(sym: BlockSymbol, level: int, k: int) -> BlockSymbol:
+    """The one-level symbol of `sym`'s coefficients at offset k of `level`,
+    keyed by the other level's offset; the k = 0 slice of a Hermitian
+    symbol is Hermitian."""
+    coeffs = {(off[1 - level],): m for off, m in sym.coeffs.items()
+              if off[level] == k}
+    return BlockSymbol(sym.s1, sym.s2, 1, coeffs,
+                       hermitian=sym.hermitian and k == 0)
+
+
+def _field_name(name: str) -> str:
+    """The `StokesSymbolSet` field a symbol name or alias (A, Bx, By; any
+    case, - for _) stands for."""
+    key = name.lower().replace("-", "_")
+    return {"a": "stiffness", "bx": "div_x", "by": "div_y"}.get(key, key)
 
 
 @dataclass(frozen=True)
@@ -213,8 +170,8 @@ class StokesSymbolSet:
     stiffness_pre / stiffness: 8x8 2-level (raw and multiplicity-scaled);
     g0, g1: unilevel slices with stiffness_pre(t1,t2) =
     g0(t2) + g1(t2) e^{i t1} + g1(t2)* e^{-i t1}; div_x, div_y: 8x2 2-level
-    singular-value symbols with unilevel slices div_*_0 / div_*_1 in the
-    first frequency.
+    singular-value symbols with unilevel slices div_*0 / div_*1 in the
+    first frequency, Gx(t1,t2) = gx0(t1) + gx1(t1) e^{-i t2}.
     """
 
     stiffness_pre: BlockSymbol
@@ -229,45 +186,24 @@ class StokesSymbolSet:
     div_y1: BlockSymbol
 
     def by_name(self, name: str) -> BlockSymbol:
-        key = name.lower().replace("-", "_")
-        table = {
-            "stiffness": self.stiffness, "a": self.stiffness,
-            "stiffness_pre": self.stiffness_pre,
-            "g0": self.g0, "g1": self.g1,
-            "div_x": self.div_x, "bx": self.div_x,
-            "div_y": self.div_y, "by": self.div_y,
-            "div_x0": self.div_x0, "div_x1": self.div_x1,
-            "div_y0": self.div_y0, "div_y1": self.div_y1,
-        }
-        if key not in table:
+        key = _field_name(name)
+        if key not in self.__dataclass_fields__:
             raise KeyError(f"unknown symbol {name!r}")
-        return table[key]
+        return getattr(self, key)
 
-
-def _check_unilevel_split(full: BlockSymbol, g0: BlockSymbol, g1: BlockSymbol):
-    """full(t1,t2) == g0(t2) + g1(t2) e^{i t1} + g1(t2)* e^{-i t1}, exactly."""
-    g1h = g1.conj_transpose()
-    for k1, part in ((0, g0), (1, g1), (-1, g1h)):
-        for k2 in (-1, 0, 1):
-            want = part.coefficient((k2,))
-            got = full.coefficient((k1, k2))
-            if not np.array_equal(want, got):
-                raise AssertionError(
-                    f"unilevel split mismatch at offsets ({k1},{k2})")
+    @staticmethod
+    def slice_angle(name: str) -> int:
+        """The angle (0 for theta1, 1 for theta2) that the unilevel symbol
+        `name` is a function of; KeyError for a two-level one."""
+        return 1 - _SLICES[_field_name(name)][1]
 
 
 def build_symbol_set() -> StokesSymbolSet:
-    """Construct all symbols and run the exact structural self-checks."""
+    """Construct all symbols from their tables and run the exact
+    structural self-checks: Hermitian symmetry (`BlockSymbol`) and zero row
+    sums of the stiffness symbol at theta = 0."""
     pre = _stiffness_pre()
-    full = _stiffness_full()
-    g0 = _unilevel_g0()
-    g1 = _unilevel_g1()
-
-    # multiplicity relation, entrywise on the rationals
-    if pre.map_entries(_apply_multiplicity) != full:
-        raise AssertionError("multiplicity scaling does not map raw symbol "
-                             "to the assembled-stencil symbol")
-    _check_unilevel_split(pre, g0, g1)
+    full = pre.map_entries(_apply_multiplicity)
 
     # zero row sums at theta = 0: constants lie in the stiffness kernel
     total = np.full((8, 8), F(0), dtype=object)
@@ -276,12 +212,11 @@ def build_symbol_set() -> StokesSymbolSet:
     if any(sum(row) != 0 for row in total):
         raise AssertionError("stiffness symbol rows do not sum to zero at 0")
 
-    (dx, dx0, dx1), (dy, dy0, dy1) = _divergence_symbols()
-    return StokesSymbolSet(
-        stiffness_pre=pre, stiffness=full, g0=g0, g1=g1,
-        div_x=dx, div_x0=dx0, div_x1=dx1,
-        div_y=dy, div_y0=dy0, div_y1=dy1,
-    )
+    two_level = {"stiffness_pre": pre, "stiffness": full,
+                 "div_x": _divergence_x(), "div_y": _divergence_y()}
+    return StokesSymbolSet(**two_level, **{
+        name: _slice(two_level[source], level, k)
+        for name, (source, level, k) in _SLICES.items()})
 
 
 _SET = None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -44,10 +45,45 @@ def test_symbol_command_viscosity_scaling(capsys, name, entry, scaled):
     assert out["re"][0][0] == pytest.approx(weight * entry, rel=1e-14)
 
 
+# SHA-256 of the `symbol --dump` printout, as the typed tables of the
+# stiffness stencil and the divergence symbols give it
+SYMBOL_DUMP_SHA256 = ("252e571ae78e7e035ecb1bbfd40f6f26"
+                      "c5e135b3d57641121400fbec6060721a")
+
+
 def test_symbol_dump(capsys):
     assert main(["symbol", "--dump"]) == 0
-    tables = json.loads(capsys.readouterr().out)
-    assert set(tables) >= {"stiffness", "div_x", "g0", "g1"}
+    out = capsys.readouterr().out
+    assert list(json.loads(out)) == [
+        "stiffness", "stiffness_pre", "g0", "g1", "div_x", "div_y",
+        "div_x0", "div_x1", "div_y0", "div_y1"]
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMBOL_DUMP_SHA256
+
+
+def _symbol_value(capsys, name, theta1, theta2):
+    assert main(["symbol", "--name", name, "--theta1", str(theta1),
+                 "--theta2", str(theta2)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    return np.array(out["re"]) + 1j * np.array(out["im"])
+
+
+def test_symbol_command_slices_take_their_own_angle(capsys):
+    # stiffness_pre(t1, t2) = g0(t2) + g1(t2) e^{i t1} + g1(t2)* e^{-i t1}
+    # and Gx(t1, t2) = gx0(t1) + gx1(t1) e^{-i t2}, read off the printouts
+    t1, t2 = 0.7, -1.3
+    g0, g1 = (_symbol_value(capsys, name, t1, t2) for name in ("g0", "g1"))
+    pre = _symbol_value(capsys, "stiffness_pre", t1, t2)
+    split = g0 + g1 * np.exp(1j * t1) + g1.conj().T * np.exp(-1j * t1)
+    assert np.abs(pre - split).max() < 1e-14
+    for full in ("div_x", "div_y"):
+        u0, u1 = (_symbol_value(capsys, full + k, t1, t2) for k in "01")
+        both = _symbol_value(capsys, full, t1, t2)
+        assert np.abs(both - (u0 + u1 * np.exp(-1j * t2))).max() < 1e-14
+    # a divergence slice ignores theta2, a stiffness slice theta1
+    assert np.array_equal(_symbol_value(capsys, "div_x0", t1, 0.0),
+                          _symbol_value(capsys, "div_x0", t1, 2.0))
+    assert np.array_equal(_symbol_value(capsys, "g1", 0.0, t2),
+                          _symbol_value(capsys, "g1", 2.0, t2))
 
 
 def test_assemble_export(tmp_path, capsys):
@@ -277,10 +313,11 @@ def test_emit_adherence_sidecar(tmp_path, target, pool_size, solved):
     assert min(side["matrix_spectrum_s"], side["symbol_pool_s"],
                side["ks_s"]) >= 0
     # the CSV holds the rank-aligned values and np.quantile of the pool
-    values, _, sampler = cli.target_spectrum(target, build_mesh(4),
-                                             cfg.viscosity())
+    values, _, sampler, grid = cli.target_spectrum(target, build_mesh(4),
+                                                   cfg.viscosity(), cfg.grid)
+    assert grid == {"Bx": (1, 1, 20, 16)}.get(target, cfg.grid)
     ranks = (np.arange(len(values)) + 0.5) / len(values)
-    quantiles = np.quantile(sampler(cfg.grid), ranks)
+    quantiles = np.quantile(sampler(), ranks)
     assert out.read_text().splitlines()[2:] == [
         f"# target: {target}", f"# ks_distance={ks:.6f}",
         "index,matrix_value,symbol_quantile"] + [

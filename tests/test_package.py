@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib
 import importlib.util
@@ -61,3 +62,41 @@ def test_bench_symbol_reset_starts_cold(monkeypatch):
     after = symbols.default_symbol_set()
     assert after is not before
     assert symbols.default_symbol_set() is after
+
+
+def _workloads_attribute_reads():
+    """Dotted names `module.attr[.attr...]` of every glt_stokes module
+    attribute that bench/workloads.py reads, by the names it imports the
+    modules as."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "glt_stokes"
+               for alias in node.names}
+    reads = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            reads.add(".".join([modules[node.id]] + chain))
+    return reads
+
+
+def test_bench_workload_calls_resolve():
+    # bench/workloads.py calls the program through its modules' attributes,
+    # so a renamed function or class fails here rather than in a benchmark run
+    reads = _workloads_attribute_reads()
+    assert {"cli.emit_adherence_data", "cli.example1_conformity",
+            "precond.SPDSolver", "assembly.ViscosityField.example1",
+            "spectra.wathen_condition_number", "symbols._SET"} <= reads
+    missing = []
+    for name in sorted(reads):
+        module, *attrs = name.split(".")
+        owner = importlib.import_module(f"glt_stokes.{module}")
+        try:
+            functools.reduce(getattr, attrs, owner)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from glt_stokes import spectra
+from glt_stokes import spectra, symbols
 from glt_stokes.assembly import viscosity_for_group
 from glt_stokes.glt_core import BlockSymbol
 from glt_stokes.symbols import (StokesSymbolSet, build_symbol_set,
@@ -18,8 +18,28 @@ def syms():
 
 
 def test_construction_self_checks_pass(syms):
-    # build_symbol_set runs the Hermitian, multiplicity and split checks
+    # build_symbol_set runs the Hermitian and zero-row-sum checks
     assert syms.stiffness.hermitian and syms.stiffness_pre.hermitian
+
+
+def test_hermitian_flags(syms):
+    # the flag picks eigenvalues or singular values in spectra.sample_symbol
+    flags = {name: syms.by_name(name).hermitian
+             for name in StokesSymbolSet.__dataclass_fields__}
+    assert flags == {"stiffness_pre": True, "stiffness": True, "g0": True,
+                     "g1": False, "div_x": False, "div_x0": False,
+                     "div_x1": False, "div_y": False, "div_y0": False,
+                     "div_y1": False}
+
+
+def test_slice_angles(syms):
+    # g0, g1 are functions of theta2, the divergence slices of theta1
+    assert [StokesSymbolSet.slice_angle(name) for name in
+            ("g0", "G1", "div_x0", "div-x1", "div_y0", "div_y1")] == \
+        [1, 1, 0, 0, 0, 0]
+    for name in ("stiffness", "A", "bx", "div_y"):
+        with pytest.raises(KeyError):
+            StokesSymbolSet.slice_angle(name)
 
 
 def test_stiffness_diagonal_entries(syms):
@@ -42,6 +62,13 @@ def test_multiplicity_relation_entrywise(syms):
         for idx, v in np.ndenumerate(pre):
             if v != 0:
                 assert full[idx] == v * mult[v]
+
+
+def test_multiplicity_rejects_an_unknown_value():
+    # a raw stencil value without a sampling multiplicity fails the build
+    raw = BlockSymbol(1, 1, 2, {(0, 0): [[F(5, 7)]]})
+    with pytest.raises(KeyError):
+        raw.map_entries(symbols._apply_multiplicity)
 
 
 def test_unilevel_split_exact(syms):
