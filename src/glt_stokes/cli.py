@@ -375,15 +375,13 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField,
                 lambda: sample_symbol(default_symbol_set().stiffness, mu,
                                       grid), grid)
     if target in ("Bx", "By"):
-        pick = ("Bx", "By").index(target)
         nx, ny, nt1, nt2 = grid
         folded = (1, 1, nx * nt1, ny * nt2)
-
-        def sampler():
-            syms = default_symbol_set()
-            return sample_symbol((syms.div_x, syms.div_y)[pick], None, folded)
-        values = singular_values(assemble_divergence(mesh)[pick])
-        return values, [len(values)], sampler, folded
+        B = assemble_divergence(mesh)[("Bx", "By").index(target)]
+        values = singular_values(B)
+        return (values, [len(values)],
+                lambda: sample_symbol(default_symbol_set().by_name(target),
+                                      None, folded), folded)
     if target == "M":
         M = assemble_saddle(mesh, mu).full_matrix()
         mirror = np.concatenate([rv + nvel, rv, rp + 2 * nvel])
