@@ -59,7 +59,9 @@ class ExperimentConfig:
     grid: tuple = DEFAULT_GRID
     output_dir: str = "."
 
-    def validate(self):
+    def validate(self, preconditioned: bool = True):
+        """Raise ValueError on a bad setting; the tau_block strategy needs
+        n >= 3 when the run builds its preconditioner."""
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.group not in GROUPS:
@@ -70,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
+        if preconditioned and self.strategy == "tau_block" and self.n < 3:
+            raise ValueError(f"tau_block needs n >= 3, got n = {self.n}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.restart < 1:
@@ -141,13 +145,13 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     """One (group, case, n) PGMRES run; returns the results.csv row
     (the `SOLVE_COLUMNS`) plus the stop reason, the restart-cycle count
     and, when preconditioned, the build's phase timings, the velocity
-    path ("lu" below `precond.DST_MIN_N`, "dst" from it on), the velocity
-    definiteness certificate `velocity_min_pivot` (the smallest LDL^T pivot
-    on the "lu" path, the smallest squared diagonal entry of the DST block
-    Cholesky factors on the "dst" path), the Schur complement's relative
+    path ("dst" for tau_block, "lu" for frozen_sparse), the velocity
+    definiteness certificate `velocity_min_pivot` (the smallest squared
+    diagonal entry of the DST block Cholesky factors on the "dst" path, the
+    smallest LDL^T pivot on the "lu" path), the Schur complement's relative
     symmetry defect, the thread count its panels were built with and the
     threads an apply uses."""
-    cfg.validate()
+    cfg.validate(preconditioned)
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
     system = assemble_saddle(mesh, mu)
@@ -403,7 +407,7 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
     M), the sizes of the dense blocks the matrix spectrum was solved in
     (`target_spectrum`), and the `workers()` count they ran with.
     """
-    cfg.validate()
+    cfg.validate(preconditioned=False)
     t0 = time.perf_counter()
     values, classes, sampler, grid = target_spectrum(
         target, build_mesh(cfg.n), cfg.viscosity(), cfg.grid)
@@ -445,7 +449,7 @@ def _add_common(p):
     p.add_argument("--output-dir", type=str, default=None)
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, preconditioned: bool = True) -> ExperimentConfig:
     base = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -458,7 +462,7 @@ def _config_from_args(args) -> ExperimentConfig:
             setattr(cfg, key, val)
     if getattr(args, "output_dir", None):
         cfg.output_dir = args.output_dir
-    return cfg.validate()
+    return cfg.validate(preconditioned)
 
 
 def main(argv=None) -> int:
@@ -545,7 +549,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "assemble":
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args, preconditioned=False)
         system = assemble_saddle(build_mesh(cfg.n), cfg.viscosity())
         prefix = Path(args.export)
         prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -575,7 +579,7 @@ def main(argv=None) -> int:
             val = sym.eval(*thetas)
         else:
             val = sym.eval(thetas[syms.slice_angle(args.name)])
-        if sym in (syms.stiffness, syms.stiffness_pre):
+        if sym in (syms.stiffness, syms.stiffness_pre, syms.g0, syms.g1):
             mu = viscosity_for_group(args.group, args.gamma)
             val = float(mu(np.array([[args.x, args.y]]))[0]) * val
         print(json.dumps({"re": val.real.tolist(), "im": val.imag.tolist()},
@@ -583,7 +587,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command in ("spectrum", "compare"):
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args, preconditioned=False)
         out = Path(cfg.output_dir) / args.out
         if args.command == "spectrum":
             vals = target_spectrum(args.target, build_mesh(cfg.n),
@@ -617,7 +621,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "solve":
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args, not args.unpreconditioned)
         out = Path(cfg.output_dir) / args.out
         new = not out.exists()
         columns = ",".join(SOLVE_COLUMNS)

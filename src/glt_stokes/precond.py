@@ -9,14 +9,13 @@ sine-algebra member with eigenvalues 2cos(m theta_j) (J^m + J^-m minus
 its Hankel corner stripes).  That is, every scalar 8x8 entry class is
 replaced by the tau approximation of its symmetrized flat band.  For
 n >= 3 (N > 2b, b = n + 1 the flat bandwidth) the DST-I in the cell index
-block-diagonalizes the sum into N positive definite 8x8 blocks.  For
-n <= 2 the corner stripes overlap and that statement does not apply; the
-same sum is used there and is still positive definite (smallest
-eigenvalue 1.56 at n = 1, 0.87 at n = 2).  The core is
-compressed to the true DOF set and scaled symmetrically by the nodal
-viscosity sampling D^{1/2} (.) D^{1/2}, where the sampling is the
-assembled-to-unit diagonal ratio (the per-node average of the adjacent
-element viscosities), so positive definiteness follows by congruence.
+block-diagonalizes the sum into N positive definite 8x8 blocks; below
+that the corner stripes overlap, and the tau strategy rejects n <= 2.
+The core is compressed to the true DOF set and scaled symmetrically by
+the nodal viscosity sampling D^{1/2} (.) D^{1/2}, where the sampling is
+the assembled-to-unit diagonal ratio (the per-node average of the
+adjacent element viscosities), so positive definiteness follows by
+congruence.
 
 Neither tau core commutes with the x <-> y mirror, while frozen_sparse
 does: the 8-DOF cell tiling the symbol is read over is not
@@ -28,19 +27,19 @@ probe, not in the package), and 2e-16 to 2e-15 for frozen_sparse.  So the
 singular values of P^{-1} K (acceptance criterion 8) cannot be split into
 mirror halves as the spectra of A and M are.
 
-The velocity preconditioner takes one of two paths, chosen by size alone.
-Below n = DST_MIN_N the core is assembled (`tau_block_core`) and factored
-by `SPDSolver`.  From DST_MIN_N on, `TauDSTSolver` never assembles it: it
-factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
+`TauDSTSolver` applies the inverse of that core without assembling it:
+it factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
 compression by the capacitance identity, and applies the inverse with two
-DSTs of length n^2 per call.  Its work arrays are laid out (cell, slot,
-column), so the DOFs go in and out by row copies and each block product is
-one batched matrix product.  A sparse right-hand side, such as a panel of
-B^T columns, is transformed forward by the DST-I rows at the few cells it
-touches instead of by an FFT.  Both paths give the same solve to rounding:
-the largest entry of the difference is 1.3e-14 to 3.3e-14 of the largest
-of the LU solve at n = 32 and 2.5e-14 to 1.0e-13 at n = 64, in the five
-viscosity groups.  The sweep behind DST_MIN_N is at its definition.
+DST-Is of length n^2 per call, a product with the dense DST-I matrix below
+_FFT_MIN_CELLS cells and an FFT from it on.  Its work arrays are laid out
+(cell, slot, column), so the DOFs go in and out by row copies and each
+block product is one batched matrix product.  A sparse right-hand side,
+such as a panel of B^T columns, is transformed forward by the DST-I rows
+at the few cells it touches.  `tau_block_core` assembles the same core;
+`SPDSolver` on it is the reference the tests compare the DST solves
+against (the largest entry of the difference is 1.3e-14 to 3.3e-14 of the
+largest of the LU solve at n = 32 and 2.5e-14 to 1.0e-13 at n = 64, in the
+five viscosity groups).
 
 The pressure block is the explicit Schur complement of the preconditioner,
 built in panels of pressure columns and deflated on the constant-pressure
@@ -64,13 +63,14 @@ one another.
 
 The panels are independent, and the sparse solves and products they make
 release the GIL.  A task takes PANEL // workers() columns, so as many
-columns are in flight as in the serial loop.  On the LU path the result
-is bitwise that of the serial loop with OpenBLAS (checked at n = 4 to 32
-while n = 32 was on it).  On the DST path the GEMMs of the sparse forward
-transform and of the capacitance step round differently with the width of
-the block, so at n = 32 the Schur complement built on 2 workers differs
-from the serial one by up to 6e-17 (G1, G2, G3(100)); the acceptance
-printouts are the same on 1 and 2 workers.  The Schur complement is then
+columns are in flight as in the serial loop.  With `SPDSolver`
+(frozen_sparse) the result is bitwise that of the serial loop with
+OpenBLAS.  With `TauDSTSolver` it is bitwise that of a serial loop over
+panels of the same width, but the GEMMs of the sparse forward transform
+and of the capacitance step round differently with the width, so at
+n = 32 the Schur complement built on 2 workers differs from the serial
+one by up to 6e-17 (G1, G2, G3(100)); the acceptance printouts are the
+same on 1 and 2 workers.  The Schur complement is then
 symmetrized, deflated, factored and inverted in its one npres^2 array.
 
 An apply has two independent halves: the two-column velocity solve and
@@ -136,7 +136,6 @@ __all__ = [
     "tau_block_core",
     "viscosity_scaling",
     "STRATEGIES",
-    "DST_MIN_N",
 ]
 
 STRATEGIES = ("tau_block", "frozen_sparse")
@@ -167,34 +166,16 @@ TILE = 256
 # pool costs about 0.05 ms, so small systems stay serial.
 OVERLAP_PRESSURE = 1000
 
-# Smallest n at which the tau_block strategy applies its core through the
-# DST-I blocks (`TauDSTSolver`) instead of a sparse LU of the assembled core
-# (`SPDSolver`).  A DST-I of length N = n^2 runs as an FFT of length
-# 2(N + 1), so its cost follows the factors of n^2 + 1.  The velocity build
-# is 3.5-5 times cheaper on the DST at every size; the applies decide.
-# Whole G2 saddle build (this preconditioner plus `build_schur`, whose
-# panels solve 16 sparse B^T columns), then dense 1-, 2- and 16-column
-# applies, LU against DST, single-threaded BLAS and 2 workers on 2 CPUs,
-# medians of 4 alternated trials (2 from n = 36):
-#   n = 24 (n^2 + 1 = 577, prime): 0.59 against 0.68 s, 0.65/1.04/6.7
-#     against 0.78/1.59/9.9 ms;
-#   n = 28 (5 * 157): 1.07 against 0.81 s, 0.84/1.06/7.2 against
-#     0.74/1.43/7.8 ms;
-#   n = 32 (5^2 * 41): 2.14 against 1.09 s, 1.40/2.23/13.5 against
-#     0.68/1.36/6.3 ms;
-#   n = 36 (1297, prime) 3.68 against 3.37 s; n = 40 (1601, prime) 6.41
-#   against 5.91 s; n = 48 (5 * 461) 15.0 against 14.6 s; n = 56 (3137,
-#   prime) 30.8 against 26.2 s; n = 64 (17 * 241) 57.5 against 43.2 s.
-# Since the Schur panels transform their sparse columns by DST-I rows, the
-# DST path wins the saddle build from n = 28 on (by 3-8 % at n = 36 to 48,
-# within two trials' spread, and 15-25 % at n = 56 and 64), where it lost
-# by 14-55 % at n = 36 to 64 with an FFT per panel.  Its dense 2- and
-# 16-column applies still lose from n = 36, and no workload, test or table
-# runs a saddle system at 24 < n < 32 or n > 32, so DST_MIN_N stays 32.  The velocity block alone at n = 64 runs on one-column applies, which
-# the DST wins (7.0 against 8.8 ms above, and at n = 80 to 128).  The sweeps
-# are in BENCH_19.json (saddle build, n = 24 to 64), BENCH_15.json (the same
-# with an FFT per panel) and BENCH_14.json (velocity only, n = 16 to 128).
-DST_MIN_N = 32
+# Smallest cell count N = n^2 at which `TauDSTSolver` runs its DST-Is as
+# FFTs (scipy.fft, imported then) instead of as products with the dense
+# DST-I matrix, which holds N^2 doubles (4.2 MB at N = 676).  The FFT's cost
+# follows the factors of N + 1.  Whole solves of k = 1, 2 and 16 dense
+# columns, dense against FFT, G2, single-threaded BLAS, medians of 3 x 30:
+# n = 16 (N + 1 = 257, prime) 0.21/0.44/1.36 against 0.69/1.26/5.70 ms;
+# n = 26 (677, prime) 1.39/2.00/7.29 against 1.25/2.44/14.8 ms; n = 27
+# (2 * 5 * 73) 1.55/2.17/8.23 against 0.72/1.50/4.56 ms; n = 32 (5^2 * 41)
+# 2.86/4.00/14.2 against 0.96/1.25/7.50 ms.
+_FFT_MIN_CELLS = 729
 
 # Stencil diagonal of the off-grid velocity DOFs in the tau core.
 OFF_GRID_DIAGONAL = 16.0 / 3.0
@@ -206,12 +187,13 @@ def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
     restricted to the true DOF set, plus the stencil diagonal 16/3 on the
     off-grid DOFs (outside the rigid cell grid).
 
-    For n >= 3 (N = n^2 > 2b, b = n + 1 the flat bandwidth) each tau_N(m)
-    is a sine-algebra member, the sum is block-diagonalized by the DST-I
-    into positive definite 8x8 blocks, and the core is a direct sum of a
-    compression of it and a positive diagonal.  For n <= 2 the corner
-    stripes overlap and the sum is not a sine-algebra member, but it is
-    still positive definite, and so is the core.
+    The preconditioner never assembles it: `TauDSTSolver` applies the
+    inverse of the same core from its DST-I blocks, and this assembled
+    core, scaled and factored by `SPDSolver`, is the reference its tests
+    compare against.  For n >= 3 (N = n^2 > 2b, b = n + 1 the flat
+    bandwidth) each tau_N(m) is a sine-algebra member, the sum is
+    block-diagonalized by the DST-I into positive definite 8x8 blocks, and
+    the core is a direct sum of a compression of it and a positive diagonal.
     """
     ext = tau_from_symbol(default_symbol_set().stiffness, n).tocoo()
     flat, mask = velocity_extension_map(n)
@@ -273,8 +255,8 @@ class SPDSolver:
 
 class TauDSTSolver:
     """Inverse of the scaled tau core D^{1/2} (T_SS (+) (16/3) I_off) D^{1/2}
-    (what `SPDSolver` factors on `tau_block_core`), applied through the DST-I
-    blocks of T without assembling it.
+    (the assembled `tau_block_core`), applied through the DST-I blocks of T
+    without assembling it.
 
     T = Q Lambda Q is the extended tau core on the 8N slots (N = n^2 cells),
     Q = DST-I (x) I_8 and Lambda = diag(B_j) its `tau_blocks`; S are the DOF
@@ -293,10 +275,11 @@ class TauDSTSolver:
     out (cell, slot, column): the flat slot index cell*8 + slot is the row
     of their (8N, k) view, so DOFs move by row copies, the DSTs run over
     the first axis and a block product is one (N, 8, 8) @ (N, 8, k) matmul.
-    A sparse k-column right-hand side (a B^T panel of `schur_panels`) is
-    transformed forward by the DST-I rows at the cells it touches, at most
-    8k cells at a time so no row block outgrows the work array, instead of
-    by an FFT over mostly zero slots.
+    A DST of dense columns is one product with the dense DST-I matrix below
+    _FFT_MIN_CELLS cells, an FFT from it on.  A sparse k-column right-hand
+    side (a B^T panel of `schur_panels`) is transformed forward by the DST-I
+    rows at the cells it touches, at most 8k cells at a time so no row block
+    outgrows the work array, instead of by a DST over mostly zero slots.
 
     Needs n >= 3: below it N <= 2b (b = n + 1 the flat bandwidth), the corner
     stripes overlap and T is not a sine-algebra member.  Every block must be
@@ -314,18 +297,25 @@ class TauDSTSolver:
         if blocks.shape != (N, 8, 8):
             raise ValueError(f"expected {N} blocks of 8x8 at n = {n}, "
                              f"got shape {blocks.shape}")
-        # scipy.fft is imported by the build, not with the module: it adds
-        # about 5 MB to the peak memory of every process, and only this
-        # path uses it
-        import scipy.fft
+        # the orthonormal DST-I along the cell axis
+        if N < _FFT_MIN_CELLS:
+            Q = dst1_matrix(N)
+            self._dst = lambda X: (Q @ X.reshape(N, -1)).reshape(X.shape)
+        else:
+            # imported here, not with the module: it adds about 5 MB to the
+            # peak memory of a process
+            import scipy.fft
 
-        # orthonormal DST-I along the cell axis, in place where scipy can
-        self._dst = functools.partial(scipy.fft.dst, type=1, norm="ortho",
-                                      axis=0, overwrite_x=True)
+            self._dst = functools.partial(scipy.fft.dst, type=1, norm="ortho",
+                                          axis=0, overwrite_x=True)
         flat, mask = velocity_extension_map(n)
         self._flat, self.size = flat, len(mask)
         self.phase_seconds: dict = {}
         self._on, self._off = np.flatnonzero(mask), np.flatnonzero(~mask)
+        # the DOF row of each slot, or `size`: a zero row appended to the
+        # right-hand side
+        self._slot_rows = np.full(8 * N, self.size)
+        self._slot_rows[flat] = self._on
         self._inv_sqrt_d = 1.0 / np.sqrt(scaling)
         try:
             L = np.linalg.cholesky(blocks)
@@ -359,10 +349,11 @@ class TauDSTSolver:
         result is dense."""
         sparse = sp.issparse(rhs)
         R = rhs.toarray() if sparse else np.asarray(rhs, dtype=float)
-        R = R.reshape(len(R), -1) * self._inv_sqrt_d[:, None]
+        R = R.reshape(len(R), -1)
         N, k = len(self._lam_inv), R.shape[1]
-        X = np.zeros((N, 8, k))
-        X.reshape(8 * N, k)[self._flat] = R[self._on]
+        padded = np.zeros((len(R) + 1, k))
+        R = np.multiply(R, self._inv_sqrt_d[:, None], out=padded[:-1])
+        X = padded.take(self._slot_rows, axis=0).reshape(N, 8, k)
         if sparse:
             cells = np.flatnonzero(X.any(axis=(1, 2)))
             W = np.zeros((N, 8 * k))
@@ -381,7 +372,7 @@ class TauDSTSolver:
         W -= self._lam_inv @ X
         W = self._dst(W)
         out = np.empty_like(R)
-        out[self._on] = W.reshape(8 * N, k)[self._flat]
+        out[self._on] = W.reshape(8 * N, k).take(self._flat, axis=0)
         out[self._off] = R[self._off] / OFF_GRID_DIAGONAL
         out *= self._inv_sqrt_d[:, None]
         return out.reshape(np.shape(rhs))
@@ -406,31 +397,26 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     and factored.
 
     tau_block: the compressed tau-block core under the symmetric nodal
-    viscosity scaling D^{1/2} core D^{1/2}; from n = DST_MIN_N on it is
-    applied by `TauDSTSolver` from its DST-I blocks, below it assembled
-    (`tau_block_core`) and factored by `SPDSolver`.  frozen_sparse:
-    unit-viscosity stiffness under the same scaling (which is exact for
-    constant fields), factored by `SPDSolver`.
+    viscosity scaling D^{1/2} core D^{1/2}, applied by `TauDSTSolver` from
+    its DST-I blocks (n >= 3).  frozen_sparse: unit-viscosity stiffness
+    under the same scaling (which is exact for constant fields), factored
+    by `SPDSolver`.  The solver's `method` reads "dst" or "lu".
 
     The solver's `phase_seconds` times the two phases of the build:
     "velocity_core" (the scaling and the core, or the DST blocks) and
-    "velocity_factor" (the LU, or the block factors, G and X_ZZ^{-1}).
+    "velocity_factor" (the block factors, G and X_ZZ^{-1}, or the LU).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
-    n = mesh.n
     t0 = time.perf_counter()
     d = viscosity_scaling(mesh, mu, stiffness)
 
-    if strategy == "tau_block" and n >= DST_MIN_N:
-        blocks = tau_blocks(default_symbol_set().stiffness, n)
+    if strategy == "tau_block":
+        blocks = tau_blocks(default_symbol_set().stiffness, mesh.n)
         t1 = time.perf_counter()
-        solver = TauDSTSolver(n, blocks, d)
+        solver = TauDSTSolver(mesh.n, blocks, d)
     else:
-        if strategy == "frozen_sparse":
-            core = assemble_stiffness(mesh, ViscosityField.constant())
-        else:
-            core = tau_block_core(n, mesh.velocity_count)
+        core = assemble_stiffness(mesh, ViscosityField.constant())
         D = sp.diags(np.sqrt(d))
         P = (D @ core @ D).tocsc()
         P = 0.5 * (P + P.T)

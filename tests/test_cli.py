@@ -35,14 +35,17 @@ def test_symbol_command(capsys):
 
 @pytest.mark.parametrize("name,entry,scaled", [
     ("A", 16 / 3, True), ("a", 16 / 3, True), ("Stiffness", 16 / 3, True),
-    ("stiffness-pre", 8 / 3, True), ("Bx", -1 / 6, False)])
+    ("stiffness-pre", 8 / 3, True), ("g0", 8 / 3, True), ("g1", -4 / 3, True),
+    ("Bx", -1 / 6, False)])
 def test_symbol_command_viscosity_scaling(capsys, name, entry, scaled):
-    # every alias of the two stiffness symbols is weighted by the group 2
-    # viscosity x y + e^(x + y) at the default point (1/2, 1/2)
+    # every alias of the two stiffness symbols, and the slices g0, g1 of
+    # stiffness_pre, are weighted by the group 2 viscosity x y + e^(x + y)
+    # at the default point (1/2, 1/2); `entry` is the first nonzero of row 0
     assert main(["symbol", "--name", name, "--group", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     weight = 0.25 + np.exp(1.0) if scaled else 1.0
-    assert out["re"][0][0] == pytest.approx(weight * entry, rel=1e-14)
+    first = next(v for v in out["re"][0] if v != 0)
+    assert first == pytest.approx(weight * entry, rel=1e-14)
 
 
 # SHA-256 of the `symbol --dump` printout, as the typed tables of the
@@ -122,7 +125,7 @@ def test_config_rejects_bad_solver_settings(field, value):
 def test_solve_command_rejects_negative_tol(tmp_path):
     # a negative tol used to run quietly to maxit
     with pytest.raises(ValueError, match="tol"):
-        main(["solve", "-n", "2", "--tol", "-1", "--output-dir",
+        main(["solve", "-n", "3", "--tol", "-1", "--output-dir",
               str(tmp_path)])
     assert not list(tmp_path.iterdir())
 
@@ -155,8 +158,8 @@ def test_run_group_table_empty_and_rows(tmp_path):
     text = out.read_text()
     assert "group,case,n" in text
 
-    cfgs = [ExperimentConfig(n=2, group=1, case="a"),
-            ExperimentConfig(n=2, group=1, case="c")]
+    cfgs = [ExperimentConfig(n=3, group=1, case="a"),
+            ExperimentConfig(n=3, group=1, case="c")]
     rows = run_group_table(cfgs, out)
     assert len(rows) == 2
     assert all(r["converged"] for r in rows)
@@ -167,17 +170,19 @@ def test_run_group_table_empty_and_rows(tmp_path):
 def test_table_reproducible(tmp_path):
     out1 = tmp_path / "r1.csv"
     out2 = tmp_path / "r2.csv"
-    cfgs = [ExperimentConfig(n=2, group=3, gamma=10.0, case="c")]
+    cfgs = [ExperimentConfig(n=3, group=3, gamma=10.0, case="c")]
     run_group_table(cfgs, out1)
-    run_group_table([ExperimentConfig(n=2, group=3, gamma=10.0, case="c")],
+    run_group_table([ExperimentConfig(n=3, group=3, gamma=10.0, case="c")],
                     out2)
     assert out1.read_text() == out2.read_text()
 
 
 def test_table_records_invalid_cells(tmp_path):
     # a group-3 config without gamma, and one with n = 0, whose failed-row
-    # labels once raised inside the handler and aborted the table
-    cfgs = [ExperimentConfig(n=2, group=3, case="a"), ExperimentConfig(n=0)]
+    # labels once raised inside the handler and aborted the table, and a
+    # tau cell at n = 2, refused before any work
+    cfgs = [ExperimentConfig(n=2, group=3, case="a"), ExperimentConfig(n=0),
+            ExperimentConfig(n=2)]
     messages = []
     for cfg in cfgs:
         with pytest.raises(ValueError) as info:
@@ -186,8 +191,9 @@ def test_table_records_invalid_cells(tmp_path):
     out = tmp_path / "results.csv"
     rows = run_group_table(cfgs, out)
     assert [row["error"] for row in rows] == messages
-    assert [row["group"] for row in rows] == ["3(gamma=None)", 1]
-    assert [row["dim"] for row in rows] == [63, ""]
+    assert "n = 2" in messages[2]
+    assert [row["group"] for row in rows] == ["3(gamma=None)", 1, 1]
+    assert [row["dim"] for row in rows] == [63, "", 63]
     assert all(row["converged"] is False and row["iterations"] == -1
                for row in rows)
     records = json.loads((tmp_path / "results.csv.json").read_text())
@@ -197,21 +203,21 @@ def test_table_records_invalid_cells(tmp_path):
 def test_table_json_sidecar(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     out = tmp_path / "results.csv"
-    cfgs = [ExperimentConfig(n=2, group=1, case="a"),
-            ExperimentConfig(n=2, group=3, gamma=10.0, case="c"),
-            ExperimentConfig(n=2, group=1, case="z")]
+    cfgs = [ExperimentConfig(n=3, group=1, case="a"),
+            ExperimentConfig(n=3, group=3, gamma=10.0, case="c"),
+            ExperimentConfig(n=3, group=1, case="z")]
     rows = run_group_table(cfgs, out)
     body = out.read_text()
     records = json.loads((tmp_path / "results.csv.json").read_text())
     assert [(r["group"], r["case"], r["n"]) for r in records] == \
-        [(1, "a", 2), ("3(gamma=10)", "c", 2), (1, "z", 2)]
+        [(1, "a", 3), ("3(gamma=10)", "c", 3), (1, "z", 3)]
     for rec, row in zip(records[:2], rows):
         assert rec["error"] is None
         assert rec["stop_reason"] == row["stop_reason"]
         assert rec["cycles"] == row["cycles"] >= 1
         assert set(rec["phase_seconds"]) == {
             "velocity_core", "velocity_factor", "schur_panels", "inverse"}
-        assert rec["velocity_path"] == "lu"
+        assert rec["velocity_path"] == "dst"
         assert rec["velocity_min_pivot"] > 0
         assert 0.0 <= rec["schur_symmetry_defect"] <= 1e-10
         # a cell runs inline with one worker or on a pool thread, where
@@ -243,7 +249,7 @@ def test_table_sidecar_blas_threads(tmp_path, monkeypatch, openblas, omp,
         else:
             monkeypatch.setenv(name, value)
     out = tmp_path / "results.csv"
-    run_group_table([ExperimentConfig(n=1, group=1, case="a")], out)
+    run_group_table([ExperimentConfig(n=3, group=1, case="a")], out)
     records = json.loads((tmp_path / "results.csv.json").read_text())
     assert records[0]["blas_threads"] == expected
 
@@ -327,53 +333,53 @@ def test_emit_adherence_sidecar(tmp_path, target, pool_size, solved):
 
 def test_solve_command_appends(tmp_path, capsys):
     out = "cells.csv"
-    assert main(["solve", "-n", "2", "--group", "1", "--case", "a",
+    assert main(["solve", "-n", "3", "--group", "1", "--case", "a",
                  "--output-dir", str(tmp_path), "--out", out]) == 0
-    assert main(["solve", "-n", "2", "--group", "1", "--case", "c",
+    assert main(["solve", "-n", "3", "--group", "1", "--case", "c",
                  "--output-dir", str(tmp_path), "--out", out]) == 0
     lines = (tmp_path / out).read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 rows
     assert lines[0] == ("group,case,n,dim,strategy,iterations,"
                         "final_residual,converged,seed,wall_time_s")
-    assert lines[1].startswith("1,a,2,63,tau_block,")
+    assert lines[1].startswith("1,a,3,147,tau_block,")
     assert all(len(ln.split(",")) == 10 for ln in lines)
 
 
 def test_solve_command_refuses_a_table_file(tmp_path, capsys):
     # table and solve both default to results.csv; solve used to append its
     # 10-field row under the table's 11-column header
-    assert main(["table", "--groups", "1", "--cases", "a", "--sizes", "2",
+    assert main(["table", "--groups", "1", "--cases", "a", "--sizes", "3",
                  "--output-dir", str(tmp_path)]) == 0
     out = tmp_path / "results.csv"
     before = out.read_text()
     with pytest.raises(SystemExit, match="results.csv"):
-        main(["solve", "-n", "2", "--group", "1", "--case", "a",
+        main(["solve", "-n", "3", "--group", "1", "--case", "a",
               "--output-dir", str(tmp_path)])
     assert out.read_text() == before
 
 
 def test_config_file_and_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"n": 2, "group": 1, "case": "a"}))
+    cfg_path.write_text(json.dumps({"n": 3, "group": 1, "case": "a"}))
     assert main(["solve", "--config", str(cfg_path), "--case", "c",
                  "--output-dir", str(tmp_path)]) == 0
     row = json.loads(capsys.readouterr().out)
-    assert row["case"] == "c" and row["n"] == 2
+    assert row["case"] == "c" and row["n"] == 3
     # the printout carries the stop reason and the build diagnostics that
     # the CSV leaves out
     assert row["stop_reason"] in ("converged", "breakdown", "maxit")
     assert row["cycles"] >= 1
     assert set(row["phase_seconds"]) == {"velocity_core", "velocity_factor",
                                          "schur_panels", "inverse"}
-    assert row["velocity_path"] == "lu"
+    assert row["velocity_path"] == "dst"
     assert row["velocity_min_pivot"] > 0
     assert 0.0 <= row["schur_symmetry_defect"] <= 1e-10
     assert row["schur_workers"] == workers()
-    assert row["apply_workers"] == 1  # npres = 13 < OVERLAP_PRESSURE
+    assert row["apply_workers"] == 1  # npres = 25 < OVERLAP_PRESSURE
 
 
 def _table_with(monkeypatch, count, path):
-    """The table of two cases at n = 2 and 4 for G1 and G3(100) with
+    """The table of two cases at n = 3 and 4 for G1 and G3(100) with
     `workers()` = count, and the threads its cells ran on."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(2)), raising=False)
@@ -389,7 +395,7 @@ def _table_with(monkeypatch, count, path):
     monkeypatch.setattr(cli, "run_solve_cell", spy)
     run_group_table([ExperimentConfig(n=n, group=group, gamma=gamma, case=case)
                      for group, gamma in ((1, None), (3, 100.0))
-                     for case in "ac" for n in (2, 4)], path)
+                     for case in "ac" for n in (3, 4)], path)
     return path.read_text(), threads
 
 
@@ -412,3 +418,16 @@ def test_symbol_json_schema():
     assert {"k", "re", "im"} <= set(entry)
     assert len(entry["re"]) == 8 and len(entry["re"][0]) == 2
     assert all(v == 0.0 for row in entry["im"] for v in row)
+
+
+def test_config_rejects_tau_below_three():
+    # the tau core needs n >= 3; a run that builds no preconditioner, or
+    # builds the frozen_sparse one, takes any n >= 1
+    for n in (1, 2):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            ExperimentConfig(n=n).validate()
+        ExperimentConfig(n=n).validate(preconditioned=False)
+        ExperimentConfig(n=n, strategy="frozen_sparse").validate()
+    ExperimentConfig(n=3).validate()
+    row = run_solve_cell(ExperimentConfig(n=2), preconditioned=False)
+    assert row["strategy"] == "none" and row["dim"] == 63

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -17,7 +19,7 @@ from glt_stokes.cli import rhs_for_case
 from glt_stokes.glt_core import tau_blocks, zero_distribution_fraction
 from glt_stokes.mesh import build_mesh
 from glt_stokes import precond
-from glt_stokes.precond import (DST_MIN_N, PANEL, STRATEGIES, TILE, SPDSolver,
+from glt_stokes.precond import (PANEL, STRATEGIES, TILE, SPDSolver,
                                 TauDSTSolver, build_saddle_preconditioner,
                                 build_schur, build_velocity_preconditioner,
                                 fan_out, schur_panels, symmetrize,
@@ -26,6 +28,8 @@ from glt_stokes.solvers import gmres
 from glt_stokes.symbols import default_symbol_set
 
 ONE = ViscosityField.constant(1.0)
+# the largest n whose tau solver takes the dense DST-I matrix, not the FFT
+DENSE_DST_MAX_N = math.isqrt(precond._FFT_MIN_CELLS - 1)
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +48,19 @@ def test_frozen_equals_stiffness_for_unit_viscosity():
 
 
 def test_constant_viscosity_scaling_invariance():
-    # P(mu = c) = c * P(mu = 1) for both strategies
+    # P(mu = c) = c * P(mu = 1) for both strategies, and so are the solves
     mesh = build_mesh(4)
     c = 3.7
+    rhs = np.random.default_rng(1).standard_normal(mesh.velocity_count)
     for strategy in STRATEGIES:
         p1 = build_velocity_preconditioner(mesh, ONE, strategy)
         pc = build_velocity_preconditioner(mesh, ViscosityField.constant(c),
                                            strategy)
-        assert abs(pc.matrix - c * p1.matrix).max() < 1e-12
+        diff = _assembled(pc, mesh, ViscosityField.constant(c)) \
+            - c * _assembled(p1, mesh, ONE)
+        assert abs(diff).max() < 1e-12
+        ref = p1.solve(rhs)
+        assert np.abs(c * pc.solve(rhs) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -61,7 +70,8 @@ def test_velocity_preconditioner_spd(strategy, group, gamma):
     mesh = build_mesh(4)
     mu = viscosity_for_group(group, gamma)
     vel = build_velocity_preconditioner(mesh, mu, strategy)
-    w = np.linalg.eigvalsh(vel.matrix.toarray())
+    assert vel.min_pivot > 0
+    w = np.linalg.eigvalsh(_assembled(vel, mesh, mu).toarray())
     assert w[0] > 0
 
 
@@ -96,10 +106,19 @@ TENTPOLE_GROUPS = [(1, None), (2, None), (3, 100.0)]
 
 
 def _lu_reference(mesh, mu):
-    """`SPDSolver` on D^{1/2} tau_block_core D^{1/2}, the LU path."""
+    """`SPDSolver` on D^{1/2} tau_block_core D^{1/2}: the assembled tau core
+    that `TauDSTSolver` inverts, factored by sparse LU."""
     D = sp.diags(np.sqrt(viscosity_scaling(mesh, mu)))
     P = (D @ tau_block_core(mesh.n, mesh.velocity_count) @ D).tocsc()
     return SPDSolver(0.5 * (P + P.T))
+
+
+def _assembled(solver, mesh, mu):
+    """The matrix a velocity solver inverts: its own for `SPDSolver`, that
+    of the LU reference for `TauDSTSolver`."""
+    if isinstance(solver, SPDSolver):
+        return solver.matrix
+    return _lu_reference(mesh, mu).matrix
 
 
 def _assert_same_solves(dst, lu, seed):
@@ -113,7 +132,7 @@ def _assert_same_solves(dst, lu, seed):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", [3, 4, 7, 8, 16, 32])
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 16, DENSE_DST_MAX_N, 32])
 @pytest.mark.parametrize("group,gamma", ALL_GROUPS)
 def test_dst_solver_matches_lu(n, group, gamma):
     mesh = build_mesh(n)
@@ -125,27 +144,54 @@ def test_dst_solver_matches_lu(n, group, gamma):
 
 
 def test_velocity_path_follows_size():
-    # the DST path from DST_MIN_N = 32 on, the LU below it; on the DST path
-    # the two agree
+    # tau_block is `TauDSTSolver` at every n >= 3, on the dense DST-I matrix
+    # below _FFT_MIN_CELLS cells and on the FFT from it on, and matches the
+    # LU reference; n <= 2 raises; frozen_sparse is `SPDSolver`
+    import scipy.fft
+
     mu = viscosity_for_group(3, 100.0)
-    assert DST_MIN_N == 32
-    small = build_velocity_preconditioner(build_mesh(31), mu)
-    assert isinstance(small, SPDSolver) and small.method == "lu"
-    solvers = [small]
-    for n in (32, 64):
+    for n in (3, DENSE_DST_MAX_N, DENSE_DST_MAX_N + 1, 32, 64):
         mesh = build_mesh(n)
         vel = build_velocity_preconditioner(mesh, mu)
         assert isinstance(vel, TauDSTSolver) and vel.method == "dst"
+        fft = getattr(vel._dst, "func", None) is scipy.fft.dst
+        assert fft == (n * n >= precond._FFT_MIN_CELLS)
         assert vel.size == mesh.velocity_count
         _assert_same_solves(vel, _lu_reference(mesh, mu), n)
-        solvers.append(vel)
-    for solver in solvers:
-        assert set(solver.phase_seconds) == {"velocity_core", "velocity_factor"}
-        assert min(solver.phase_seconds.values()) >= 0
-    # frozen_sparse stays on the LU at every size
-    frozen = build_velocity_preconditioner(build_mesh(DST_MIN_N), ONE,
+        assert set(vel.phase_seconds) == {"velocity_core", "velocity_factor"}
+        assert min(vel.phase_seconds.values()) >= 0
+    for n in (1, 2):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            build_velocity_preconditioner(build_mesh(n), mu)
+    frozen = build_velocity_preconditioner(build_mesh(32), ONE,
                                            "frozen_sparse")
-    assert isinstance(frozen, SPDSolver)
+    assert isinstance(frozen, SPDSolver) and frozen.method == "lu"
+    assert set(frozen.phase_seconds) == {"velocity_core", "velocity_factor"}
+
+
+def test_dense_dst_side_never_imports_scipy_fft():
+    # scipy.fft adds about 5 MB to a process's peak memory: a G2 saddle
+    # preconditioner at n = 16 (on the dense DST-I) must not import it, a
+    # tau solver on the FFT side does
+    code = (
+        "import sys\n"
+        "from glt_stokes.assembly import assemble_saddle, viscosity_for_group\n"
+        "from glt_stokes.mesh import build_mesh\n"
+        "from glt_stokes.precond import (build_saddle_preconditioner,\n"
+        "                                build_velocity_preconditioner)\n"
+        "mu = viscosity_for_group(2)\n"
+        "mesh = build_mesh(16)\n"
+        "build_saddle_preconditioner(mesh, mu, assemble_saddle(mesh, mu))\n"
+        "print('scipy.fft' in sys.modules)\n"
+        f"build_velocity_preconditioner(build_mesh({DENSE_DST_MAX_N + 1}), mu)\n"
+        "print('scipy.fft' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(precond.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_saddle_preconditioner_on_dst_path_keeps_lu_count():
@@ -193,7 +239,8 @@ def test_dst_solver_sparse_rhs_matches_dense(n, group, gamma):
 def test_spd_solver_sparse_panel_bitwise(setup8):
     # wider than PANEL, so the dense copy is solved in two panels
     mesh, mu, system = setup8
-    vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
+    vel = build_velocity_preconditioner(mesh, mu, "frozen_sparse",
+                                        stiffness=system.stiffness)
     panel = system.div_y.T.tocsc()[:, 3:PANEL + 10]
     assert np.array_equal(vel.solve(panel), vel.solve(panel.toarray()))
 
@@ -281,7 +328,7 @@ def test_tau_and_frozen_agree_where_bands_are_symmetric():
     mesh = build_mesh(n)
     tau = build_velocity_preconditioner(mesh, ONE, "tau_block")
     frozen = build_velocity_preconditioner(mesh, ONE, "frozen_sparse")
-    D = (tau.matrix - frozen.matrix).tocsr()
+    D = (_assembled(tau, mesh, ONE) - frozen.matrix).tocsr()
     assert np.abs(D.diagonal()).max() < 1e-13
     assert np.abs(D.data).max() <= 4.0 / 3.0 + 1e-12
 
@@ -301,7 +348,7 @@ def test_zero_distribution_of_residual_decreases():
         mesh = build_mesh(n)
         A = assemble_stiffness(mesh, mu)
         vel = build_velocity_preconditioner(mesh, mu, "tau_block")
-        R = (A - vel.matrix).toarray()
+        R = (A - _assembled(vel, mesh, mu)).toarray()
         nrm = np.linalg.norm(A.toarray(), 2)
         fractions.append(zero_distribution_fraction(R, 0.1 * nrm))
     assert fractions[1] <= fractions[0]
@@ -425,7 +472,7 @@ def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
     nvel, npres = prec.velocity_count, system.pressure_count
     assert npres > PANEL and npres % PANEL != 0
 
-    P = prec.velocity_solver.matrix.toarray()
+    P = _assembled(prec.velocity_solver, mesh, mu).toarray()
     Bx, By = system.div_x.toarray(), system.div_y.toarray()
     S = Bx @ np.linalg.solve(P, Bx.T) + By @ np.linalg.solve(P, By.T)
     solve = prec.velocity_solver.solve
@@ -505,8 +552,10 @@ def test_panel_workers_one_off_main_thread(monkeypatch):
     assert workers() == 4 and seen == [1]
 
 
-def _panels_with(monkeypatch, count, system, solve):
+def _panels_with(monkeypatch, count, system, solve, panel=PANEL):
+    """The Schur panels with `workers()` = count and PANEL = panel."""
     _workers(monkeypatch, count)
+    monkeypatch.setattr(precond, "PANEL", panel)
     return schur_panels(system.div_x, system.div_y, solve, solve)
 
 
@@ -514,24 +563,44 @@ def _panels_with(monkeypatch, count, system, solve):
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
 def test_schur_panels_two_workers_bitwise(monkeypatch, fresh_pool, group,
                                           gamma, n):
-    # npres = 41 and 145 are not multiples of the 2-worker task width
+    # npres = 41 and 145 are not multiples of the 2-worker task width; the
+    # tau solver's GEMMs round with the block width, so the serial loop
+    # takes panels of that width too
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
     assert system.pressure_count % (PANEL // 2) != 0
     vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
-    serial = _panels_with(monkeypatch, 1, system, vel.solve)
+    serial = _panels_with(monkeypatch, 1, system, vel.solve, PANEL // 2)
     threaded = _panels_with(monkeypatch, 2, system, vel.solve)
     assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
+def test_schur_panels_lu_bitwise_across_widths(monkeypatch, fresh_pool, group,
+                                               gamma, n):
+    # with `SPDSolver` no column rounds with the block width: 2 and 8
+    # workers give the serial PANEL-wide loop bit for bit
+    mesh = build_mesh(n)
+    mu = viscosity_for_group(group, gamma)
+    system = assemble_saddle(mesh, mu)
+    vel = build_velocity_preconditioner(mesh, mu, "frozen_sparse",
+                                        stiffness=system.stiffness)
+    serial = _panels_with(monkeypatch, 1, system, vel.solve)
+    for count in (2, 8):
+        assert np.array_equal(
+            _panels_with(monkeypatch, count, system, vel.solve), serial)
 
 
 def test_schur_panels_many_workers_under_fast_switching(monkeypatch, setup8,
                                                         fresh_pool):
     # more workers than cores, 4-column tasks, a thread switch every
-    # microsecond: a lost or misplaced column write would show
+    # microsecond: a lost or misplaced column write would show; the serial
+    # loop takes 4-column panels too
     _, _, system = setup8
     vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
-    serial = _panels_with(monkeypatch, 1, system, vel.solve)
+    serial = _panels_with(monkeypatch, 1, system, vel.solve, PANEL // 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -777,7 +846,7 @@ def test_one_pool_serves_every_fan_out(monkeypatch, tmp_path, fresh_pool):
     r = np.ones(system.dimension)
     for _ in range(100):
         prec.apply(r)
-    run_group_table([ExperimentConfig(n=2, group=1, case=c) for c in "abc"],
+    run_group_table([ExperimentConfig(n=3, group=1, case=c) for c in "abc"],
                     tmp_path / "t.csv")
     peak = max(threading.active_count(), *(s[2] for s in submits))
     assert len(made) == 1
