@@ -28,6 +28,7 @@ __all__ = [
     "ViscosityField",
     "SaddleSystem",
     "assemble_stiffness",
+    "stiffness_diagonal",
     "assemble_divergence",
     "assemble_pressure_mass",
     "assemble_saddle",
@@ -256,6 +257,22 @@ def assemble_stiffness(mesh: StructuredMesh, mu: ViscosityField) -> sp.csr_matri
     A = sp.coo_matrix((vals, (rows, cols)), shape=(nvel, nvel)).tocsr()
     A.sum_duplicates()
     return A
+
+
+def stiffness_diagonal(mesh: StructuredMesh, mu: ViscosityField) -> np.ndarray:
+    """Diagonal of `assemble_stiffness(mesh, mu)` without assembling it: the
+    stiffness table's diagonal, weighted by the centroid viscosity, summed
+    over `mesh.tri_velocity` by one `np.bincount`.
+
+    The sums run in element order, while the assembled matrix adds its
+    duplicates in the order its index sort leaves them, so the two agree
+    bitwise for constant fields and to rounding (a few ulps) otherwise.
+    """
+    dofs = mesh.tri_velocity
+    vals = _centroid_viscosity(mesh, mu)[:, None] * np.diag(_STIFFNESS_TABLE)
+    keep = dofs >= 0
+    return np.bincount(dofs[keep], weights=vals[keep],
+                       minlength=mesh.velocity_count)
 
 
 def assemble_divergence(mesh: StructuredMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:

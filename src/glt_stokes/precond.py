@@ -29,7 +29,9 @@ mirror halves as the spectra of A and M are.
 
 `TauDSTSolver` applies the inverse of that core without assembling it:
 it factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
-compression by the capacitance identity, and applies the inverse with two
+compression by the capacitance identity, whose 5n - 1 square matrix X_ZZ
+it forms by cosine transforms of the inverse blocks (the tau algebra is
+Toeplitz-plus-Hankel in them), and applies the inverse with two
 DST-Is of length n^2 per call, a product with the dense DST-I matrix below
 _FFT_MIN_CELLS cells and an FFT from it on.  Its work arrays are laid out
 (cell, slot, column), so the DOFs go in and out by row copies and each
@@ -114,7 +116,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SaddleSystem, ViscosityField, assemble_stiffness
+from .assembly import (SaddleSystem, ViscosityField, assemble_stiffness,
+                       stiffness_diagonal)
 from .glt_core import (dst1_matrix, tau_blocks, tau_from_symbol,
                        velocity_extension_map)
 from .mesh import StructuredMesh
@@ -179,6 +182,20 @@ _FFT_MIN_CELLS = 729
 
 # Stencil diagonal of the off-grid velocity DOFs in the tau core.
 OFF_GRID_DIAGONAL = 16.0 / 3.0
+
+# Smallest cell count N at which `TauDSTSolver` forms G^T c as (c^T G)^T,
+# streaming the rows of G, instead of by one product with G^T.  Past the
+# L2 cache the transposed product runs at a fraction of the bandwidth: the
+# two row-group products of a 1- and a 2-column back step, product with
+# G^T against (c^T G)^T, single-threaded BLAS, best of 7: n = 48
+# 0.077/0.092 against 0.131/0.160 ms; n = 64 0.30/0.55 against 0.29/0.38
+# ms; n = 128 6.8 against 3.2 ms (1 column).  At n <= 48, and at every n
+# for 16 columns, the product with G^T is as fast or faster.
+_ROWS_FIRST_MIN_CELLS = 4096
+
+# The slots of `TauDSTSolver`'s zero-filled slots Z at the top row of cells
+# and at their right column; slots 0, 1, 2 and 4 are filled at every cell.
+_TOP_SLOTS, _RIGHT_SLOTS = slice(6, 8), slice(3, 8, 2)
 
 
 def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
@@ -260,13 +277,20 @@ class TauDSTSolver:
 
     T = Q Lambda Q is the extended tau core on the 8N slots (N = n^2 cells),
     Q = DST-I (x) I_8 and Lambda = diag(B_j) its `tau_blocks`; S are the DOF
-    slots and Z the 5n - 1 zero-filled ones.  With X = T^{-1} the
-    capacitance identity (Buzbee, Dorr, George & Golub 1971) gives
-    T_SS^{-1} = X_SS - X_SZ X_ZZ^{-1} X_ZS.  G, the rows of Q at the Z slots
-    (a |Z| x N matrix, one GEMM per slot), reads X_ZS r = G Lambda^{-1} Q r
-    and X_SZ c = (Q Lambda^{-1} G^T c)_S, and X_ZZ = G Lambda^{-1} G^T is
-    formed once, Cholesky-factored and inverted.  An apply is then two DSTs
-    and two batched 8x8 block products:
+    slots and Z the 5n - 1 zero-filled ones: slots 3, 5 and 7 at the right
+    column of cells {(p+1)n - 1}, slots 6 and 7 at the top row
+    {N - n, ..., N - 1}, the two sets sharing cell N - 1 (checked at every
+    build).  With X = T^{-1} the capacitance identity (Buzbee, Dorr, George
+    & Golub 1971) gives T_SS^{-1} = X_SS - X_SZ X_ZZ^{-1} X_ZS.  G, the rows
+    of Q at the Z slots, reads X_ZS r = G Lambda^{-1} Q r and
+    X_SZ c = (Q Lambda^{-1} G^T c)_S.  Its 2n - 1 distinct DST-I rows are
+    held once, and G w and G^T c are one product per row group: the right
+    column on slots 3, 5 and 7, the top row on slots 6 and 7.  X_ZZ needs no
+    G: every tau-algebra matrix is Toeplitz-plus-Hankel in the cosine
+    coefficients of its eigenvalues (Bini & Capovani 1983), so X_ZZ is read
+    off one DCT-I per pair of live slots (`_cosine_gram`), then
+    Cholesky-factored and inverted.  An apply is then two DSTs and two
+    batched 8x8 block products:
 
         w = Lambda^{-1} Q r,  c = X_ZZ^{-1} G w,
         x_S = (Q (w - Lambda^{-1} G^T c))_S.
@@ -309,13 +333,24 @@ class TauDSTSolver:
             self._dst = functools.partial(scipy.fft.dst, type=1, norm="ortho",
                                           axis=0, overwrite_x=True)
         flat, mask = velocity_extension_map(n)
-        self._flat, self.size = flat, len(mask)
+        self.size = len(mask)
         self.phase_seconds: dict = {}
-        self._on, self._off = np.flatnonzero(mask), np.flatnonzero(~mask)
+        self._off = np.flatnonzero(~mask)
         # the DOF row of each slot, or `size`: a zero row appended to the
-        # right-hand side
+        # right-hand side; and the slot row of each DOF, 0 for the off-grid
+        # ones, whose rows are overwritten
         self._slot_rows = np.full(8 * N, self.size)
-        self._slot_rows[flat] = self._on
+        self._slot_rows[flat] = np.flatnonzero(mask)
+        self._dof_rows = np.zeros(self.size, dtype=np.int64)
+        self._dof_rows[mask] = flat
+        scaling = np.asarray(scaling, dtype=float)
+        if scaling.shape != (self.size,):
+            raise ValueError(f"expected {self.size} scaling entries at n = {n}, "
+                             f"got shape {scaling.shape}")
+        bad = np.flatnonzero(~(np.isfinite(scaling) & (scaling > 0)))
+        if len(bad):
+            raise ValueError(f"scaling entry {bad[0]} is {scaling[bad[0]]}: "
+                             "every entry must be positive and finite")
         self._inv_sqrt_d = 1.0 / np.sqrt(scaling)
         try:
             L = np.linalg.cholesky(blocks)
@@ -327,22 +362,39 @@ class TauDSTSolver:
         # Lambda^{-1} as an (N, 8, 8) array: cell, slot, slot
         self._lam_inv = lam_inv = np.swapaxes(L_inv, 1, 2) @ L_inv
 
-        # the Z slots grouped by slot, cells ascending within each group;
-        # G[z[s]] holds the DST-I rows of the cells whose slot s is in Z
-        zero = np.setdiff1d(np.arange(8 * N), flat)
-        zero = zero[np.argsort(zero % 8, kind="stable")]
-        bounds = np.searchsorted(zero % 8, np.arange(9))
-        self._z = z = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._G = G = dst1_matrix(N, zero // 8)
-        # X_ZZ is formed in its upper block triangle, the part `_spd_inverse`
-        # reads, and kept inverted: one product per apply in place of two
-        # triangular solves, which took 2-7 ms against 0.3 ms of a 16-column
-        # apply at n = 32 under two OpenBLAS threads
-        X_ZZ = np.zeros((len(zero), len(zero)))
-        for s in range(8):
-            for t in range(s, 8):
-                X_ZZ[z[s], z[t]] = (G[z[s]] * lam_inv[:, s, t]) @ G[z[t]].T
-        self._X_ZZ_inv = _spd_inverse(X_ZZ, "X_ZZ")
+        # Z: slots 3, 5 and 7 at the right column of cells, 6 and 7 at the
+        # top row; the two share cell N - 1
+        right, top = np.arange(n - 1, N, n), np.arange(N - n, N)
+        zero = np.ones((N, 8), dtype=bool)
+        zero.reshape(-1)[flat] = False
+        expected = np.zeros((N, 8), dtype=bool)
+        expected[right, _RIGHT_SLOTS] = expected[top, _TOP_SLOTS] = True
+        if not np.array_equal(zero, expected):
+            raise RuntimeError(f"zero-filled slots off the right column and "
+                               f"top row at n = {n}")
+        # their 2n - 1 DST-I rows, held once: the right column up to N - 1,
+        # then the top row down from it; each group is a view
+        rows = dst1_matrix(N, np.concatenate([right, top[-2::-1]]))
+        self._right, self._top = rows[:n], rows[n - 1:]
+        # per group: its rows, its slots, its entries of c in Z order and
+        # the slots of the work array that take its G^T c
+        self._groups = ((self._top, _TOP_SLOTS, slice(0, 2 * n), slice(0, 2)),
+                        (self._right, _RIGHT_SLOTS, slice(2 * n, 5 * n),
+                         slice(2, 5)))
+        # Z in the order the groups read it: (cell, slot) pairs of the top
+        # row, then of the right column without its (N - 1, 7), the top's
+        z_cells = np.concatenate([np.repeat(top[::-1], 2),
+                                  np.repeat(right, 3)])[:-1]
+        group_slots = np.r_[_TOP_SLOTS, _RIGHT_SLOTS]
+        z_slots = np.concatenate([np.tile(group_slots[:2], n),
+                                  np.tile(group_slots[2:], n)])[:-1]
+        # Lambda^{-1} G^T c reads only Z's slot columns of Lambda^{-1}
+        self._lam_inv_z = np.ascontiguousarray(lam_inv[:, :, group_slots])
+        # kept inverted: one product per apply in place of two triangular
+        # solves, which took 2-7 ms against 0.3 ms of a 16-column apply at
+        # n = 32 under two OpenBLAS threads
+        self._X_ZZ_inv = _spd_inverse(_cosine_gram(lam_inv, z_cells, z_slots),
+                                      "X_ZZ")
 
     def solve(self, rhs) -> np.ndarray:
         """P^{-1} rhs for a vector or a column block, dense or sparse; the
@@ -364,29 +416,65 @@ class TauDSTSolver:
         else:
             W = self._dst(X)
         W = self._lam_inv @ W
-        G, z = self._G, self._z
-        c = self._X_ZZ_inv @ np.concatenate([G[z[s]] @ W[:, s]
-                                             for s in range(8)])
-        for s in range(8):
-            np.matmul(G[z[s]].T, c[z[s]], out=X[:, s])
-        W -= self._lam_inv @ X
+        # G w and G^T c, one product per row group (see `_groups`); the
+        # right column's last entry repeats the top's (N - 1, 7) and is left
+        # out of c.  X is free after the forward DST: its first five slots
+        # take G^T c
+        n = len(self._top)
+        Gw = np.empty((5 * n, k))
+        for rows, slots, z, x in self._groups:
+            np.matmul(rows, W[:, slots].reshape(N, -1), out=Gw[z].reshape(n, -1))
+        c = np.zeros((5 * n, k))
+        np.matmul(self._X_ZZ_inv, Gw[:-1], out=c[:-1])
+        for rows, slots, z, x in self._groups:
+            if N < _ROWS_FIRST_MIN_CELLS:
+                np.matmul(rows.T, c[z].reshape(n, -1), out=X[:, x].reshape(N, -1))
+            else:
+                X[:, x].reshape(N, -1).T[...] = c[z].reshape(n, -1).T @ rows
+        W -= self._lam_inv_z @ X[:, :5]
         W = self._dst(W)
-        out = np.empty_like(R)
-        out[self._on] = W.reshape(8 * N, k).take(self._flat, axis=0)
+        out = W.reshape(8 * N, k).take(self._dof_rows, axis=0)
         out[self._off] = R[self._off] / OFF_GRID_DIAGONAL
         out *= self._inv_sqrt_d[:, None]
         return out.reshape(np.shape(rhs))
 
 
+def _cosine_gram(lam_inv: np.ndarray, cells: np.ndarray,
+                 slots: np.ndarray) -> np.ndarray:
+    """The entries of X = Q Lambda^{-1} Q (Q the orthonormal DST-I in the
+    cell index, `lam_inv` the (N, 8, 8) blocks of Lambda^{-1}) at the slots
+    (cells[i], slots[i]), by cosine transforms instead of DST-I rows.
+
+    sin(a t) sin(b t) = (cos((a - b) t) - cos((a + b) t)) / 2 makes X
+    Toeplitz-plus-Hankel in the cell index:
+    X[(c, s), (c', t)] = a_st(|c - c'|) - a_st(c + c' + 2), with
+    a_st(m) = sum_j (Lambda^{-1})_j[s, t] cos(pi m j / (N + 1)) / (N + 1),
+    j = 1..N.  a_st is a DCT-I, computed for the distinct slots at once by
+    `numpy.fft.hfft` of length 2(N + 1), which also reflects m > N + 1.
+    """
+    N = len(lam_inv)
+    live, pos = np.unique(slots, return_inverse=True)
+    x = np.zeros((N + 2, len(live), len(live)))
+    x[1:-1] = lam_inv[:, live[:, None], live]
+    a = np.fft.hfft(x, 2 * N + 2, axis=0) / (2 * N + 2)
+    s, t = pos[:, None], pos[None, :]
+    c, d = cells[:, None], cells[None, :]
+    return a[np.abs(c - d), s, t] - a[c + d + 2, s, t]
+
+
 def viscosity_scaling(mesh: StructuredMesh, mu: ViscosityField,
                       stiffness: sp.spmatrix | None = None) -> np.ndarray:
     """Nodal viscosity samples d with d_i = (A(mu))_ii / (A(1))_ii, the
-    average of the viscosity over the elements meeting node i."""
+    average of the viscosity over the elements meeting node i.
+
+    Both diagonals come from `stiffness_diagonal`, without assembling a
+    matrix, except that (A(mu))_ii is read off `stiffness` when it is given.
+    """
     if mu.kind == "constant":
         return np.full(mesh.velocity_count, mu.essinf)
-    A_mu = stiffness if stiffness is not None else assemble_stiffness(mesh, mu)
-    A1 = assemble_stiffness(mesh, ViscosityField.constant())
-    return A_mu.diagonal() / A1.diagonal()
+    a_mu = (stiffness.diagonal() if stiffness is not None
+            else stiffness_diagonal(mesh, mu))
+    return a_mu / stiffness_diagonal(mesh, ViscosityField.constant())
 
 
 def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
@@ -403,8 +491,9 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     by `SPDSolver`.  The solver's `method` reads "dst" or "lu".
 
     The solver's `phase_seconds` times the two phases of the build:
-    "velocity_core" (the scaling and the core, or the DST blocks) and
-    "velocity_factor" (the block factors, G and X_ZZ^{-1}, or the LU).
+    "velocity_core" (the scaling, from the stiffness diagonals, and the
+    core, or the DST blocks) and "velocity_factor" (the block factors, the
+    2n - 1 DST-I rows of G and X_ZZ^{-1} by cosine transforms, or the LU).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")

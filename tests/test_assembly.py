@@ -5,7 +5,8 @@ import pytest
 
 from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_pressure_mass, assemble_saddle,
-                                 assemble_stiffness, viscosity_for_group)
+                                 assemble_stiffness, stiffness_diagonal,
+                                 viscosity_for_group)
 from glt_stokes.mesh import build_mesh, saddle_dimension
 
 ONE = ViscosityField.constant(1.0)
@@ -44,6 +45,24 @@ def test_stiffness_diagonal_classes(mesh4):
             assert diag[i] == pytest.approx(4.0, abs=1e-14)      # center
         else:
             assert diag[i] == pytest.approx(16.0 / 3.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+def test_stiffness_diagonal_matches_assembly(n):
+    # the assembled diagonal adds each node's (at most 8) element terms in
+    # the order its index sort leaves them, `stiffness_diagonal` in element
+    # order: bitwise where the terms are equal or exact (constant, example1),
+    # else within the 7 eps two orders of 8 positive terms may differ by
+    mesh = build_mesh(n)
+    for mu, bitwise in ((ONE, True), (viscosity_for_group(2), False),
+                        (viscosity_for_group(3, 100.0), False),
+                        (ViscosityField.example1(1, 1e6, 0.1, 0), True)):
+        ref = assemble_stiffness(mesh, mu).diagonal()
+        got = stiffness_diagonal(mesh, mu)
+        assert got.shape == ref.shape
+        if bitwise:
+            assert np.array_equal(got, ref)
+        assert np.all(np.abs(got - ref) <= 7 * np.finfo(float).eps * ref)
 
 
 def test_stiffness_linear_in_viscosity(mesh4):

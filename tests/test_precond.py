@@ -16,7 +16,9 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
 from glt_stokes.cli import rhs_for_case
-from glt_stokes.glt_core import tau_blocks, zero_distribution_fraction
+from glt_stokes.glt_core import (dst1_matrix, tau_blocks,
+                                 velocity_extension_map,
+                                 zero_distribution_fraction)
 from glt_stokes.mesh import build_mesh
 from glt_stokes import precond
 from glt_stokes.precond import (PANEL, STRATEGIES, TILE, SPDSolver,
@@ -261,14 +263,21 @@ def test_dst_schur_matches_lu_reference(group, gamma):
 
 def test_dst_solver_holds_no_n_squared_array(monkeypatch):
     # at n = 64 (N = 4096) an N x N array would take 134 MB; the widest the
-    # solver holds is G, and its sparse transform makes row blocks of at
-    # most 8k cells
+    # solver holds is G, whose two row groups are views of one array of the
+    # 2n - 1 distinct DST-I rows of the zero-filled cells, and its sparse
+    # transform makes row blocks of at most 8k cells
     n = 64
     N = n * n
     mesh = build_mesh(n)
     dst = build_velocity_preconditioner(mesh, viscosity_for_group(2))
     held = [v for v in vars(dst).values() if isinstance(v, np.ndarray)]
     assert len(held) >= 6 and max(v.size for v in held) < N * N
+    rows = dst._right.base
+    assert rows is dst._top.base and rows.shape == (2 * n - 1, N)
+    assert np.array_equal(rows, dst1_matrix(
+        N, np.r_[n - 1:N:n, N - 2:N - n - 1:-1]))
+    wide = [v for v in held if v.ndim == 2 and v.shape[1] == N]
+    assert len(wide) == 2 and all(v.base is rows for v in wide)
     made, real = [], precond.dst1_matrix
 
     def spy(*args):
@@ -299,6 +308,68 @@ def test_dst_solver_rejects_indefinite_block():
     blocks[5] -= 10.0 * np.eye(8)
     with pytest.raises(ValueError, match="not positive definite"):
         TauDSTSolver(n, blocks, viscosity_scaling(mesh, ONE))
+
+
+def test_dst_solver_rejects_bad_scaling():
+    # a wrong length, or a zero, negative or non-finite entry, is named by
+    # its first bad index instead of turning into nan or inf downstream
+    n = 4
+    mesh = build_mesh(n)
+    blocks = tau_blocks(default_symbol_set().stiffness, n)
+    good = viscosity_scaling(mesh, viscosity_for_group(2))
+    for length in (len(good) - 1, len(good) + 1):
+        with pytest.raises(ValueError, match=f"expected {len(good)} scaling"):
+            TauDSTSolver(n, blocks, np.ones(length))
+    with pytest.raises(ValueError, match=f"expected {len(good)} scaling"):
+        TauDSTSolver(n, blocks, good[:, None])
+    for value in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[[7, 30]] = value
+        with pytest.raises(ValueError, match="scaling entry 7 is"):
+            TauDSTSolver(n, blocks, bad)
+    TauDSTSolver(n, blocks, good)
+
+
+def test_zero_filled_slots_lie_on_right_column_and_top_row():
+    # the structure `TauDSTSolver` builds its row groups on: slots 3, 5 and
+    # 7 at the cells (p+1)n - 1, slots 6 and 7 at the cells N - n .. N - 1,
+    # and no other slot zero-filled
+    for n in range(3, 70):
+        N = n * n
+        flat, _ = velocity_extension_map(n)
+        zero = np.ones(8 * N, dtype=bool)
+        zero[flat] = False
+        cells, slots = np.divmod(np.flatnonzero(zero), 8)
+        right = set(range(n - 1, N, n))
+        top = set(range(N - n, N))
+        expected = ({(c, s) for c in right for s in (3, 5, 7)}
+                    | {(c, s) for c in top for s in (6, 7)})
+        assert set(zip(cells.tolist(), slots.tolist())) == expected
+        assert len(cells) == 5 * n - 1 and right & top == {N - 1}
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, DENSE_DST_MAX_N, DENSE_DST_MAX_N + 1,
+                               64])
+def test_cosine_gram_matches_explicit_x_zz(n):
+    # X_ZZ by DCT-I against G Lambda^{-1} G^T formed from the DST-I rows of
+    # the zero-filled slots, one GEMM per slot pair, on both DST sides
+    N = n * n
+    mesh = build_mesh(n)
+    dst = TauDSTSolver(n, tau_blocks(default_symbol_set().stiffness, n),
+                       viscosity_scaling(mesh, viscosity_for_group(3, 100.0)))
+    flat, _ = velocity_extension_map(n)
+    zero = np.ones(8 * N, dtype=bool)
+    zero[flat] = False
+    cells, slots = np.divmod(np.flatnonzero(zero), 8)
+    lam_inv = dst._lam_inv
+    got = precond._cosine_gram(lam_inv, cells, slots)
+    G = dst1_matrix(N, cells)
+    ref = np.empty_like(got)
+    for s in np.unique(slots):
+        for t in np.unique(slots):
+            rows, cols = np.ix_(slots == s, slots == t)
+            ref[rows, cols] = (G[slots == s] * lam_inv[:, s, t]) @ G[slots == t].T
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_tau_core_difference_structure():
@@ -338,6 +409,23 @@ def test_viscosity_scaling_is_local_average(setup8):
     d = viscosity_scaling(mesh, mu, system.stiffness)
     assert np.all(d >= mu.essinf - 1e-12)
     assert np.all(d <= mu.esssup + 1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_viscosity_scaling_without_a_second_assembly(monkeypatch, n):
+    # given A(mu), the scaling is bitwise the ratio of the assembled
+    # diagonals, with no stiffness assembled; without it, A(mu)'s diagonal
+    # comes from `stiffness_diagonal`, equal to the assembled one to rounding
+    mesh = build_mesh(n)
+    for mu in (viscosity_for_group(2), viscosity_for_group(3, 100.0),
+               ViscosityField.example1(1, 1e6, 0.1, 0)):
+        A = assemble_stiffness(mesh, mu)
+        ref = A.diagonal() / assemble_stiffness(mesh, ONE).diagonal()
+        with monkeypatch.context() as patch:
+            patch.setattr(precond, "assemble_stiffness", None)
+            assert np.array_equal(viscosity_scaling(mesh, mu, A), ref)
+            d = viscosity_scaling(mesh, mu)
+        assert np.abs(d - ref).max() <= 1e-15 * ref.max()
 
 
 def test_zero_distribution_of_residual_decreases():
