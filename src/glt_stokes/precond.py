@@ -183,16 +183,6 @@ _FFT_MIN_CELLS = 729
 # Stencil diagonal of the off-grid velocity DOFs in the tau core.
 OFF_GRID_DIAGONAL = 16.0 / 3.0
 
-# Smallest cell count N at which `TauDSTSolver` forms G^T c as (c^T G)^T,
-# streaming the rows of G, instead of by one product with G^T.  Past the
-# L2 cache the transposed product runs at a fraction of the bandwidth: the
-# two row-group products of a 1- and a 2-column back step, product with
-# G^T against (c^T G)^T, single-threaded BLAS, best of 7: n = 48
-# 0.077/0.092 against 0.131/0.160 ms; n = 64 0.30/0.55 against 0.29/0.38
-# ms; n = 128 6.8 against 3.2 ms (1 column).  At n <= 48, and at every n
-# for 16 columns, the product with G^T is as fast or faster.
-_ROWS_FIRST_MIN_CELLS = 4096
-
 # The slots of `TauDSTSolver`'s zero-filled slots Z at the top row of cells
 # and at their right column; slots 0, 1, 2 and 4 are filled at every cell.
 _TOP_SLOTS, _RIGHT_SLOTS = slice(6, 8), slice(3, 8, 2)
@@ -427,10 +417,7 @@ class TauDSTSolver:
         c = np.zeros((5 * n, k))
         np.matmul(self._X_ZZ_inv, Gw[:-1], out=c[:-1])
         for rows, slots, z, x in self._groups:
-            if N < _ROWS_FIRST_MIN_CELLS:
-                np.matmul(rows.T, c[z].reshape(n, -1), out=X[:, x].reshape(N, -1))
-            else:
-                X[:, x].reshape(N, -1).T[...] = c[z].reshape(n, -1).T @ rows
+            np.matmul(rows.T, c[z].reshape(n, -1), out=X[:, x].reshape(N, -1))
         W -= self._lam_inv_z @ X[:, :5]
         W = self._dst(W)
         out = W.reshape(8 * N, k).take(self._dof_rows, axis=0)
