@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
                        assemble_stiffness, viscosity_for_group)
 from .mesh import (StructuredMesh, build_mesh, reflection_permutations,
                    saddle_dimension)
-from .precond import (STRATEGIES, SPDSolver, build_saddle_preconditioner,
+from .precond import (SPDSolver, build_saddle_preconditioner,
                       env_blas_threads, fan_out, workers)
 from .solvers import gmres, minres
 from .spectra import (DEFAULT_GRID, mirror_class_sizes, pencil_class_sizes,
@@ -51,7 +51,6 @@ class ExperimentConfig:
     group: int = 1
     gamma: float | None = None
     case: str = "a"
-    strategy: str = "tau_block"
     tol: float = 1e-5
     restart: int = 20
     maxit: int = 1000
@@ -60,8 +59,8 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self, preconditioned: bool = True):
-        """Raise ValueError on a bad setting; the tau_block strategy needs
-        n >= 3 when the run builds its preconditioner."""
+        """Raise ValueError on a bad setting; a run that builds the
+        preconditioner needs n >= 3, where its tau core is defined."""
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.group not in GROUPS:
@@ -70,9 +69,7 @@ class ExperimentConfig:
             raise ValueError("group 3 requires --gamma")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if preconditioned and self.strategy == "tau_block" and self.n < 3:
+        if preconditioned and self.n < 3:
             raise ValueError(f"tau_block needs n >= 3, got n = {self.n}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
@@ -136,7 +133,10 @@ def group_label(cfg: ExperimentConfig):
     return f"3(gamma={gamma})"
 
 
-# columns of the `solve` command's CSV, in the order of `run_solve_cell`'s row
+# columns of the `solve` command's CSV, in the order of `run_solve_cell`'s row;
+# the strategy column reads `PRECONDITIONER`, or "none" for an
+# unpreconditioned run
+PRECONDITIONER = "tau_block"
 SOLVE_COLUMNS = ("group", "case", "n", "dim", "strategy", "iterations",
                  "final_residual", "converged", "seed", "wall_time_s")
 
@@ -145,12 +145,10 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     """One (group, case, n) PGMRES run; returns the results.csv row
     (the `SOLVE_COLUMNS`) plus the stop reason, the restart-cycle count
     and, when preconditioned, the build's phase timings, the velocity
-    path ("dst" for tau_block, "lu" for frozen_sparse), the velocity
     definiteness certificate `velocity_min_pivot` (the smallest squared
-    diagonal entry of the DST block Cholesky factors on the "dst" path, the
-    smallest LDL^T pivot on the "lu" path), the Schur complement's relative
-    symmetry defect, the thread count its panels were built with and the
-    threads an apply uses."""
+    diagonal entry of the DST block Cholesky factors), the Schur
+    complement's relative symmetry defect, the thread count its panels were
+    built with and the threads an apply uses."""
     cfg.validate(preconditioned)
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
@@ -163,10 +161,9 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
 
     build, apply = {}, None
     if preconditioned:
-        prec = build_saddle_preconditioner(mesh, mu, system, cfg.strategy)
+        prec = build_saddle_preconditioner(mesh, mu, system)
         apply = prec.apply
         build = {"phase_seconds": prec.phase_seconds,
-                 "velocity_path": prec.velocity_solver.method,
                  "velocity_min_pivot": prec.velocity_solver.min_pivot,
                  "schur_symmetry_defect": prec.schur_symmetry_defect,
                  "schur_workers": prec.schur_workers,
@@ -178,7 +175,7 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
         "case": cfg.case,
         "n": cfg.n,
         "dim": system.dimension,
-        "strategy": cfg.strategy if preconditioned else "none",
+        "strategy": PRECONDITIONER if preconditioned else "none",
         "iterations": stats.iterations,
         "final_residual": f"{stats.final_relative_residual:.6e}",
         "converged": stats.converged,
@@ -212,9 +209,8 @@ PUBLISHED_ITERATIONS = {
 
 # per-cell diagnostics of `run_solve_cell` that the table's JSON sidecar
 # keeps and its CSV body leaves out
-SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_path",
-                "velocity_min_pivot", "schur_symmetry_defect", "schur_workers",
-                "apply_workers")
+SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_min_pivot",
+                "schur_symmetry_defect", "schur_workers", "apply_workers")
 
 
 def run_group_table(configs: list[ExperimentConfig], out_path: Path,
@@ -237,7 +233,7 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
             row = {
                 "group": group_label(cfg), "case": cfg.case, "n": cfg.n,
                 "dim": saddle_dimension(cfg.n) if cfg.n >= 1 else "",
-                "strategy": cfg.strategy, "iterations": -1,
+                "strategy": PRECONDITIONER, "iterations": -1,
                 "final_residual": f"error: {exc}", "converged": False,
                 "seed": cfg.seed, "wall_time_s": "", "error": str(exc),
             }
@@ -305,8 +301,9 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
     reduces exactly to the pressure-size Schur pencil.  Next to the CSV,
     `<out>.json` holds one record per row: its mu1, delta and n, the
     seconds of the pencil (`wathen_condition_number`), the sizes of the
-    pencil's reflection classes (`pencil_class_sizes`), and the MINRES
-    seconds and stop reason.
+    pencil's reflection classes (`pencil_class_sizes`), the MINRES seconds
+    and stop reason, and `mass_min_pivot`, the smallest LDL^T pivot of the
+    preconditioner diag(A, A, W) (its definiteness certificate).
     """
     columns = ["mu0", "mu1", "w", "delta", "n", "dim", "lambda_max",
                "lambda_min_nonzero", "condition_number", "minres_iterations",
@@ -343,6 +340,7 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
                     "pencil_classes": pencil_class_sizes(system),
                     "minres_s": stats.wall_time,
                     "stop_reason": stats.stop_reason,
+                    "mass_min_pivot": psolve.min_pivot,
                 })
     header = [f"# glt-stokes {__version__}",
               "# strip-viscosity benchmark on uniform conforming meshes",
@@ -441,7 +439,6 @@ def _add_common(p):
     p.add_argument("--group", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--case", type=str, default=None)
-    p.add_argument("--strategy", type=str, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--restart", type=int, default=None)
     p.add_argument("--maxit", type=int, default=None)
@@ -450,18 +447,23 @@ def _add_common(p):
 
 
 def _config_from_args(args, preconditioned: bool = True) -> ExperimentConfig:
+    """The config of a `--config` JSON file, if any, overridden by the
+    options given; a file key that is not an `ExperimentConfig` field
+    raises ValueError naming it."""
+    names = [f.name for f in fields(ExperimentConfig)]
     base = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             base = json.load(fh)
+        unknown = sorted(set(base) - set(names))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config keys {unknown}; "
+                             f"known: {names}")
     cfg = ExperimentConfig(**base)
-    for key in ("n", "group", "gamma", "case", "strategy", "tol", "restart",
-                "maxit", "seed"):
+    for key in names:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "output_dir", None):
-        cfg.output_dir = args.output_dir
     return cfg.validate(preconditioned)
 
 
@@ -608,7 +610,7 @@ def main(argv=None) -> int:
         mu = cfg.viscosity()
         mesh = build_mesh(cfg.n)
         system = assemble_saddle(mesh, mu)
-        prec = build_saddle_preconditioner(mesh, mu, system, cfg.strategy)
+        prec = build_saddle_preconditioner(mesh, mu, system)
         PM = prec.apply(system.full_matrix().toarray())
         sv = np.sort(np.linalg.svd(PM, compute_uv=False))
         out = Path(cfg.output_dir) / args.out
@@ -652,7 +654,7 @@ def main(argv=None) -> int:
                    for case in cases for n in sizes]
         out = Path(cfg.output_dir) / args.out
         meta = {"groups": groups, "cases": cases, "sizes": sizes,
-                "gammas": gammas, "strategy": cfg.strategy, "tol": cfg.tol,
+                "gammas": gammas, "tol": cfg.tol,
                 "restart": cfg.restart, "maxit": cfg.maxit, "seed": cfg.seed}
         rows = run_group_table(configs, out, meta)
         print(f"wrote {out} with {len(rows)} cells")

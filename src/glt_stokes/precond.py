@@ -10,22 +10,23 @@ its Hankel corner stripes).  That is, every scalar 8x8 entry class is
 replaced by the tau approximation of its symmetrized flat band.  For
 n >= 3 (N > 2b, b = n + 1 the flat bandwidth) the DST-I in the cell index
 block-diagonalizes the sum into N positive definite 8x8 blocks; below
-that the corner stripes overlap, and the tau strategy rejects n <= 2.
+that the corner stripes overlap, and the builders reject n <= 2.
 The core is compressed to the true DOF set and scaled symmetrically by
 the nodal viscosity sampling D^{1/2} (.) D^{1/2}, where the sampling is
 the assembled-to-unit diagonal ratio (the per-node average of the
 adjacent element viscosities), so positive definiteness follows by
 congruence.
 
-Neither tau core commutes with the x <-> y mirror, while frozen_sparse
-does: the 8-DOF cell tiling the symbol is read over is not
-mirror-symmetric.  At n = 8, with Pi the mirror of the saddle DOFs (which
-commutes with K in all five viscosity groups), the largest entry of
-Pi P^{-1} K Pi - P^{-1} K is 0.095-0.23 of the largest of P^{-1} K for this
-core, about 1e-1 to 2e-1 for the two-level core tau_n (x) tau_n (x) M_8 (a
-probe, not in the package), and 2e-16 to 2e-15 for frozen_sparse.  So the
-singular values of P^{-1} K (acceptance criterion 8) cannot be split into
-mirror halves as the spectra of A and M are.
+The tau core does not commute with the x <-> y mirror, while the
+scaled unit-viscosity stiffness does: the 8-DOF cell tiling the symbol is
+read over is not mirror-symmetric.  At n = 8, with Pi the mirror of the
+saddle DOFs (which commutes with K in all five viscosity groups), the
+largest entry of Pi P^{-1} K Pi - P^{-1} K is 0.095-0.23 of the largest of
+P^{-1} K for this core, about 1e-1 to 2e-1 for the two-level core
+tau_n (x) tau_n (x) M_8, and 2e-16 to 2e-15 with the scaled stiffness as
+P_A (both probes, not in the package).  So the singular values of
+P^{-1} K (acceptance criterion 8) cannot be split into mirror halves as
+the spectra of A and M are.
 
 `TauDSTSolver` applies the inverse of that core without assembling it:
 it factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
@@ -65,15 +66,16 @@ one another.
 
 The panels are independent, and the sparse solves and products they make
 release the GIL.  A task takes PANEL // workers() columns, so as many
-columns are in flight as in the serial loop.  With `SPDSolver`
-(frozen_sparse) the result is bitwise that of the serial loop with
-OpenBLAS.  With `TauDSTSolver` it is bitwise that of a serial loop over
-panels of the same width, but the GEMMs of the sparse forward transform
-and of the capacitance step round differently with the width, so at
-n = 32 the Schur complement built on 2 workers differs from the serial
-one by up to 6e-17 (G1, G2, G3(100)); the acceptance printouts are the
-same on 1 and 2 workers.  The Schur complement is then
-symmetrized, deflated, factored and inverted in its one npres^2 array.
+columns are in flight as in the serial loop.  With `TauDSTSolver` the
+result is bitwise that of a serial loop over panels of the same width,
+but the GEMMs of the sparse forward transform and of the capacitance step
+round differently with the width, so at n = 32 the Schur complement built
+on 2 workers differs from the serial one by up to 6e-17 (G1, G2,
+G3(100)); the acceptance printouts are the same on 1 and 2 workers.  With
+`SPDSolver`, as in the class pencils of `spectra`, no column rounds with
+the width, and the result is bitwise that of the serial loop with
+OpenBLAS.  The Schur complement is then symmetrized, deflated, factored
+and inverted in its one npres^2 array.
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.
@@ -83,14 +85,14 @@ half does the same operations on the same arrays as in the serial order,
 so the result is bitwise the same.  The overlap needs `workers()` > 1 (so
 never with the default threaded BLAS, and never off the main thread) and
 at least OVERLAP_PRESSURE pressure unknowns, below which a round trip to
-the pool costs more than it saves.  A sweep of G2 applies at n = 16 to 32
-with single-threaded BLAS on 2 CPUs set that threshold: overlapping lost
-up to n = 18 (npres 685), was mixed at n = 20 and won from n = 22 (npres
-1013) on, reaching 3.2-4.1 -> 2.1-2.4 ms per apply at n = 32 (apply_workers
-1 against 2, DST velocity path).  The apply submits to the pool directly:
-through `fan_out` it was 0.13-0.46 ms (6-25 %) slower, bitwise equal (G2,
-n = 32, OPENBLAS_NUM_THREADS=1, medians of 300 applies in 3 alternating
-process pairs: 2.30-2.51 against 1.84-2.38 ms).
+the pool costs more than it saves.  A sweep of G2 and G3(100) applies at
+n = 8 to 32 with single-threaded BLAS on 2 CPUs places that threshold:
+overlapping lost at n <= 16, went either way at n = 18 to 22 (npres 685 to
+1013) and won from n = 24 (npres 1201) on, reaching 3.2-3.5 -> 2.0-2.1 ms
+per apply at n = 32 (apply_workers 1 against 2).  The apply submits to
+the pool directly: through `fan_out` it was 0.13-0.46 ms (6-25 %) slower,
+bitwise equal (G2, n = 32, OPENBLAS_NUM_THREADS=1, medians of 300 applies
+in 3 alternating process pairs: 2.30-2.51 against 1.84-2.38 ms).
 
 Every assembled sparse SPD block is factored one way, by `SPDSolver`:
 sparse LU under the symmetric minimum-degree ordering of A + A^T with
@@ -116,8 +118,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (SaddleSystem, ViscosityField, assemble_stiffness,
-                       stiffness_diagonal)
+from .assembly import SaddleSystem, ViscosityField, stiffness_diagonal
 from .glt_core import (dst1_matrix, tau_blocks, tau_from_symbol,
                        velocity_extension_map)
 from .mesh import StructuredMesh
@@ -138,16 +139,11 @@ __all__ = [
     "build_saddle_preconditioner",
     "tau_block_core",
     "viscosity_scaling",
-    "STRATEGIES",
 ]
 
-STRATEGIES = ("tau_block", "frozen_sparse")
-
-# Columns per block: `SPDSolver.solve` takes a wider right-hand side this
-# many columns at a time, and `schur_panels` hands this many sparse columns
-# of B_x^T and of B_y^T at a time to the velocity solves (PANEL // workers()
-# per task).  Both velocity solvers slow down per column as the block
-# widens.  G2 Schur panels at n = 32 on the DST path, medians of 3
+# Columns per block: `schur_panels` hands this many sparse columns of B_x^T
+# and of B_y^T at a time to the velocity solves (PANEL // workers() per
+# task).  Both solvers slow down per column as the block widens.  G2 Schur panels at n = 32 on the DST path, medians of 3
 # alternated trials, with PANEL = 8, 16, 32, 64, 128 and all 2113 pressure
 # columns: 1.62, 1.09, 0.97, 1.02, 1.20 and 1.68 s with single-threaded
 # BLAS and 2 workers; 1.42, 1.33, 1.30, 1.93, 2.24 and 2.71 s with two
@@ -158,15 +154,16 @@ PANEL = 32
 TILE = 256
 
 # Smallest pressure count at which an apply overlaps its two halves (see
-# `SaddlePreconditioner.apply`).  Serial against overlapped apply time, G2,
-# single-threaded BLAS on 2 CPUs, medians of 10 alternated trials: npres
-# 545 (n = 16) 0.52-0.72 ms against 0.61-0.79 ms, 685 (n = 18) 0.90 against
-# 0.99 ms, 841 (n = 20) 0.94-1.22 against 0.80-1.12 ms (won 3, 10 and 7 of
-# 10 trials in three sweeps), 1013 (n = 22) 1.34 against 1.00 ms, 1201
-# (n = 24) 1.60-1.87 against 1.27-1.36 ms, 1625 (n = 28) 2.85 against 1.99
-# ms (all these on the LU velocity path), 2113 (n = 32, DST velocity path)
-# 3.23-4.12 against 2.13-2.38 ms (three processes).  One round trip to the
-# pool costs about 0.05 ms, so small systems stay serial.
+# `SaddlePreconditioner.apply`).  Serial against overlapped one-column
+# applies (apply_workers 1 and 2 on one built preconditioner), G2 and
+# G3(100), single-threaded BLAS on 2 CPUs, medians of 400 applies per
+# process: npres 145 (n = 8) 0.07-0.11 against 0.10-0.21 ms and 545
+# (n = 16) 0.38-0.58 against 0.45-0.70 ms, serial in every reading; 685,
+# 841 and 1013 (n = 18, 20, 22) 0.56-1.52 against 0.63-1.51 ms, overlapped
+# in 4, 4 and 5 of 8 readings; 1201 (n = 24) 1.84-2.27 against 1.52-1.76 ms
+# and 2113 (n = 32) 3.17-3.54 against 1.96-2.11 ms, overlapped in every
+# reading (4 processes below n = 32, 2 at n = 8 and 32).  One round trip
+# to the pool costs about 0.05 ms, so small systems stay serial.
 OVERLAP_PRESSURE = 1000
 
 # Smallest cell count N = n^2 at which `TauDSTSolver` runs its DST-Is as
@@ -223,16 +220,12 @@ class SPDSolver:
     The factorization is LDL^T in the form of a symmetric-mode sparse LU;
     the matrix is rejected unless the LU needed no row interchange and
     every pivot is positive.  `min_pivot` is the smallest pivot, `size` the
-    order of the matrix; `phase_seconds` is filled by
-    `build_velocity_preconditioner`.
+    order of the matrix.
     """
-
-    method = "lu"
 
     def __init__(self, matrix: sp.spmatrix):
         self.matrix = matrix.tocsc()
         self.size = self.matrix.shape[0]
-        self.phase_seconds: dict = {}
         try:
             self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.0,
@@ -248,16 +241,10 @@ class SPDSolver:
                 f"not positive definite: pivot {self.min_pivot:.3e}")
 
     def solve(self, rhs) -> np.ndarray:
-        """P^{-1} rhs for a vector, or for a block PANEL columns at a time;
-        a sparse block is densified first."""
+        """P^{-1} rhs for a vector or a column block; a sparse block is
+        densified first."""
         rhs = rhs.toarray() if sp.issparse(rhs) else np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            return self._lu.solve(rhs)
-        out = np.empty_like(rhs)
-        for start in range(0, rhs.shape[1], PANEL):
-            panel = slice(start, start + PANEL)
-            out[:, panel] = self._lu.solve(rhs[:, panel])
-        return out
+        return self._lu.solve(rhs)
 
 
 class TauDSTSolver:
@@ -301,8 +288,6 @@ class TauDSTSolver:
     the block Cholesky factors, `size` the DOF count; `phase_seconds` is
     filled by `build_velocity_preconditioner`.
     """
-
-    method = "dst"
 
     def __init__(self, n: int, blocks: np.ndarray, scaling: np.ndarray):
         if n < 3:
@@ -465,39 +450,24 @@ def viscosity_scaling(mesh: StructuredMesh, mu: ViscosityField,
 
 
 def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
-                                  strategy: str = "tau_block",
-                                  stiffness: sp.spmatrix | None = None,
-                                  ) -> SPDSolver | TauDSTSolver:
+                                  *, stiffness: sp.spmatrix | None = None,
+                                  ) -> TauDSTSolver:
     """SPD approximation of the viscosity-weighted stiffness block, built
-    and factored.
-
-    tau_block: the compressed tau-block core under the symmetric nodal
+    and factored: the compressed tau-block core under the symmetric nodal
     viscosity scaling D^{1/2} core D^{1/2}, applied by `TauDSTSolver` from
-    its DST-I blocks (n >= 3).  frozen_sparse: unit-viscosity stiffness
-    under the same scaling (which is exact for constant fields), factored
-    by `SPDSolver`.  The solver's `method` reads "dst" or "lu".
+    its DST-I blocks (n >= 3).  `stiffness`, the assembled A(mu) when the
+    caller has it, supplies the scaling's diagonal.
 
     The solver's `phase_seconds` times the two phases of the build:
-    "velocity_core" (the scaling, from the stiffness diagonals, and the
-    core, or the DST blocks) and "velocity_factor" (the block factors, the
-    2n - 1 DST-I rows of G and X_ZZ^{-1} by cosine transforms, or the LU).
+    "velocity_core" (the scaling, from the stiffness diagonals, and the DST
+    blocks) and "velocity_factor" (the block factors, the 2n - 1 DST-I rows
+    of G and X_ZZ^{-1} by cosine transforms).
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
     t0 = time.perf_counter()
     d = viscosity_scaling(mesh, mu, stiffness)
-
-    if strategy == "tau_block":
-        blocks = tau_blocks(default_symbol_set().stiffness, mesh.n)
-        t1 = time.perf_counter()
-        solver = TauDSTSolver(mesh.n, blocks, d)
-    else:
-        core = assemble_stiffness(mesh, ViscosityField.constant())
-        D = sp.diags(np.sqrt(d))
-        P = (D @ core @ D).tocsc()
-        P = 0.5 * (P + P.T)
-        t1 = time.perf_counter()
-        solver = SPDSolver(P)
+    blocks = tau_blocks(default_symbol_set().stiffness, mesh.n)
+    t1 = time.perf_counter()
+    solver = TauDSTSolver(mesh.n, blocks, d)
     solver.phase_seconds = {"velocity_core": t1 - t0,
                             "velocity_factor": time.perf_counter() - t1}
     return solver
@@ -683,7 +653,7 @@ class SaddlePreconditioner:
     OVERLAP_PRESSURE), else 1.
     """
 
-    velocity_solver: SPDSolver | TauDSTSolver
+    velocity_solver: TauDSTSolver
     schur_inverse: np.ndarray = field(repr=False)
     schur_symmetry_defect: float = 0.0
     schur_workers: int = 1
@@ -740,11 +710,9 @@ class SaddlePreconditioner:
 
 
 def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
-                                system: SaddleSystem,
-                                strategy: str = "tau_block") -> SaddlePreconditioner:
+                                system: SaddleSystem) -> SaddlePreconditioner:
     """Assemble, factor and wire up the full saddle preconditioner."""
-    vel = build_velocity_preconditioner(mesh, mu, strategy,
-                                        stiffness=system.stiffness)
+    vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
     inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
     count = workers()

@@ -66,7 +66,7 @@ def solve_cell(group, gamma, case, n):
         mu = viscosity_for_group(group, gamma)
         mesh = build_mesh(n)
         system = assemble_saddle(mesh, mu)
-        prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+        prec = build_saddle_preconditioner(mesh, mu, system)
         ns = system.nullspace_vector()
         _SOLVE_CACHE[pkey] = (mesh, system, prec, ns / np.linalg.norm(ns))
     mesh, system, prec, nsu = _SOLVE_CACHE[pkey]
@@ -242,7 +242,7 @@ def test_criterion_8_preconditioner_clustering():
         for n in (4, 8, 16):
             mesh = build_mesh(n)
             system = assemble_saddle(mesh, mu)
-            prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+            prec = build_saddle_preconditioner(mesh, mu, system)
             PM = prec.apply(system.full_matrix().toarray())
             count, svd_used = _singular_values_within(PM, 0.5, 2.0)
             fractions.append(count / len(PM))

@@ -6,13 +6,15 @@ import threading
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from glt_stokes import cli, precond
+from glt_stokes.assembly import ViscosityField, assemble_saddle
 from glt_stokes.cli import (ExperimentConfig, emit_adherence_data,
                             example1_conformity, main, rhs_for_case,
                             run_group_table, run_solve_cell)
 from glt_stokes.mesh import build_mesh
-from glt_stokes.precond import workers
+from glt_stokes.precond import SPDSolver, workers
 
 
 def test_mesh_info_command(capsys, tmp_path):
@@ -110,8 +112,8 @@ def test_config_validation():
         ExperimentConfig(group=3).validate()  # gamma missing
     with pytest.raises(ValueError):
         ExperimentConfig(case="z").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(strategy="magic").validate()
+    with pytest.raises(TypeError):
+        ExperimentConfig(strategy="magic")
 
 
 @pytest.mark.parametrize("field,value", [("restart", 0), ("restart", -3),
@@ -217,7 +219,7 @@ def test_table_json_sidecar(tmp_path, monkeypatch):
         assert rec["cycles"] == row["cycles"] >= 1
         assert set(rec["phase_seconds"]) == {
             "velocity_core", "velocity_factor", "schur_panels", "inverse"}
-        assert rec["velocity_path"] == "dst"
+        assert "velocity_path" not in rec
         assert rec["velocity_min_pivot"] > 0
         assert 0.0 <= rec["schur_symmetry_defect"] <= 1e-10
         # a cell runs inline with one worker or on a pool thread, where
@@ -281,6 +283,15 @@ def test_example1_json_sidecar(tmp_path, capsys):
                                          "velocity": [32, 28, 28, 25]}
         assert rec["pencil_s"] > 0 and rec["minres_s"] >= 0
         assert rec["stop_reason"] == "converged"
+        # the definiteness certificate of the MINRES preconditioner
+        # diag(A, A, W): its smallest LDL^T pivot, at most its smallest
+        # diagonal entry
+        system = assemble_saddle(build_mesh(4), ViscosityField.example1(
+            1.0, rec["mu1"], 0.5, 0.0))
+        A, W = system.stiffness, system.pressure_mass
+        P = sp.block_diag([A, A, W]).tocsc()
+        assert rec["mass_min_pivot"] == SPDSolver(P).min_pivot
+        assert 0 < rec["mass_min_pivot"] <= P.diagonal().min()
 
 
 def test_emit_adherence_counts(tmp_path):
@@ -358,6 +369,24 @@ def test_solve_command_refuses_a_table_file(tmp_path, capsys):
     assert out.read_text() == before
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # every ExperimentConfig field is a config key, and a key that is not,
+    # such as the strategy of an older file, is named
+    from dataclasses import fields
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({f.name: getattr(ExperimentConfig(), f.name)
+                                    for f in fields(ExperimentConfig)}
+                                   | {"n": 3, "grid": [4, 4, 8, 8]}))
+    assert main(["solve", "--config", str(cfg_path),
+                 "--output-dir", str(tmp_path)]) == 0
+    for extra in ({"strategy": "frozen_sparse"}, {"velocity_path": "lu",
+                                                  "zeta": 1}):
+        cfg_path.write_text(json.dumps({"n": 3, **extra}))
+        with pytest.raises(ValueError, match=repr(sorted(extra))[1:-1]):
+            main(["solve", "--config", str(cfg_path),
+                  "--output-dir", str(tmp_path)])
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 3, "group": 1, "case": "a"}))
@@ -371,7 +400,7 @@ def test_config_file_and_override(tmp_path, capsys):
     assert row["cycles"] >= 1
     assert set(row["phase_seconds"]) == {"velocity_core", "velocity_factor",
                                          "schur_panels", "inverse"}
-    assert row["velocity_path"] == "dst"
+    assert "velocity_path" not in row
     assert row["velocity_min_pivot"] > 0
     assert 0.0 <= row["schur_symmetry_defect"] <= 1e-10
     assert row["schur_workers"] == workers()
@@ -421,13 +450,12 @@ def test_symbol_json_schema():
 
 
 def test_config_rejects_tau_below_three():
-    # the tau core needs n >= 3; a run that builds no preconditioner, or
-    # builds the frozen_sparse one, takes any n >= 1
+    # the tau core needs n >= 3, so every preconditioned run does; a run
+    # that builds no preconditioner takes any n >= 1
     for n in (1, 2):
         with pytest.raises(ValueError, match=f"n = {n}"):
             ExperimentConfig(n=n).validate()
         ExperimentConfig(n=n).validate(preconditioned=False)
-        ExperimentConfig(n=n, strategy="frozen_sparse").validate()
     ExperimentConfig(n=3).validate()
     row = run_solve_cell(ExperimentConfig(n=2), preconditioned=False)
     assert row["strategy"] == "none" and row["dim"] == 63

@@ -20,8 +20,8 @@ from glt_stokes.glt_core import (dst1_matrix, tau_blocks,
                                  velocity_extension_map,
                                  zero_distribution_fraction)
 from glt_stokes.mesh import build_mesh
-from glt_stokes import precond
-from glt_stokes.precond import (PANEL, STRATEGIES, TILE, SPDSolver,
+from glt_stokes import assembly, precond
+from glt_stokes.precond import (PANEL, TILE, SPDSolver,
                                 TauDSTSolver, build_saddle_preconditioner,
                                 build_schur, build_velocity_preconditioner,
                                 fan_out, schur_panels, symmetrize,
@@ -32,6 +32,10 @@ from glt_stokes.symbols import default_symbol_set
 ONE = ViscosityField.constant(1.0)
 # the largest n whose tau solver takes the dense DST-I matrix, not the FFT
 DENSE_DST_MAX_N = math.isqrt(precond._FFT_MIN_CELLS - 1)
+# the two velocity solvers the saddle machinery is checked with: the tau
+# core by `TauDSTSolver` (`build_velocity_preconditioner`), and `SPDSolver`
+# on the frozen-coefficient stiffness D^{1/2} A(1) D^{1/2} (`_frozen`)
+VELOCITY_SOLVERS = ("tau_block", "frozen_sparse")
 
 
 @pytest.fixture(scope="module")
@@ -42,22 +46,42 @@ def setup8():
     return mesh, mu, system
 
 
-def test_frozen_equals_stiffness_for_unit_viscosity():
-    mesh = build_mesh(4)
-    vel = build_velocity_preconditioner(mesh, ONE, "frozen_sparse")
-    A = assemble_stiffness(mesh, ONE)
-    assert abs(vel.matrix - A.tocsc()).max() < 1e-14
+def _frozen(mesh, mu, stiffness=None):
+    """`SPDSolver` on D^{1/2} A(1) D^{1/2}, the unit-viscosity stiffness
+    under the tau core's nodal viscosity scaling D, exact for a constant
+    field."""
+    D = sp.diags(np.sqrt(viscosity_scaling(mesh, mu, stiffness)))
+    P = (D @ assemble_stiffness(mesh, ONE) @ D).tocsc()
+    return SPDSolver(0.5 * (P + P.T))
+
+
+def _velocity_solver(solver, mesh, mu, stiffness=None):
+    """The velocity solver named `solver` in VELOCITY_SOLVERS."""
+    if solver == "tau_block":
+        return build_velocity_preconditioner(mesh, mu, stiffness=stiffness)
+    return _frozen(mesh, mu, stiffness)
+
+
+def _saddle(mesh, mu, system, solver):
+    """`build_saddle_preconditioner`, with its velocity solver and Schur
+    inverse replaced by those of `_frozen` for "frozen_sparse"."""
+    prec = build_saddle_preconditioner(mesh, mu, system)
+    if solver == "tau_block":
+        return prec
+    lu = _frozen(mesh, mu, system.stiffness)
+    inverse, _, _ = build_schur(system.div_x, system.div_y, lu.solve)
+    return dataclasses.replace(prec, velocity_solver=lu, schur_inverse=inverse)
 
 
 def test_constant_viscosity_scaling_invariance():
-    # P(mu = c) = c * P(mu = 1) for both strategies, and so are the solves
+    # P(mu = c) = c * P(mu = 1) for both velocity solvers, and so are the
+    # solves
     mesh = build_mesh(4)
     c = 3.7
     rhs = np.random.default_rng(1).standard_normal(mesh.velocity_count)
-    for strategy in STRATEGIES:
-        p1 = build_velocity_preconditioner(mesh, ONE, strategy)
-        pc = build_velocity_preconditioner(mesh, ViscosityField.constant(c),
-                                           strategy)
+    for solver in VELOCITY_SOLVERS:
+        p1 = _velocity_solver(solver, mesh, ONE)
+        pc = _velocity_solver(solver, mesh, ViscosityField.constant(c))
         diff = _assembled(pc, mesh, ViscosityField.constant(c)) \
             - c * _assembled(p1, mesh, ONE)
         assert abs(diff).max() < 1e-12
@@ -65,13 +89,13 @@ def test_constant_viscosity_scaling_invariance():
         assert np.abs(c * pc.solve(rhs) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("solver", VELOCITY_SOLVERS)
 @pytest.mark.parametrize("group,gamma", [(1, None), (2, None), (3, 1.0),
                                          (3, 10.0), (3, 100.0)])
-def test_velocity_preconditioner_spd(strategy, group, gamma):
+def test_velocity_preconditioner_spd(solver, group, gamma):
     mesh = build_mesh(4)
     mu = viscosity_for_group(group, gamma)
-    vel = build_velocity_preconditioner(mesh, mu, strategy)
+    vel = _velocity_solver(solver, mesh, mu)
     assert vel.min_pivot > 0
     w = np.linalg.eigvalsh(_assembled(vel, mesh, mu).toarray())
     assert w[0] > 0
@@ -97,8 +121,8 @@ def test_spd_solver_min_pivot(n):
     assert vel.min_pivot > 0
     rhs = np.ones(vel.matrix.shape[0])
     assert np.abs(vel.matrix @ vel.solve(rhs) - rhs).max() < 1e-10
-    # a block wider than one panel is solved panel by panel
-    block = np.random.default_rng(n).standard_normal((len(rhs), PANEL + 5))
+    # a block of many columns is solved as its columns are
+    block = np.random.default_rng(n).standard_normal((len(rhs), 37))
     cols = np.column_stack([vel.solve(c) for c in block.T])
     assert np.abs(vel.solve(block) - cols).max() <= 1e-14 * np.abs(cols).max()
 
@@ -148,14 +172,14 @@ def test_dst_solver_matches_lu(n, group, gamma):
 def test_velocity_path_follows_size():
     # tau_block is `TauDSTSolver` at every n >= 3, on the dense DST-I matrix
     # below _FFT_MIN_CELLS cells and on the FFT from it on, and matches the
-    # LU reference; n <= 2 raises; frozen_sparse is `SPDSolver`
+    # LU reference; n <= 2 raises
     import scipy.fft
 
     mu = viscosity_for_group(3, 100.0)
     for n in (3, DENSE_DST_MAX_N, DENSE_DST_MAX_N + 1, 32, 64):
         mesh = build_mesh(n)
         vel = build_velocity_preconditioner(mesh, mu)
-        assert isinstance(vel, TauDSTSolver) and vel.method == "dst"
+        assert isinstance(vel, TauDSTSolver)
         fft = getattr(vel._dst, "func", None) is scipy.fft.dst
         assert fft == (n * n >= precond._FFT_MIN_CELLS)
         assert vel.size == mesh.velocity_count
@@ -165,10 +189,6 @@ def test_velocity_path_follows_size():
     for n in (1, 2):
         with pytest.raises(ValueError, match=f"n = {n}"):
             build_velocity_preconditioner(build_mesh(n), mu)
-    frozen = build_velocity_preconditioner(build_mesh(32), ONE,
-                                           "frozen_sparse")
-    assert isinstance(frozen, SPDSolver) and frozen.method == "lu"
-    assert set(frozen.phase_seconds) == {"velocity_core", "velocity_factor"}
 
 
 def test_dense_dst_side_never_imports_scipy_fft():
@@ -210,7 +230,7 @@ def test_saddle_preconditioner_on_dst_path_keeps_lu_count():
     b = rhs_for_case("a", mesh, system.dimension)
     b -= ns * (ns @ b)
     prec = build_saddle_preconditioner(mesh, mu, system)
-    assert prec.velocity_solver.method == "dst"
+    assert isinstance(prec.velocity_solver, TauDSTSolver)
     lu = _lu_reference(mesh, mu)
     inverse, _, _ = build_schur(system.div_x, system.div_y, lu.solve)
     ref = dataclasses.replace(prec, velocity_solver=lu, schur_inverse=inverse)
@@ -239,10 +259,9 @@ def test_dst_solver_sparse_rhs_matches_dense(n, group, gamma):
 
 
 def test_spd_solver_sparse_panel_bitwise(setup8):
-    # wider than PANEL, so the dense copy is solved in two panels
+    # a sparse block wider than PANEL is solved as its dense copy
     mesh, mu, system = setup8
-    vel = build_velocity_preconditioner(mesh, mu, "frozen_sparse",
-                                        stiffness=system.stiffness)
+    vel = _frozen(mesh, mu, system.stiffness)
     panel = system.div_y.T.tocsc()[:, 3:PANEL + 10]
     assert np.array_equal(vel.solve(panel), vel.solve(panel.toarray()))
 
@@ -254,7 +273,7 @@ def test_dst_schur_matches_lu_reference(group, gamma):
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
     dst = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
-    assert dst.method == "dst"
+    assert isinstance(dst, TauDSTSolver)
     lu = _lu_reference(mesh, mu)
     S = schur_panels(system.div_x, system.div_y, dst.solve, dst.solve)
     ref = schur_panels(system.div_x, system.div_y, lu.solve, lu.solve)
@@ -392,13 +411,12 @@ def test_tau_core_difference_structure():
 
 
 def test_tau_and_frozen_agree_where_bands_are_symmetric():
-    # frozen_sparse reproduces the stiffness exactly for unit viscosity;
-    # the tau strategy deviates only on one-sided couplings and corner
-    # stripes, never on the diagonal
+    # for unit viscosity the tau core deviates from the stiffness only on
+    # one-sided couplings and corner stripes, never on the diagonal
     n = 8
     mesh = build_mesh(n)
-    tau = build_velocity_preconditioner(mesh, ONE, "tau_block")
-    frozen = build_velocity_preconditioner(mesh, ONE, "frozen_sparse")
+    tau = build_velocity_preconditioner(mesh, ONE)
+    frozen = _frozen(mesh, ONE)
     D = (_assembled(tau, mesh, ONE) - frozen.matrix).tocsr()
     assert np.abs(D.diagonal()).max() < 1e-13
     assert np.abs(D.data).max() <= 4.0 / 3.0 + 1e-12
@@ -422,7 +440,7 @@ def test_viscosity_scaling_without_a_second_assembly(monkeypatch, n):
         A = assemble_stiffness(mesh, mu)
         ref = A.diagonal() / assemble_stiffness(mesh, ONE).diagonal()
         with monkeypatch.context() as patch:
-            patch.setattr(precond, "assemble_stiffness", None)
+            patch.setattr(assembly, "assemble_stiffness", None)
             assert np.array_equal(viscosity_scaling(mesh, mu, A), ref)
             d = viscosity_scaling(mesh, mu)
         assert np.abs(d - ref).max() <= 1e-15 * ref.max()
@@ -435,7 +453,7 @@ def test_zero_distribution_of_residual_decreases():
     for n in (4, 8):
         mesh = build_mesh(n)
         A = assemble_stiffness(mesh, mu)
-        vel = build_velocity_preconditioner(mesh, mu, "tau_block")
+        vel = build_velocity_preconditioner(mesh, mu)
         R = (A - _assembled(vel, mesh, mu)).toarray()
         nrm = np.linalg.norm(A.toarray(), 2)
         fractions.append(zero_distribution_fraction(R, 0.1 * nrm))
@@ -446,8 +464,7 @@ def test_schur_properties():
     mesh = build_mesh(4)
     mu = ONE
     system = assemble_saddle(mesh, mu)
-    vel = build_velocity_preconditioner(mesh, mu, "tau_block",
-                                        stiffness=system.stiffness)
+    vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
     inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
     assert sym_defect <= 1e-10
@@ -483,7 +500,7 @@ def test_spd_inverse_reads_the_upper_triangle_and_names_the_matrix():
 def test_schur_smallest_system():
     mesh = build_mesh(1)
     system = assemble_saddle(mesh, ONE)
-    vel = build_velocity_preconditioner(mesh, ONE, "frozen_sparse")
+    vel = _frozen(mesh, ONE)
     schur = schur_panels(system.div_x, system.div_y, vel.solve, vel.solve)
     assert schur.shape == (5, 5)
     assert np.linalg.matrix_rank(schur, tol=1e-10) == 4
@@ -514,7 +531,7 @@ def test_exact_schur_infsup_interval():
 
 def test_apply_shape_check_and_linearity(setup8):
     mesh, mu, system = setup8
-    prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+    prec = build_saddle_preconditioner(mesh, mu, system)
     with pytest.raises(ValueError):
         prec.apply(np.ones(10))
     rng = np.random.default_rng(2)
@@ -536,27 +553,32 @@ def test_apply_shape_check_and_linearity(setup8):
 
 def test_apply_annihilates_constant_pressure(setup8):
     mesh, mu, system = setup8
-    prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+    prec = build_saddle_preconditioner(mesh, mu, system)
     out = prec.apply(system.nullspace_vector())
     assert np.abs(out).max() < 1e-12
 
 
 def test_unknown_strategy_rejected(setup8):
+    # the builders take no strategy: a name passed positionally fails at
+    # the call instead of reaching the viscosity scaling as `stiffness`
     mesh, mu, system = setup8
-    with pytest.raises(ValueError):
-        build_velocity_preconditioner(mesh, mu, "circulant")
+    for strategy in ("circulant", "frozen_sparse", "tau_block"):
+        with pytest.raises(TypeError):
+            build_velocity_preconditioner(mesh, mu, strategy)
+        with pytest.raises(TypeError):
+            build_saddle_preconditioner(mesh, mu, system, strategy)
 
 
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("solver", VELOCITY_SOLVERS)
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
 def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
-                                                              strategy, n):
+                                                              solver, n):
     # npres = 41 and 145: several panels, the last one partial
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
-    prec = build_saddle_preconditioner(mesh, mu, system, strategy)
+    prec = _saddle(mesh, mu, system, solver)
     nvel, npres = prec.velocity_count, system.pressure_count
     assert npres > PANEL and npres % PANEL != 0
 
@@ -673,8 +695,7 @@ def test_schur_panels_lu_bitwise_across_widths(monkeypatch, fresh_pool, group,
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
-    vel = build_velocity_preconditioner(mesh, mu, "frozen_sparse",
-                                        stiffness=system.stiffness)
+    vel = _frozen(mesh, mu, system.stiffness)
     serial = _panels_with(monkeypatch, 1, system, vel.solve)
     for count in (2, 8):
         assert np.array_equal(
@@ -795,7 +816,7 @@ class PressureFailure(RuntimeError):
     pass
 
 
-def _overlapped(monkeypatch, n, group=2, gamma=None, strategy="tau_block"):
+def _overlapped(monkeypatch, n, group=2, gamma=None, solver="tau_block"):
     """A preconditioner built with the overlap forced on, and the list of
     pools its applies submitted to."""
     _workers(monkeypatch, 2)
@@ -803,7 +824,7 @@ def _overlapped(monkeypatch, n, group=2, gamma=None, strategy="tau_block"):
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
-    prec = build_saddle_preconditioner(mesh, mu, system, strategy)
+    prec = _saddle(mesh, mu, system, solver)
     assert prec.apply_workers == 2
     submits = []
     pool = precond._pool
@@ -827,11 +848,11 @@ def test_apply_workers_follow_the_rule(monkeypatch, setup8):
 
 
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("solver", VELOCITY_SOLVERS)
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
 def test_overlapped_apply_bitwise(monkeypatch, fresh_pool, group, gamma,
-                                  strategy, n):
-    prec, system, submits = _overlapped(monkeypatch, n, group, gamma, strategy)
+                                  solver, n):
+    prec, system, submits = _overlapped(monkeypatch, n, group, gamma, solver)
     serial = dataclasses.replace(prec, apply_workers=1)
     rng = np.random.default_rng(n + group)
     for R in (rng.standard_normal(system.dimension),

@@ -102,7 +102,7 @@ def test_gmres_stops_on_preconditioned_residual():
     mesh = build_mesh(8)
     mu = viscosity_for_group(3, 100.0)
     system = assemble_saddle(mesh, mu)
-    prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+    prec = build_saddle_preconditioner(mesh, mu, system)
     b = rhs_for_case("b", mesh, system.dimension)
     ns = system.nullspace_vector()
     ns = ns / np.linalg.norm(ns)
@@ -131,7 +131,7 @@ from glt_stokes.solvers import gmres
 mesh = build_mesh(16)
 mu = viscosity_for_group(2)
 system = assemble_saddle(mesh, mu)
-prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+prec = build_saddle_preconditioner(mesh, mu, system)
 ns = system.nullspace_vector()
 ns = ns / np.linalg.norm(ns)
 b = rhs_for_case("c", mesh, system.dimension, seed=42)
@@ -242,7 +242,7 @@ def test_preconditioned_saddle_solve_small():
     mesh = build_mesh(4)
     mu = viscosity_for_group(3, 10.0)
     system = assemble_saddle(mesh, mu)
-    prec = build_saddle_preconditioner(mesh, mu, system, "tau_block")
+    prec = build_saddle_preconditioner(mesh, mu, system)
     M = system.full_matrix()
     ns = system.nullspace_vector()
     ns = ns / np.linalg.norm(ns)
