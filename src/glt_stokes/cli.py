@@ -58,9 +58,8 @@ class ExperimentConfig:
     grid: tuple = DEFAULT_GRID
     output_dir: str = "."
 
-    def validate(self, preconditioned: bool = True):
-        """Raise ValueError on a bad setting; a run that builds the
-        preconditioner needs n >= 3, where its tau core is defined."""
+    def validate(self):
+        """Raise ValueError on a bad setting."""
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.group not in GROUPS:
@@ -69,8 +68,6 @@ class ExperimentConfig:
             raise ValueError("group 3 requires --gamma")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
-        if preconditioned and self.n < 3:
-            raise ValueError(f"tau_block needs n >= 3, got n = {self.n}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.restart < 1:
@@ -149,7 +146,7 @@ def run_solve_cell(cfg: ExperimentConfig, preconditioned: bool = True) -> dict:
     diagonal entry of the DST block Cholesky factors), the Schur
     complement's relative symmetry defect, the thread count its panels were
     built with and the threads an apply uses."""
-    cfg.validate(preconditioned)
+    cfg.validate()
     mu = cfg.viscosity()
     mesh = build_mesh(cfg.n)
     system = assemble_saddle(mesh, mu)
@@ -251,9 +248,7 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
 
     # wall time is volatile and stays out of table bodies so identical
     # configs reproduce the file byte for byte
-    columns = ["group", "case", "n", "dim", "strategy", "iterations",
-               "final_residual", "converged", "seed",
-               "published", "iterations_per_n"]
+    columns = [*SOLVE_COLUMNS[:-1], "published", "iterations_per_n"]
     header = [f"# glt-stokes {__version__}",
               f"# table of {len(configs)} PGMRES cells"]
     if meta:
@@ -405,7 +400,7 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
     M), the sizes of the dense blocks the matrix spectrum was solved in
     (`target_spectrum`), and the `workers()` count they ran with.
     """
-    cfg.validate(preconditioned=False)
+    cfg.validate()
     t0 = time.perf_counter()
     values, classes, sampler, grid = target_spectrum(
         target, build_mesh(cfg.n), cfg.viscosity(), cfg.grid)
@@ -446,7 +441,7 @@ def _add_common(p):
     p.add_argument("--output-dir", type=str, default=None)
 
 
-def _config_from_args(args, preconditioned: bool = True) -> ExperimentConfig:
+def _config_from_args(args) -> ExperimentConfig:
     """The config of a `--config` JSON file, if any, overridden by the
     options given; a file key that is not an `ExperimentConfig` field
     raises ValueError naming it."""
@@ -464,7 +459,7 @@ def _config_from_args(args, preconditioned: bool = True) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    return cfg.validate(preconditioned)
+    return cfg.validate()
 
 
 def main(argv=None) -> int:
@@ -551,7 +546,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "assemble":
-        cfg = _config_from_args(args, preconditioned=False)
+        cfg = _config_from_args(args)
         system = assemble_saddle(build_mesh(cfg.n), cfg.viscosity())
         prefix = Path(args.export)
         prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -589,7 +584,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command in ("spectrum", "compare"):
-        cfg = _config_from_args(args, preconditioned=False)
+        cfg = _config_from_args(args)
         out = Path(cfg.output_dir) / args.out
         if args.command == "spectrum":
             vals = target_spectrum(args.target, build_mesh(cfg.n),
@@ -612,7 +607,7 @@ def main(argv=None) -> int:
         system = assemble_saddle(mesh, mu)
         prec = build_saddle_preconditioner(mesh, mu, system)
         PM = prec.apply(system.full_matrix().toarray())
-        sv = np.sort(np.linalg.svd(PM, compute_uv=False))
+        sv = singular_values(PM)
         out = Path(cfg.output_dir) / args.out
         inside = np.mean((sv >= 0.5) & (sv <= 2.0))
         _write_csv(out, cfg.header_lines() +
@@ -623,7 +618,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "solve":
-        cfg = _config_from_args(args, not args.unpreconditioned)
+        cfg = _config_from_args(args)
         out = Path(cfg.output_dir) / args.out
         new = not out.exists()
         columns = ",".join(SOLVE_COLUMNS)

@@ -21,14 +21,12 @@ from .mesh import velocity_lattice
 __all__ = [
     "BlockSymbol",
     "toeplitz_from_symbol",
-    "corner_stripes",
     "tau_approx",
     "tau_from_symbol",
     "tau_blocks",
     "tau_eigenvalues",
     "dst1_matrix",
     "block_toeplitz_defect",
-    "zero_distribution_fraction",
     "velocity_slot_assignment",
     "velocity_extension_map",
     "extend_to_block_toeplitz",
@@ -115,11 +113,6 @@ class BlockSymbol:
             for r, c in zip(*np.nonzero(m)):
                 out[:, r, c] += phase * m[r, c]
         return out
-
-    def conj_transpose(self) -> "BlockSymbol":
-        coeffs = {tuple(-x for x in k): m.T for k, m in self.coeffs.items()}
-        return BlockSymbol(self.s2, self.s1, self.levels, coeffs,
-                           hermitian=self.hermitian)
 
     def map_entries(self, fn) -> "BlockSymbol":
         """New symbol with fn applied to every rational coefficient; it
@@ -365,17 +358,6 @@ def block_toeplitz_defect(A, sym: BlockSymbol, n, tol: float = 1e-12) -> int:
     row_idx = np.repeat(np.arange(D.shape[0]), rows_nnz)
     np.maximum.at(row_max, row_idx, mags)
     return int(np.count_nonzero(row_max > tol))
-
-
-def zero_distribution_fraction(M, eps: float) -> float:
-    """Fraction of singular values exceeding eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    dense = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-    sv = np.linalg.svd(dense, compute_uv=False)
-    if len(sv) == 0:
-        return 0.0
-    return float(np.count_nonzero(sv > eps)) / len(sv)
 
 
 # ---------------------------------------------------------------------------

@@ -437,13 +437,13 @@ def _cosine_gram(lam_inv: np.ndarray, cells: np.ndarray,
 def viscosity_scaling(mesh: StructuredMesh, mu: ViscosityField,
                       stiffness: sp.spmatrix | None = None) -> np.ndarray:
     """Nodal viscosity samples d with d_i = (A(mu))_ii / (A(1))_ii, the
-    average of the viscosity over the elements meeting node i.
+    average of the viscosity over the elements meeting node i, for every
+    field; at unit viscosity the two diagonals are the same numbers and d
+    is exactly one.
 
     Both diagonals come from `stiffness_diagonal`, without assembling a
     matrix, except that (A(mu))_ii is read off `stiffness` when it is given.
     """
-    if mu.kind == "constant":
-        return np.full(mesh.velocity_count, mu.essinf)
     a_mu = (stiffness.diagonal() if stiffness is not None
             else stiffness_diagonal(mesh, mu))
     return a_mu / stiffness_diagonal(mesh, ViscosityField.constant())

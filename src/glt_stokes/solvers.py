@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-__all__ = ["SolveStats", "gmres", "minres", "as_operator"]
+__all__ = ["SolveStats", "gmres", "minres"]
 
 
 @dataclass

@@ -90,6 +90,7 @@ from .symbols import saddle_symbol
 __all__ = [
     "symmetric_eigenvalues",
     "singular_values",
+    "zero_distribution_fraction",
     "sample_symbol",
     "sample_saddle_symbol",
     "solved_frequency_count",
@@ -101,7 +102,6 @@ __all__ = [
     "mirror_class_sizes",
     "wathen_condition_number",
     "DEFAULT_GRID",
-    "DENSE_LIMIT",
 ]
 
 # 18^4 ~ 1.05e5 symbol evaluation points
@@ -332,6 +332,14 @@ def singular_values(R) -> np.ndarray:
     if min(A.shape) > DENSE_LIMIT:
         raise ValueError(f"dense SVD refused beyond {DENSE_LIMIT}")
     return np.sort(np.linalg.svd(A, compute_uv=False))
+
+
+def zero_distribution_fraction(M, eps: float) -> float:
+    """Fraction of the `singular_values` of M exceeding eps."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    sv = singular_values(M)
+    return float(np.count_nonzero(sv > eps)) / len(sv) if len(sv) else 0.0
 
 
 def _two_column_singular_values(F: np.ndarray) -> np.ndarray:

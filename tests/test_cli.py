@@ -182,13 +182,13 @@ def test_table_reproducible(tmp_path):
 def test_table_records_invalid_cells(tmp_path):
     # a group-3 config without gamma, and one with n = 0, whose failed-row
     # labels once raised inside the handler and aborted the table, and a
-    # tau cell at n = 2, refused before any work
+    # tau cell at n = 2, refused by the tau solver's builder
     cfgs = [ExperimentConfig(n=2, group=3, case="a"), ExperimentConfig(n=0),
             ExperimentConfig(n=2)]
     messages = []
     for cfg in cfgs:
         with pytest.raises(ValueError) as info:
-            cfg.validate()
+            run_solve_cell(cfg)
         messages.append(str(info.value))
     out = tmp_path / "results.csv"
     rows = run_group_table(cfgs, out)
@@ -449,13 +449,19 @@ def test_symbol_json_schema():
     assert all(v == 0.0 for row in entry["im"] for v in row)
 
 
-def test_config_rejects_tau_below_three():
-    # the tau core needs n >= 3, so every preconditioned run does; a run
-    # that builds no preconditioner takes any n >= 1
+def test_config_rejects_tau_below_three(tmp_path, capsys):
+    # the tau core needs n >= 3: the velocity builder rejects a
+    # preconditioned run below it, naming n; the config takes any n >= 1,
+    # so a run that builds no preconditioner works at n = 2, and so does a
+    # table whose cells all lie at n >= 3 whatever -n says
     for n in (1, 2):
+        ExperimentConfig(n=n).validate()
         with pytest.raises(ValueError, match=f"n = {n}"):
-            ExperimentConfig(n=n).validate()
-        ExperimentConfig(n=n).validate(preconditioned=False)
-    ExperimentConfig(n=3).validate()
+            run_solve_cell(ExperimentConfig(n=n))
     row = run_solve_cell(ExperimentConfig(n=2), preconditioned=False)
     assert row["strategy"] == "none" and row["dim"] == 63
+    assert main(["table", "-n", "2", "--groups", "1", "--cases", "a",
+                 "--sizes", "3", "--output-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "results.csv").read_text().splitlines()
+    assert len(rows) == 5 and rows[-1].startswith("1,a,3,147,tau_block,")
+    assert rows[-1].split(",")[7] == "True"

@@ -12,9 +12,9 @@ from glt_stokes.glt_core import (BlockSymbol, block_toeplitz_defect,
                                  tau_approx, tau_blocks, tau_eigenvalues,
                                  tau_from_symbol, toeplitz_from_symbol,
                                  velocity_extension_map,
-                                 velocity_slot_assignment,
-                                 zero_distribution_fraction)
+                                 velocity_slot_assignment)
 from glt_stokes.mesh import build_mesh
+from glt_stokes.spectra import zero_distribution_fraction
 from glt_stokes.symbols import default_symbol_set
 
 

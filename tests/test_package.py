@@ -24,6 +24,33 @@ def test_all_names_resolve(module):
     assert [name for name in names if not hasattr(module, name)] == []
 
 
+@functools.cache
+def _identifiers(path):
+    """Every name a Python file uses: its names, attributes and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_all_names_used_elsewhere(module):
+    # a public name nothing outside its module uses is a helper to delete
+    # or to make module-internal
+    root = BENCH.parent
+    used = set().union(*(
+        _identifiers(path) for folder in ("src", "tests", "bench")
+        for path in (root / folder).rglob("*.py")
+        if path.resolve() != Path(module.__file__).resolve()))
+    assert [name for name in getattr(module, "__all__", [])
+            if name not in used] == []
+
+
 def _load_bench_module(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}",
                                                   BENCH / f"{name}.py")

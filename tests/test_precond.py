@@ -16,9 +16,7 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
 from glt_stokes.cli import rhs_for_case
-from glt_stokes.glt_core import (dst1_matrix, tau_blocks,
-                                 velocity_extension_map,
-                                 zero_distribution_fraction)
+from glt_stokes.glt_core import dst1_matrix, tau_blocks, velocity_extension_map
 from glt_stokes.mesh import build_mesh
 from glt_stokes import assembly, precond
 from glt_stokes.precond import (PANEL, TILE, SPDSolver,
@@ -27,15 +25,12 @@ from glt_stokes.precond import (PANEL, TILE, SPDSolver,
                                 fan_out, schur_panels, symmetrize,
                                 tau_block_core, viscosity_scaling, workers)
 from glt_stokes.solvers import gmres
+from glt_stokes.spectra import zero_distribution_fraction
 from glt_stokes.symbols import default_symbol_set
 
 ONE = ViscosityField.constant(1.0)
 # the largest n whose tau solver takes the dense DST-I matrix, not the FFT
 DENSE_DST_MAX_N = math.isqrt(precond._FFT_MIN_CELLS - 1)
-# the two velocity solvers the saddle machinery is checked with: the tau
-# core by `TauDSTSolver` (`build_velocity_preconditioner`), and `SPDSolver`
-# on the frozen-coefficient stiffness D^{1/2} A(1) D^{1/2} (`_frozen`)
-VELOCITY_SOLVERS = ("tau_block", "frozen_sparse")
 
 
 @pytest.fixture(scope="module")
@@ -49,55 +44,34 @@ def setup8():
 def _frozen(mesh, mu, stiffness=None):
     """`SPDSolver` on D^{1/2} A(1) D^{1/2}, the unit-viscosity stiffness
     under the tau core's nodal viscosity scaling D, exact for a constant
-    field."""
+    field: an SPD velocity solve at every n, n = 1 and 2 included."""
     D = sp.diags(np.sqrt(viscosity_scaling(mesh, mu, stiffness)))
     P = (D @ assemble_stiffness(mesh, ONE) @ D).tocsc()
     return SPDSolver(0.5 * (P + P.T))
 
 
-def _velocity_solver(solver, mesh, mu, stiffness=None):
-    """The velocity solver named `solver` in VELOCITY_SOLVERS."""
-    if solver == "tau_block":
-        return build_velocity_preconditioner(mesh, mu, stiffness=stiffness)
-    return _frozen(mesh, mu, stiffness)
-
-
-def _saddle(mesh, mu, system, solver):
-    """`build_saddle_preconditioner`, with its velocity solver and Schur
-    inverse replaced by those of `_frozen` for "frozen_sparse"."""
-    prec = build_saddle_preconditioner(mesh, mu, system)
-    if solver == "tau_block":
-        return prec
-    lu = _frozen(mesh, mu, system.stiffness)
-    inverse, _, _ = build_schur(system.div_x, system.div_y, lu.solve)
-    return dataclasses.replace(prec, velocity_solver=lu, schur_inverse=inverse)
-
-
 def test_constant_viscosity_scaling_invariance():
-    # P(mu = c) = c * P(mu = 1) for both velocity solvers, and so are the
-    # solves
+    # P(mu = c) = c * P(mu = 1), and so are the solves
     mesh = build_mesh(4)
     c = 3.7
     rhs = np.random.default_rng(1).standard_normal(mesh.velocity_count)
-    for solver in VELOCITY_SOLVERS:
-        p1 = _velocity_solver(solver, mesh, ONE)
-        pc = _velocity_solver(solver, mesh, ViscosityField.constant(c))
-        diff = _assembled(pc, mesh, ViscosityField.constant(c)) \
-            - c * _assembled(p1, mesh, ONE)
-        assert abs(diff).max() < 1e-12
-        ref = p1.solve(rhs)
-        assert np.abs(c * pc.solve(rhs) - ref).max() <= 1e-14 * np.abs(ref).max()
+    p1 = build_velocity_preconditioner(mesh, ONE)
+    pc = build_velocity_preconditioner(mesh, ViscosityField.constant(c))
+    diff = _lu_reference(mesh, ViscosityField.constant(c)).matrix \
+        - c * _lu_reference(mesh, ONE).matrix
+    assert abs(diff).max() < 1e-12
+    ref = p1.solve(rhs)
+    assert np.abs(c * pc.solve(rhs) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("solver", VELOCITY_SOLVERS)
 @pytest.mark.parametrize("group,gamma", [(1, None), (2, None), (3, 1.0),
                                          (3, 10.0), (3, 100.0)])
-def test_velocity_preconditioner_spd(solver, group, gamma):
+def test_velocity_preconditioner_spd(group, gamma):
     mesh = build_mesh(4)
     mu = viscosity_for_group(group, gamma)
-    vel = _velocity_solver(solver, mesh, mu)
+    vel = build_velocity_preconditioner(mesh, mu)
     assert vel.min_pivot > 0
-    w = np.linalg.eigvalsh(_assembled(vel, mesh, mu).toarray())
+    w = np.linalg.eigvalsh(_lu_reference(mesh, mu).matrix.toarray())
     assert w[0] > 0
 
 
@@ -137,14 +111,6 @@ def _lu_reference(mesh, mu):
     D = sp.diags(np.sqrt(viscosity_scaling(mesh, mu)))
     P = (D @ tau_block_core(mesh.n, mesh.velocity_count) @ D).tocsc()
     return SPDSolver(0.5 * (P + P.T))
-
-
-def _assembled(solver, mesh, mu):
-    """The matrix a velocity solver inverts: its own for `SPDSolver`, that
-    of the LU reference for `TauDSTSolver`."""
-    if isinstance(solver, SPDSolver):
-        return solver.matrix
-    return _lu_reference(mesh, mu).matrix
 
 
 def _assert_same_solves(dst, lu, seed):
@@ -415,9 +381,8 @@ def test_tau_and_frozen_agree_where_bands_are_symmetric():
     # one-sided couplings and corner stripes, never on the diagonal
     n = 8
     mesh = build_mesh(n)
-    tau = build_velocity_preconditioner(mesh, ONE)
     frozen = _frozen(mesh, ONE)
-    D = (_assembled(tau, mesh, ONE) - frozen.matrix).tocsr()
+    D = (_lu_reference(mesh, ONE).matrix - frozen.matrix).tocsr()
     assert np.abs(D.diagonal()).max() < 1e-13
     assert np.abs(D.data).max() <= 4.0 / 3.0 + 1e-12
 
@@ -433,9 +398,10 @@ def test_viscosity_scaling_is_local_average(setup8):
 def test_viscosity_scaling_without_a_second_assembly(monkeypatch, n):
     # given A(mu), the scaling is bitwise the ratio of the assembled
     # diagonals, with no stiffness assembled; without it, A(mu)'s diagonal
-    # comes from `stiffness_diagonal`, equal to the assembled one to rounding
+    # comes from `stiffness_diagonal`, equal to the assembled one to rounding.
+    # The unit field takes the same formula and gets exactly one everywhere
     mesh = build_mesh(n)
-    for mu in (viscosity_for_group(2), viscosity_for_group(3, 100.0),
+    for mu in (ONE, viscosity_for_group(2), viscosity_for_group(3, 100.0),
                ViscosityField.example1(1, 1e6, 0.1, 0)):
         A = assemble_stiffness(mesh, mu)
         ref = A.diagonal() / assemble_stiffness(mesh, ONE).diagonal()
@@ -444,6 +410,9 @@ def test_viscosity_scaling_without_a_second_assembly(monkeypatch, n):
             assert np.array_equal(viscosity_scaling(mesh, mu, A), ref)
             d = viscosity_scaling(mesh, mu)
         assert np.abs(d - ref).max() <= 1e-15 * ref.max()
+        if mu is ONE:
+            ones = np.ones(mesh.velocity_count)
+            assert np.array_equal(ref, ones) and np.array_equal(d, ones)
 
 
 def test_zero_distribution_of_residual_decreases():
@@ -453,8 +422,7 @@ def test_zero_distribution_of_residual_decreases():
     for n in (4, 8):
         mesh = build_mesh(n)
         A = assemble_stiffness(mesh, mu)
-        vel = build_velocity_preconditioner(mesh, mu)
-        R = (A - _assembled(vel, mesh, mu)).toarray()
+        R = (A - _lu_reference(mesh, mu).matrix).toarray()
         nrm = np.linalg.norm(A.toarray(), 2)
         fractions.append(zero_distribution_fraction(R, 0.1 * nrm))
     assert fractions[1] <= fractions[0]
@@ -570,19 +538,17 @@ def test_unknown_strategy_rejected(setup8):
 
 
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("solver", VELOCITY_SOLVERS)
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
-def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma,
-                                                              solver, n):
+def test_schur_panels_and_inverse_apply_match_dense_reference(group, gamma, n):
     # npres = 41 and 145: several panels, the last one partial
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
-    prec = _saddle(mesh, mu, system, solver)
+    prec = build_saddle_preconditioner(mesh, mu, system)
     nvel, npres = prec.velocity_count, system.pressure_count
     assert npres > PANEL and npres % PANEL != 0
 
-    P = _assembled(prec.velocity_solver, mesh, mu).toarray()
+    P = _lu_reference(mesh, mu).matrix.toarray()
     Bx, By = system.div_x.toarray(), system.div_y.toarray()
     S = Bx @ np.linalg.solve(P, Bx.T) + By @ np.linalg.solve(P, By.T)
     solve = prec.velocity_solver.solve
@@ -816,7 +782,7 @@ class PressureFailure(RuntimeError):
     pass
 
 
-def _overlapped(monkeypatch, n, group=2, gamma=None, solver="tau_block"):
+def _overlapped(monkeypatch, n, group=2, gamma=None):
     """A preconditioner built with the overlap forced on, and the list of
     pools its applies submitted to."""
     _workers(monkeypatch, 2)
@@ -824,7 +790,7 @@ def _overlapped(monkeypatch, n, group=2, gamma=None, solver="tau_block"):
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
-    prec = _saddle(mesh, mu, system, solver)
+    prec = build_saddle_preconditioner(mesh, mu, system)
     assert prec.apply_workers == 2
     submits = []
     pool = precond._pool
@@ -848,11 +814,9 @@ def test_apply_workers_follow_the_rule(monkeypatch, setup8):
 
 
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("solver", VELOCITY_SOLVERS)
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
-def test_overlapped_apply_bitwise(monkeypatch, fresh_pool, group, gamma,
-                                  solver, n):
-    prec, system, submits = _overlapped(monkeypatch, n, group, gamma, solver)
+def test_overlapped_apply_bitwise(monkeypatch, fresh_pool, group, gamma, n):
+    prec, system, submits = _overlapped(monkeypatch, n, group, gamma)
     serial = dataclasses.replace(prec, apply_workers=1)
     rng = np.random.default_rng(n + group)
     for R in (rng.standard_normal(system.dimension),
