@@ -16,6 +16,7 @@ and a file whose first line is not that column line is refused.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -87,13 +88,17 @@ class ExperimentConfig:
 
 
 def _write_csv(path: Path, header_lines, columns, rows):
+    """The `#` header lines as they are, then the columns and the rows as
+    CSV; each value is written as its str(), quoted only when it holds a
+    comma, a quote or a line break (an error text), so numeric rows read
+    as before."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(v) for v in row] for row in rows)
 
 
 def _write_sidecar(out_path: Path, payload) -> None:

@@ -49,6 +49,12 @@ built in panels of pressure columns and deflated on the constant-pressure
 kernel; its Cholesky factor is turned into the dense inverse once, so an
 apply is a matrix product rather than two triangular solves.  The same
 in-place inverse (`_spd_inverse`) serves the X_ZZ block of `TauDSTSolver`.
+The product with one residual is BLAS dsymv on the upper triangle of the
+inverse (`_symmetric_product`), half the bytes of a full product; a block
+of residuals keeps the full matrix product.  dsymv is called through
+ctypes on scipy's Cython BLAS table, which releases the GIL
+(`scipy.linalg.blas.dsymv` holds it); `cython_routine` loads it, and the
+LAPACK eigensolvers of `spectra`, from the same tables.
 
 Every thread decision of the package follows one rule, `workers()`: the
 CPUs this process may use divided by the BLAS threads the environment asks
@@ -86,13 +92,16 @@ so the result is bitwise the same.  The overlap needs `workers()` > 1 (so
 never with the default threaded BLAS, and never off the main thread) and
 at least OVERLAP_PRESSURE pressure unknowns, below which a round trip to
 the pool costs more than it saves.  A sweep of G2 and G3(100) applies at
-n = 8 to 32 with single-threaded BLAS on 2 CPUs places that threshold:
-overlapping lost at n <= 16, went either way at n = 18 to 22 (npres 685 to
-1013) and won from n = 24 (npres 1201) on, reaching 3.2-3.5 -> 2.0-2.1 ms
-per apply at n = 32 (apply_workers 1 against 2).  The apply submits to
-the pool directly: through `fan_out` it was 0.13-0.46 ms (6-25 %) slower,
-bitwise equal (G2, n = 32, OPENBLAS_NUM_THREADS=1, medians of 300 applies
-in 3 alternating process pairs: 2.30-2.51 against 1.84-2.38 ms).
+n = 16 to 32 with single-threaded BLAS on 2 CPUs places that threshold:
+overlapping lost at n <= 16, lost more often than it won at n = 20, went
+either way at n = 22 and 24 (npres 1013 and 1201) and won from n = 26
+(npres 1405) on, reaching 1.8-2.6 -> 1.1-1.8 ms per apply at n = 32
+(apply_workers 1 against 2; 3.1-3.4 -> 1.8-1.9 ms with the full product of
+before).  The one-column product alone takes 0.85-0.99 ms at n = 32
+against 1.57-1.76 ms for the full `matmul`.  The apply submits to the pool
+directly: through `fan_out` it was 0.13-0.46 ms (6-25 %) slower, bitwise
+equal (G2, n = 32, OPENBLAS_NUM_THREADS=1, full product, medians of 300
+applies in 3 alternating process pairs: 2.30-2.51 against 1.84-2.38 ms).
 
 Every assembled sparse SPD block is factored one way, by `SPDSolver`:
 sparse LU under the symmetric minimum-degree ordering of A + A^T with
@@ -105,6 +114,7 @@ core the same way through the Cholesky factors of its blocks.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import threading
@@ -117,6 +127,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_blas, cython_lapack
 
 from .assembly import SaddleSystem, ViscosityField, stiffness_diagonal
 from .glt_core import (dst1_matrix, tau_blocks, tau_from_symbol,
@@ -139,6 +150,7 @@ __all__ = [
     "build_saddle_preconditioner",
     "tau_block_core",
     "viscosity_scaling",
+    "cython_routine",
 ]
 
 # Columns per block: `schur_panels` hands this many sparse columns of B_x^T
@@ -155,15 +167,16 @@ TILE = 256
 
 # Smallest pressure count at which an apply overlaps its two halves (see
 # `SaddlePreconditioner.apply`).  Serial against overlapped one-column
-# applies (apply_workers 1 and 2 on one built preconditioner), G2 and
-# G3(100), single-threaded BLAS on 2 CPUs, medians of 400 applies per
-# process: npres 145 (n = 8) 0.07-0.11 against 0.10-0.21 ms and 545
-# (n = 16) 0.38-0.58 against 0.45-0.70 ms, serial in every reading; 685,
-# 841 and 1013 (n = 18, 20, 22) 0.56-1.52 against 0.63-1.51 ms, overlapped
-# in 4, 4 and 5 of 8 readings; 1201 (n = 24) 1.84-2.27 against 1.52-1.76 ms
-# and 2113 (n = 32) 3.17-3.54 against 1.96-2.11 ms, overlapped in every
-# reading (4 processes below n = 32, 2 at n = 8 and 32).  One round trip
-# to the pool costs about 0.05 ms, so small systems stay serial.
+# applies (apply_workers 1 and 2 on one built preconditioner, the pressure
+# half by `_symmetric_product`), G2 and G3(100), single-threaded BLAS on 2
+# CPUs, medians of 400 applies per process: npres 545 (n = 16) 0.33-0.57
+# against 0.40-0.63 ms, serial in every reading; 841 (n = 20) 0.73-1.12
+# against 0.78-1.31 ms, overlapped in 3 of 10 readings; 1013 and 1201
+# (n = 22, 24) 0.99-1.84 against 1.07-1.99 ms, overlapped in 4 of 6 and 5
+# of 10; 1405, 1625 and 2113 (n = 26, 28, 32) 1.78-2.73 against 1.11-2.33
+# ms, overlapped in every reading (6, 6 and 8).  Below npres 1000 the
+# serial order wins on average, above it the overlap; one round trip to
+# the pool costs about 0.05 ms, so small systems stay serial.
 OVERLAP_PRESSURE = 1000
 
 # Smallest cell count N = n^2 at which `TauDSTSolver` runs its DST-Is as
@@ -617,6 +630,71 @@ def _spd_inverse(S: np.ndarray, label: str) -> np.ndarray:
     return inv
 
 
+@functools.cache
+def cython_routine(name: str, nargs: int):
+    """BLAS or LAPACK routine `name` from scipy's Cython tables
+    (`scipy.linalg.cython_blas`, else `scipy.linalg.cython_lapack`), as a
+    ctypes function taking its `nargs` arguments as pointers.
+
+    A ctypes CFUNCTYPE call releases the GIL while the routine runs.  The
+    routine's signature must take `nargs` arguments, else RuntimeError is
+    raised here, when it is loaded, rather than a call passing the wrong
+    count.
+    """
+    table = cython_blas if name in cython_blas.__pyx_capi__ else cython_lapack
+    capsule = table.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule)           # "void (char *, int *, ...)"
+    count = signature.count(b",") + 1
+    if count != nargs:
+        raise RuntimeError(f"scipy's {name} takes {count} arguments, not "
+                           f"{nargs}: {signature.decode()}")
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(
+        get_pointer(capsule, signature))
+
+
+# the scalar arguments of `_symmetric_product`'s dsymv call
+_ONE, _ZERO, _UNIT = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int(1)
+
+
+def _symmetric_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for the symmetric matrix held in the upper triangle of a, read
+    from that triangle only, by BLAS dsymv: half the bytes of a full
+    product.
+
+    a must be a square C-contiguous float64 array and x a contiguous float64
+    vector of its length; anything else raises ValueError and is never
+    copied.  a's memory read in Fortran order is a^T, whose lower triangle
+    is a's upper one.  The call releases the GIL.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.ndim == 2 and a.shape[0] == a.shape[1]
+            and a.flags.c_contiguous):
+        raise ValueError("the symmetric product needs a square C-contiguous "
+                         f"float64 matrix, got "
+                         f"{getattr(a, 'shape', type(a).__name__)}")
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.shape == (len(a),) and x.flags.c_contiguous):
+        raise ValueError(f"the symmetric product needs a contiguous float64 "
+                         f"vector of length {len(a)}, got "
+                         f"{getattr(x, 'shape', type(x).__name__)}")
+    # zeroed, so that a BLAS that scales y by beta = 0 instead of
+    # overwriting it cannot carry a NaN of fresh memory into the result
+    y = np.zeros(len(a))
+    n, lead = ctypes.c_int(len(a)), ctypes.c_int(max(1, len(a)))
+    # bare addresses, half the call overhead of passing `.ctypes` itself;
+    # the arrays outlive the call
+    cython_routine("dsymv", 10)(
+        b"L", ctypes.byref(n), ctypes.byref(_ONE), a.ctypes.data,
+        ctypes.byref(lead), x.ctypes.data, ctypes.byref(_UNIT),
+        ctypes.byref(_ZERO), y.ctypes.data, ctypes.byref(_UNIT))
+    return y
+
+
 def build_schur(div_x: sp.spmatrix, div_y: sp.spmatrix, pa_solve: Callable):
     """Inverse of the deflated explicit Schur complement
     B P_A^{-1} B^T + 1/npres, built from `schur_panels` in its one
@@ -669,7 +747,10 @@ class SaddlePreconditioner:
         them; both velocity components go through one solve, and the
         pressure part is projected off the constant direction and
         multiplied by the deflated inverse, so it annihilates that
-        direction.
+        direction.  One residual (k = 1) is multiplied by
+        `_symmetric_product`, which reads the upper triangle only; a block
+        by the full matrix product, so a column of a block apply equals the
+        apply of that column to rounding.
 
         With `apply_workers` == 2 and `workers()` > 1 (so on the main
         thread), the pressure half runs on the module's pool while this
@@ -695,7 +776,12 @@ class SaddlePreconditioner:
 
         def pressure_half():
             rp = R[2 * nvel:]
-            out[2 * nvel:] = self.schur_inverse @ (rp - rp.sum(axis=0) / npres)
+            rp = rp - rp.sum(axis=0) / npres
+            if k == 1:
+                out[2 * nvel:, 0] = _symmetric_product(self.schur_inverse,
+                                                       rp[:, 0])
+            else:
+                out[2 * nvel:] = self.schur_inverse @ rp
 
         if self.apply_workers > 1 and workers() > 1:
             pressure = _pool().submit(pressure_half)

@@ -90,9 +90,10 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
     total = 0
     cycles = 0
     breakdown = False
+    # at the zero start the residual is b and its preconditioned form z0:
+    # the first pass reuses both instead of a matvec and an apply
+    r, z = b, z0
     while True:
-        r = b - matvec(x)
-        z = pinv(r)
         beta = np.linalg.norm(z)
         rel = beta / bnorm
         history.append(rel)
@@ -136,6 +137,8 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
                 break
         y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used])
         x = x + V[:k_used].T @ y
+        r = b - matvec(x)
+        z = pinv(r)
 
     converged = rel <= tol
     stop_reason = ("breakdown" if breakdown else

@@ -33,8 +33,9 @@ of the full-size one.
 
 Every dense symmetric eigensolve (a mirror half, a pencil class) calls
 LAPACK dsyevd or dsygvd itself, through ctypes on scipy's Cython LAPACK
-table, in place on a Fortran-ordered block (`_eigensolve`): no copy of the
-block is made, and the call releases the GIL.  The two mirror halves go
+table (`precond.cython_routine`, the loader the Schur product shares), in
+place on a Fortran-ordered block (`_eigensolve`): no copy of the block is
+made, and the call releases the GIL.  The two mirror halves go
 through `precond.fan_out`.  When BLAS leaves a CPU idle (`workers()` > 1)
 the calling thread forms both blocks and their work arrays, and the two
 solves run at once on the pool.  The pool threads only run LAPACK:
@@ -79,12 +80,12 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cython_lapack
 
 from .assembly import ViscosityField
 from .glt_core import BlockSymbol
 from .mesh import reflection_permutations
-from .precond import SPDSolver, fan_out, schur_panels, symmetrize
+from .precond import (SPDSolver, cython_routine, fan_out, schur_panels,
+                      symmetrize)
 from .symbols import saddle_symbol
 
 __all__ = [
@@ -194,23 +195,6 @@ def _release_free_heap() -> None:
         trim(0)
 
 
-@functools.cache
-def _lapack(name: str):
-    """LAPACK routine `name` from scipy's Cython table
-    (`scipy.linalg.cython_lapack`), taking every argument as a pointer.
-
-    A ctypes CFUNCTYPE call releases the GIL while the routine runs."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(
-        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    signature = get_name(capsule)           # "void (char *, int *, ...)"
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (
-        signature.count(b",") + 1))(get_pointer(capsule, signature))
-
-
 def _eigensolve(a: np.ndarray, b: np.ndarray | None = None):
     """A call that returns the eigenvalues, ascending, of the symmetric a,
     or of the pencil (a, b) with b symmetric positive definite.
@@ -231,8 +215,8 @@ def _eigensolve(a: np.ndarray, b: np.ndarray | None = None):
                 and m.flags.f_contiguous):
             raise ValueError("eigensolve needs square float64 Fortran-ordered "
                              f"arrays of one size, got {getattr(m, 'shape', m)}")
-    name = "dsyevd" if b is None else "dsygvd"
-    routine = _lapack(name)
+    name, nargs = ("dsyevd", 11) if b is None else ("dsygvd", 14)
+    routine = cython_routine(name, nargs)
     n, lead, info = (ctypes.c_int(len(a)), ctypes.c_int(max(1, len(a))),
                      ctypes.c_int())
     w = np.empty(len(a))

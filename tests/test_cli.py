@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -200,6 +201,23 @@ def test_table_records_invalid_cells(tmp_path):
                for row in rows)
     records = json.loads((tmp_path / "results.csv.json").read_text())
     assert [r["error"] for r in records] == messages
+
+
+def test_failed_cell_row_reads_back_as_one_row(tmp_path):
+    # the n = 2 cell's error text holds a comma; the row is quoted so a
+    # CSV reader sees the header's 11 fields, and the n = 3 row is unquoted
+    assert main(["table", "--sizes", "2,3", "--groups", "1", "--cases", "a",
+                 "--output-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "results.csv").read_text()
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    header, failed, solved = csv.reader(lines)
+    assert len(header) == 11 and len(failed) == 11 and len(solved) == 11
+    row = dict(zip(header, failed))
+    assert (row["n"], row["iterations"], row["converged"]) == ("2", "-1", "False")
+    assert row["final_residual"] == ("error: the DST-I tau solver needs "
+                                     "n >= 3, got n = 2")
+    assert '"' not in lines[2] and lines[2] == ",".join(solved)
+    assert dict(zip(header, solved))["converged"] == "True"
 
 
 def test_table_json_sidecar(tmp_path, monkeypatch):

@@ -526,6 +526,57 @@ def test_apply_annihilates_constant_pressure(setup8):
     assert np.abs(out).max() < 1e-12
 
 
+def test_one_column_apply_matches_block_column(setup8):
+    # a one-column pressure half reads the upper triangle of the Schur
+    # inverse (dsymv), a block the whole array (matmul): the same to rounding
+    prec = build_saddle_preconditioner(*setup8)
+    nvel = prec.velocity_count
+    R = np.random.default_rng(5).standard_normal((setup8[2].dimension, 3))
+    block = prec.apply(R)
+    scale = np.abs(block).max()
+    for j in range(3):
+        column = prec.apply(R[:, j])
+        assert np.abs(column - block[:, j]).max() <= 1e-14 * scale
+        rp = R[2 * nvel:, j] - R[2 * nvel:, j].sum() / len(prec.schur_inverse)
+        assert np.array_equal(column[2 * nvel:],
+                              precond._symmetric_product(prec.schur_inverse, rp))
+
+
+def test_symmetric_product_reads_the_upper_triangle(setup8):
+    inverse = build_saddle_preconditioner(*setup8).schur_inverse
+    x = np.random.default_rng(6).standard_normal(len(inverse))
+    ref = inverse @ x
+    got = precond._symmetric_product(inverse, x)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    upper = inverse.copy()
+    upper[np.tril_indices(len(upper), -1)] = np.nan
+    kept = upper.copy(), x.copy()
+    assert np.array_equal(precond._symmetric_product(upper, x), got)
+    assert np.array_equal(upper, kept[0], equal_nan=True)
+    assert np.array_equal(x, kept[1])
+    # what it would have to copy is rejected instead
+    wide = np.zeros((len(x), 2 * len(x)))
+    for a, v in [(inverse[:, :-1], x), (inverse[:-1], x),
+                 (inverse.astype(np.float32), x), (inverse.tolist(), x),
+                 (np.asfortranarray(inverse), x), (wide[:, ::2], x),
+                 (inverse, x[:-1]), (inverse, x.astype(np.float32)),
+                 (inverse, x.reshape(-1, 1)), (inverse, np.repeat(x, 2)[::2]),
+                 (inverse, list(x))]:
+        with pytest.raises(ValueError):
+            precond._symmetric_product(a, v)
+
+
+def test_cython_routines_resolve():
+    # the routines the package calls, with the argument counts it passes:
+    # a SciPy whose tables differ fails here rather than in a run
+    for name, nargs in [("dsyevd", 11), ("dsygvd", 14), ("dsymv", 10)]:
+        assert callable(precond.cython_routine(name, nargs))
+    with pytest.raises(RuntimeError, match="dsymv takes 10 arguments"):
+        precond.cython_routine("dsymv", 9)
+    with pytest.raises(KeyError):
+        precond.cython_routine("no_such_routine", 1)
+
+
 def test_unknown_strategy_rejected(setup8):
     # the builders take no strategy: a name passed positionally fails at
     # the call instead of reaching the viscosity scaling as `stiffness`
@@ -845,17 +896,9 @@ def test_overlapped_apply_under_fast_switching(monkeypatch, fresh_pool):
                for i, got in enumerate(results))
 
 
-class FailingInverse:
-    """Stands in for the Schur inverse; its product raises."""
-
-    def __init__(self, inverse):
-        self.inverse = inverse
-
-    def __len__(self):
-        return len(self.inverse)
-
-    def __matmul__(self, other):
-        raise PressureFailure("pressure half")
+def failing_product(a, x):
+    """Stands in for the one-column Schur product; it raises."""
+    raise PressureFailure("pressure half")
 
 
 def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch,
@@ -863,11 +906,11 @@ def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch,
     prec, system, submits = _overlapped(monkeypatch, 4)
     r = np.random.default_rng(3).standard_normal(system.dimension)
     expected = dataclasses.replace(prec, apply_workers=1).apply(r)
-    inverse = prec.schur_inverse
-    prec.schur_inverse = FailingInverse(inverse)
+    product = precond._symmetric_product
+    monkeypatch.setattr(precond, "_symmetric_product", failing_product)
     with pytest.raises(PressureFailure, match="pressure half"):
         prec.apply(r)
-    prec.schur_inverse = inverse
+    monkeypatch.setattr(precond, "_symmetric_product", product)
     assert np.array_equal(prec.apply(r), expected)
     assert len(submits) == 2
 

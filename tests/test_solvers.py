@@ -77,6 +77,39 @@ def test_gmres_nonconvergence_reported():
     assert (st.stop_reason, st.cycles) == ("maxit", 3)
 
 
+@pytest.mark.parametrize("restart,maxit,tol", [(5, 12, 1e-14), (5, 400, 1e-9),
+                                               (20, 400, 1e-9), (5, 0, 1e-9)])
+def test_gmres_applies_once_per_step_and_cycle(restart, maxit, tol):
+    # the residual at the zero start is b itself: one apply for b, one per
+    # Arnoldi step and one per cycle end, and one matvec per step and per
+    # cycle end; reusing b leaves it as it was, so a solve on copies of the
+    # inputs gives the same history and solution
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((80, 80)) + 6 * np.eye(80)
+    d = 1.0 / np.abs(np.diag(A))
+    b = rng.standard_normal(80)
+    b0 = b.copy()
+    calls = {"matvec": 0, "apply": 0}
+
+    def matvec(v):
+        calls["matvec"] += 1
+        return A @ v
+
+    def apply(v):
+        calls["apply"] += 1
+        return d * v
+
+    st = gmres(matvec, b, apply, restart=restart, tol=tol, maxit=maxit)
+    assert calls == {"matvec": st.iterations + st.cycles,
+                     "apply": st.iterations + st.cycles + 1}
+    assert maxit == 0 or st.cycles >= 1
+    assert np.array_equal(b, b0)
+    ref = gmres(A.copy(), b0, sp.diags(d), restart=restart, tol=tol,
+                maxit=maxit)
+    assert ref.residual_history == st.residual_history
+    assert np.array_equal(ref.solution, st.solution)
+
+
 @pytest.mark.parametrize("restart,maxit", [(0, 10), (-1, 10), (20, -1)])
 def test_gmres_rejects_bad_restart_and_maxit(restart, maxit):
     # a cycle of restart 0 takes no step, so the step count never reaches
