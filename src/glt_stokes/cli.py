@@ -433,23 +433,20 @@ def emit_adherence_data(target: str, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p):
+def _add_config(p, *names):
+    """--config and an option for each `ExperimentConfig` field in `names`,
+    of the type of the field's default (gamma, None by default, a float)."""
     p.add_argument("--config", type=str, help="JSON config file")
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--group", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--case", type=str, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--restart", type=int, default=None)
-    p.add_argument("--maxit", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output-dir", type=str, default=None)
+    for name in names:
+        flag = "-n" if name == "n" else "--" + name.replace("_", "-")
+        p.add_argument(flag, type=float if name == "gamma"
+                       else type(getattr(ExperimentConfig, name)))
 
 
 def _config_from_args(args) -> ExperimentConfig:
     """The config of a `--config` JSON file, if any, overridden by the
-    options given; a file key that is not an `ExperimentConfig` field
-    raises ValueError naming it."""
+    options given, not yet validated; a file key that is not an
+    `ExperimentConfig` field raises ValueError naming it."""
     names = [f.name for f in fields(ExperimentConfig)]
     base = {}
     if getattr(args, "config", None):
@@ -464,7 +461,7 @@ def _config_from_args(args) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    return cfg.validate()
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -480,7 +477,7 @@ def main(argv=None) -> int:
     p.add_argument("--dump", type=str, help="write plain-text mesh dump here")
 
     p = sub.add_parser("assemble", help="assemble and export Matrix Market")
-    _add_common(p)
+    _add_config(p, "n", "group", "gamma")
     p.add_argument("--export", type=str, required=True,
                    help="output path prefix for .mtx files")
 
@@ -496,29 +493,31 @@ def main(argv=None) -> int:
                    help="emit the full coefficient tables as JSON")
 
     p = sub.add_parser("spectrum", help="dense spectrum of one block")
-    _add_common(p)
+    _add_config(p, "n", "group", "gamma", "output_dir")
     p.add_argument("--target", type=str, default="A",
                    choices=["A", "Bx", "By", "M"])
     p.add_argument("--out", type=str, default="spectrum.csv")
 
     p = sub.add_parser("compare", help="spectrum vs symbol adherence CSV")
-    _add_common(p)
+    _add_config(p, "n", "group", "gamma", "output_dir")
     p.add_argument("--target", type=str, default="A",
                    choices=["A", "Bx", "By", "M"])
     p.add_argument("--out", type=str, default="compare.csv")
 
     p = sub.add_parser("precond-spectrum",
                        help="singular values of the preconditioned system")
-    _add_common(p)
+    _add_config(p, "n", "group", "gamma", "output_dir")
     p.add_argument("--out", type=str, default="precond_spectrum.csv")
 
     p = sub.add_parser("solve", help="one preconditioned solve")
-    _add_common(p)
+    _add_config(p, "n", "group", "gamma", "case", "tol", "restart", "maxit",
+                "seed", "output_dir")
     p.add_argument("--unpreconditioned", action="store_true")
     p.add_argument("--out", type=str, default="results.csv")
 
-    p = sub.add_parser("table", help="full iteration table")
-    _add_common(p)
+    # no abbreviations: --group, --case or --gamma would read as a list
+    p = sub.add_parser("table", help="full iteration table", allow_abbrev=False)
+    _add_config(p, "tol", "restart", "maxit", "seed", "output_dir")
     p.add_argument("--groups", type=str, default="1,2,3")
     p.add_argument("--cases", type=str, default="a,b,c")
     p.add_argument("--sizes", type=str, default="8,16,32")
@@ -551,7 +550,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "assemble":
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args).validate()
         system = assemble_saddle(build_mesh(cfg.n), cfg.viscosity())
         prefix = Path(args.export)
         prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -589,7 +588,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command in ("spectrum", "compare"):
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args).validate()
         out = Path(cfg.output_dir) / args.out
         if args.command == "spectrum":
             vals = target_spectrum(args.target, build_mesh(cfg.n),
@@ -604,7 +603,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "precond-spectrum":
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args).validate()
         if cfg.n > 16:
             raise SystemExit("precond-spectrum computes densely; use n <= 16")
         mu = cfg.viscosity()
@@ -623,7 +622,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "solve":
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args).validate()
         out = Path(cfg.output_dir) / args.out
         new = not out.exists()
         columns = ",".join(SOLVE_COLUMNS)
@@ -648,7 +647,7 @@ def main(argv=None) -> int:
         cases = args.cases.split(",")
         sizes = [int(s) for s in args.sizes.split(",")]
         gammas = [float(g) for g in args.gammas.split(",")]
-        configs = [replace(cfg, n=n, group=g, gamma=gamma, case=case)
+        configs = [replace(cfg, n=n, group=g, gamma=gamma, case=case).validate()
                    for g in groups
                    for gamma in (gammas if g == 3 else [None])
                    for case in cases for n in sizes]

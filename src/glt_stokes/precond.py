@@ -71,17 +71,16 @@ so fan-outs never nest on the shared pool and cannot deadlock waiting for
 one another.
 
 The panels are independent, and the sparse solves and products they make
-release the GIL.  A task takes PANEL // workers() columns, so as many
-columns are in flight as in the serial loop.  With `TauDSTSolver` the
-result is bitwise that of a serial loop over panels of the same width,
-but the GEMMs of the sparse forward transform and of the capacitance step
-round differently with the width, so at n = 32 the Schur complement built
-on 2 workers differs from the serial one by up to 6e-17 (G1, G2,
-G3(100)); the acceptance printouts are the same on 1 and 2 workers.  With
-`SPDSolver`, as in the class pencils of `spectra`, no column rounds with
-the width, and the result is bitwise that of the serial loop with
-OpenBLAS.  The Schur complement is then symmetrized, deflated, factored
-and inverted in its one npres^2 array.
+release the GIL.  Every task takes PANEL columns (the last one the rest),
+whatever `workers()` reads: the GEMMs of `TauDSTSolver` round with the
+block width, and at a fixed width each panel goes through the same
+operations on any thread, so the Schur complement comes out bitwise the
+same on any worker count.  It is then symmetrized, deflated, factored and
+inverted in its one npres^2 array.  Under the default BLAS (one worker)
+the G2 n = 32 `build_saddle_preconditioner` takes 1.42-1.69 s, against
+2.23-2.72 s when one worker took 32-column tasks (10 alternating process
+pairs, medians of 3 builds; 0.97-1.15 s with single-threaded BLAS and 2
+workers).
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.
@@ -153,14 +152,14 @@ __all__ = [
     "cython_routine",
 ]
 
-# Columns per block: `schur_panels` hands this many sparse columns of B_x^T
-# and of B_y^T at a time to the velocity solves (PANEL // workers() per
-# task).  Both solvers slow down per column as the block widens.  G2 Schur panels at n = 32 on the DST path, medians of 3
-# alternated trials, with PANEL = 8, 16, 32, 64, 128 and all 2113 pressure
-# columns: 1.62, 1.09, 0.97, 1.02, 1.20 and 1.68 s with single-threaded
-# BLAS and 2 workers; 1.42, 1.33, 1.30, 1.93, 2.24 and 2.71 s with two
-# OpenBLAS threads and 1.
-PANEL = 32
+# Columns per task: `schur_panels` hands this many sparse columns of B_x^T
+# and of B_y^T at a time to the velocity solves, on any worker count.  Both
+# solvers slow down per column as the block widens.  The panel phase of G2 at
+# n = 32, widths 8, 16 and 32, medians of 3 builds in each of 3 processes on
+# 2 CPUs: 1.29-1.34, 1.21-1.28 and 2.07-2.22 s under the default BLAS (two
+# OpenBLAS threads, one worker); 0.75-0.99, 0.69-0.81 and 0.87-1.10 s with
+# single-threaded BLAS and 2 workers.
+PANEL = 16
 
 # Square tiles of the in-place passes over a dense npres x npres array.
 TILE = 256
@@ -566,20 +565,19 @@ def schur_panels(div_x: sp.spmatrix, div_y: sp.spmatrix,
     velocity spaces; each takes its panel of B^T columns sparse, and
     `SPDSolver` densifies it while `TauDSTSolver` transforms it by the
     DST-I rows at its cells.  B^T is never densified whole.  The panels,
-    PANEL // workers() columns each, go through `fan_out`; each writes its
-    own columns of S.
+    PANEL columns each, go through `fan_out`; each writes its own columns
+    of S, which are bitwise the same on any worker count.
     """
     npres = div_x.shape[0]
     bx_t, by_t = div_x.T.tocsc(), div_y.T.tocsc()
     S = np.empty((npres, npres))
-    width = max(1, PANEL // workers())
 
     def fill(start: int):
-        panel = slice(start, start + width)
+        panel = slice(start, start + PANEL)
         S[:, panel] = (div_x @ pa_solve_x(bx_t[:, panel])
                        + div_y @ pa_solve_y(by_t[:, panel]))
 
-    fan_out(fill, range(0, npres, width))
+    fan_out(fill, range(0, npres, PANEL))
     return S
 
 
@@ -726,21 +724,25 @@ class SaddlePreconditioner:
     `schur_workers` is the thread count its panels were built with, and
     `phase_seconds` times the build: "velocity_core" and "velocity_factor"
     (see `build_velocity_preconditioner`), "schur_panels" and "inverse".
-    `apply_workers` is 2 when an apply on the main thread overlaps its two
-    halves (`workers()` > 1 at build time and npres at least
-    OVERLAP_PRESSURE), else 1.
     """
 
     velocity_solver: TauDSTSolver
     schur_inverse: np.ndarray = field(repr=False)
     schur_symmetry_defect: float = 0.0
     schur_workers: int = 1
-    apply_workers: int = 1
     phase_seconds: dict = field(default_factory=dict)
 
     @property
     def velocity_count(self) -> int:
         return self.velocity_solver.size
+
+    @property
+    def apply_workers(self) -> int:
+        """2 when an apply from this thread overlaps its two halves
+        (`workers()` > 1, so on the main thread, and npres at least
+        OVERLAP_PRESSURE), else 1."""
+        return 2 if (workers() > 1 and len(self.schur_inverse)
+                     >= OVERLAP_PRESSURE) else 1
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Blockwise inverse of a (dim,) residual or a (dim, k) block of
@@ -752,13 +754,13 @@ class SaddlePreconditioner:
         by the full matrix product, so a column of a block apply equals the
         apply of that column to rounding.
 
-        With `apply_workers` == 2 and `workers()` > 1 (so on the main
-        thread), the pressure half runs on the module's pool while this
-        thread does the velocity solve; each half writes its own rows of the
-        result, which is bitwise that of the serial order.  An exception
-        in either half reaches the caller once both are done.  Below
-        OVERLAP_PRESSURE (set from the sweep in the module docstring) and
-        with the default threaded BLAS the halves run in turn.
+        With `apply_workers` == 2, the pressure half runs on the module's
+        pool while this thread does the velocity solve; each half writes
+        its own rows of the result, which is bitwise that of the serial
+        order.  An exception in either half reaches the caller once both
+        are done.  Below OVERLAP_PRESSURE (set from the sweep in the module
+        docstring), with the default threaded BLAS and off the main thread
+        the halves run in turn.
         """
         nvel = self.velocity_count
         npres = len(self.schur_inverse)
@@ -783,7 +785,7 @@ class SaddlePreconditioner:
             else:
                 out[2 * nvel:] = self.schur_inverse @ rp
 
-        if self.apply_workers > 1 and workers() > 1:
+        if self.apply_workers > 1:
             pressure = _pool().submit(pressure_half)
             try:
                 velocity_half()
@@ -801,10 +803,7 @@ def build_saddle_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
     inverse, sym_defect, seconds = build_schur(
         system.div_x, system.div_y, vel.solve)
-    count = workers()
-    overlap = count > 1 and len(inverse) >= OVERLAP_PRESSURE
     return SaddlePreconditioner(
         velocity_solver=vel, schur_inverse=inverse,
-        schur_symmetry_defect=sym_defect, schur_workers=count,
-        apply_workers=2 if overlap else 1,
+        schur_symmetry_defect=sym_defect, schur_workers=workers(),
         phase_seconds={**vel.phase_seconds, **seconds})

@@ -312,9 +312,9 @@ def mirror_class_sizes(S, mirror=None) -> list:
 
 def singular_values(R) -> np.ndarray:
     """Singular values of a rectangular matrix, sorted ascending."""
-    A = R.toarray() if sp.issparse(R) else np.asarray(R, dtype=float)
-    if min(A.shape) > DENSE_LIMIT:
+    if min(np.shape(R)) > DENSE_LIMIT:
         raise ValueError(f"dense SVD refused beyond {DENSE_LIMIT}")
+    A = R.toarray() if sp.issparse(R) else np.asarray(R, dtype=float)
     return np.sort(np.linalg.svd(A, compute_uv=False))
 
 

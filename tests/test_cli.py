@@ -470,16 +470,75 @@ def test_symbol_json_schema():
 def test_config_rejects_tau_below_three(tmp_path, capsys):
     # the tau core needs n >= 3: the velocity builder rejects a
     # preconditioned run below it, naming n; the config takes any n >= 1,
-    # so a run that builds no preconditioner works at n = 2, and so does a
-    # table whose cells all lie at n >= 3 whatever -n says
+    # so a run that builds no preconditioner works at n = 2, and a table
+    # takes its sizes from --sizes alone
     for n in (1, 2):
         ExperimentConfig(n=n).validate()
         with pytest.raises(ValueError, match=f"n = {n}"):
             run_solve_cell(ExperimentConfig(n=n))
     row = run_solve_cell(ExperimentConfig(n=2), preconditioned=False)
     assert row["strategy"] == "none" and row["dim"] == 63
-    assert main(["table", "-n", "2", "--groups", "1", "--cases", "a",
-                 "--sizes", "3", "--output-dir", str(tmp_path)]) == 0
+    assert main(["table", "--groups", "1", "--cases", "a", "--sizes", "3",
+                 "--output-dir", str(tmp_path)]) == 0
     rows = (tmp_path / "results.csv").read_text().splitlines()
     assert len(rows) == 5 and rows[-1].startswith("1,a,3,147,tau_block,")
     assert rows[-1].split(",")[7] == "True"
+    with pytest.raises(SystemExit) as info:
+        main(["table", "-n", "2", "--groups", "1", "--cases", "a",
+              "--sizes", "3", "--output-dir", str(tmp_path)])
+    assert info.value.code == 2
+
+
+# the option strings of each subcommand, -h/--help aside: each takes only
+# the options it reads
+COMMAND_OPTIONS = {
+    "mesh-info": {"-n", "--dump"},
+    "assemble": {"--config", "-n", "--group", "--gamma", "--export"},
+    "symbol": {"--name", "--x", "--y", "--theta1", "--theta2", "--group",
+               "--gamma", "--dump"},
+    "spectrum": {"--config", "-n", "--group", "--gamma", "--output-dir",
+                 "--target", "--out"},
+    "compare": {"--config", "-n", "--group", "--gamma", "--output-dir",
+                "--target", "--out"},
+    "precond-spectrum": {"--config", "-n", "--group", "--gamma",
+                         "--output-dir", "--out"},
+    "solve": {"--config", "-n", "--group", "--gamma", "--case", "--tol",
+              "--restart", "--maxit", "--seed", "--output-dir",
+              "--unpreconditioned", "--out"},
+    "table": {"--config", "--tol", "--restart", "--maxit", "--seed",
+              "--output-dir", "--groups", "--cases", "--sizes", "--gammas",
+              "--out"},
+    "example1": {"--mu0", "--mu1", "--w", "--delta", "--sizes", "--tol",
+                 "--out"},
+}
+
+
+def test_each_command_takes_the_options_it_reads(capsys):
+    # the option strings of each subcommand's help text
+    for command, expected in COMMAND_OPTIONS.items():
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        words = capsys.readouterr().out.split()
+        options = {w.rstrip(",") for w in words if w.startswith("-")}
+        assert options - {"-h", "--help"} == expected, command
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-n", "4", "--tol", "-1"],
+    ["assemble", "-n", "2", "--restart", "0", "--export", "p"],
+    ["table", "--group", "3", "--groups", "1", "--cases", "a", "--sizes",
+     "3"],
+    # not read as an abbreviation of --cases
+    ["table", "--case", "b", "--groups", "1", "--sizes", "3"],
+])
+def test_ignored_options_are_usage_errors(argv, capsys, tmp_path,
+                                          monkeypatch):
+    # each once passed through the config's validation and raised
+    # ValueError for a setting the command never reads
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -218,7 +218,7 @@ def test_dst_solver_sparse_rhs_matches_dense(n, group, gamma):
     bx_t = assemble_divergence(mesh)[0].T.tocsc()
     random = sp.random(dst.size, 3, density=0.2, format="csc",
                        rng=np.random.default_rng(n + group))
-    for panel in (bx_t[:, 5:5 + PANEL // 2], random):
+    for panel in (bx_t[:, 5:5 + PANEL], random):
         got, want = dst.solve(panel), dst.solve(panel.toarray())
         assert isinstance(got, np.ndarray) and got.shape == panel.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -679,26 +679,44 @@ def test_panel_workers_one_off_main_thread(monkeypatch):
     assert workers() == 4 and seen == [1]
 
 
-def _panels_with(monkeypatch, count, system, solve, panel=PANEL):
-    """The Schur panels with `workers()` = count and PANEL = panel."""
+def _panels_with(monkeypatch, count, system, solve):
+    """The Schur panels with `workers()` = count."""
     _workers(monkeypatch, count)
-    monkeypatch.setattr(precond, "PANEL", panel)
     return schur_panels(system.div_x, system.div_y, solve, solve)
+
+
+def test_schur_panels_same_bits_on_1_2_and_8_workers(monkeypatch, setup8,
+                                                     fresh_pool):
+    # npres = 145: nine PANEL-wide tasks and one of a column, on any worker
+    # count; at n = 8 a width that followed the worker count changed bits
+    _, _, system = setup8
+    vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
+    widths, lock = [], threading.Lock()
+
+    def solve(rhs):
+        with lock:
+            widths.append(rhs.shape[1])
+        return vel.solve(rhs)
+
+    serial = _panels_with(monkeypatch, 1, system, solve)
+    for count in (2, 8):
+        assert np.array_equal(_panels_with(monkeypatch, count, system, solve),
+                              serial)
+    assert PANEL == 16
+    assert sorted(widths) == sorted(3 * 2 * ([PANEL] * 9 + [1]))
 
 
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
 def test_schur_panels_two_workers_bitwise(monkeypatch, fresh_pool, group,
                                           gamma, n):
-    # npres = 41 and 145 are not multiples of the 2-worker task width; the
-    # tau solver's GEMMs round with the block width, so the serial loop
-    # takes panels of that width too
+    # npres = 41 and 145 are not multiples of the task width
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
     assert system.pressure_count % (PANEL // 2) != 0
     vel = build_velocity_preconditioner(mesh, mu, stiffness=system.stiffness)
-    serial = _panels_with(monkeypatch, 1, system, vel.solve, PANEL // 2)
+    serial = _panels_with(monkeypatch, 1, system, vel.solve)
     threaded = _panels_with(monkeypatch, 2, system, vel.solve)
     assert np.array_equal(serial, threaded)
 
@@ -707,8 +725,7 @@ def test_schur_panels_two_workers_bitwise(monkeypatch, fresh_pool, group,
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
 def test_schur_panels_lu_bitwise_across_widths(monkeypatch, fresh_pool, group,
                                                gamma, n):
-    # with `SPDSolver` no column rounds with the block width: 2 and 8
-    # workers give the serial PANEL-wide loop bit for bit
+    # with `SPDSolver` too, 2 and 8 workers give the serial loop bit for bit
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
     system = assemble_saddle(mesh, mu)
@@ -721,12 +738,11 @@ def test_schur_panels_lu_bitwise_across_widths(monkeypatch, fresh_pool, group,
 
 def test_schur_panels_many_workers_under_fast_switching(monkeypatch, setup8,
                                                         fresh_pool):
-    # more workers than cores, 4-column tasks, a thread switch every
-    # microsecond: a lost or misplaced column write would show; the serial
-    # loop takes 4-column panels too
+    # more workers than cores, a thread switch every microsecond: a lost or
+    # misplaced column write would show
     _, _, system = setup8
     vel = build_velocity_preconditioner(*setup8[:2], stiffness=system.stiffness)
-    serial = _panels_with(monkeypatch, 1, system, vel.solve, PANEL // 8)
+    serial = _panels_with(monkeypatch, 1, system, vel.solve)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -854,6 +870,14 @@ def _overlapped(monkeypatch, n, group=2, gamma=None):
     return prec, system, submits
 
 
+def _serial_apply(monkeypatch, prec, R):
+    """prec.apply(R) with the overlap off: OVERLAP_PRESSURE above npres."""
+    with monkeypatch.context() as m:
+        m.setattr(precond, "OVERLAP_PRESSURE", math.inf)
+        assert prec.apply_workers == 1
+        return prec.apply(R)
+
+
 def test_apply_workers_follow_the_rule(monkeypatch, setup8):
     # npres = 145 at n = 8
     _workers(monkeypatch, 2)
@@ -868,23 +892,21 @@ def test_apply_workers_follow_the_rule(monkeypatch, setup8):
 @pytest.mark.parametrize("group,gamma", TENTPOLE_GROUPS)
 def test_overlapped_apply_bitwise(monkeypatch, fresh_pool, group, gamma, n):
     prec, system, submits = _overlapped(monkeypatch, n, group, gamma)
-    serial = dataclasses.replace(prec, apply_workers=1)
     rng = np.random.default_rng(n + group)
     for R in (rng.standard_normal(system.dimension),
               rng.standard_normal((system.dimension, 3))):
         got = prec.apply(R)
         assert got.shape == R.shape
-        assert np.array_equal(got, serial.apply(R))
+        assert np.array_equal(got, _serial_apply(monkeypatch, prec, R))
     assert len(submits) == 2
 
 
 def test_overlapped_apply_under_fast_switching(monkeypatch, fresh_pool):
     prec, system, submits = _overlapped(monkeypatch, 8)
-    serial = dataclasses.replace(prec, apply_workers=1)
     rng = np.random.default_rng(11)
     inputs = [rng.standard_normal(system.dimension),
               rng.standard_normal((system.dimension, 3))]
-    expected = [serial.apply(R) for R in inputs]
+    expected = [_serial_apply(monkeypatch, prec, R) for R in inputs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -905,7 +927,7 @@ def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch,
                                                            fresh_pool):
     prec, system, submits = _overlapped(monkeypatch, 4)
     r = np.random.default_rng(3).standard_normal(system.dimension)
-    expected = dataclasses.replace(prec, apply_workers=1).apply(r)
+    expected = _serial_apply(monkeypatch, prec, r)
     product = precond._symmetric_product
     monkeypatch.setattr(precond, "_symmetric_product", failing_product)
     with pytest.raises(PressureFailure, match="pressure half"):
@@ -918,7 +940,7 @@ def test_overlapped_apply_pressure_exception_reaches_caller(monkeypatch,
 def test_apply_off_main_thread_stays_serial(monkeypatch, fresh_pool):
     prec, system, submits = _overlapped(monkeypatch, 4)
     r = np.random.default_rng(4).standard_normal(system.dimension)
-    expected = dataclasses.replace(prec, apply_workers=1).apply(r)
+    expected = _serial_apply(monkeypatch, prec, r)
     got = []
     worker = threading.Thread(target=lambda: got.append(prec.apply(r)))
     worker.start()
@@ -973,4 +995,4 @@ def test_one_pool_serves_every_fan_out(monkeypatch, tmp_path, fresh_pool):
     assert tasks.count("SaddlePreconditioner.apply") == 100
     assert tasks.count("saddle_pencil_eigenvalues") == 4
     assert tasks.count("run_group_table") == 3
-    assert tasks.count("schur_panels") == -(-145 // (PANEL // 2))
+    assert tasks.count("schur_panels") == -(-145 // PANEL)

@@ -74,6 +74,27 @@ def test_singular_values_trivial():
     assert np.allclose(sv, [3.0, 4.0])
 
 
+def test_singular_values_refuses_before_densifying(monkeypatch):
+    # the shape is checked first, so a refused sparse matrix is never
+    # densified
+    R = sp.random(4, 5, density=0.5, format="csr",
+                  rng=np.random.default_rng(0))
+    dense, densified = R.toarray(), []
+
+    def toarray(*args, **kwargs):
+        densified.append(1)
+        return dense
+
+    monkeypatch.setattr(R, "toarray", toarray, raising=False)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 3)
+    with pytest.raises(ValueError, match="beyond 3"):
+        singular_values(R)
+    assert densified == []
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    assert np.array_equal(singular_values(R), singular_values(dense))
+    assert densified == [1]
+
+
 def test_singular_values_count_for_divergence():
     mesh = build_mesh(4)
     Bx, _ = assemble_divergence(mesh)
