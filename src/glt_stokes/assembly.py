@@ -46,7 +46,6 @@ class ViscosityField:
     (N,) array of positive values.
     """
 
-    kind: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     essinf: float
     esssup: float
@@ -59,7 +58,7 @@ class ViscosityField:
     def constant(value: float = 1.0) -> "ViscosityField":
         if value <= 0:
             raise ValueError("viscosity must be positive")
-        return ViscosityField("constant", lambda p: np.full(len(p), float(value)),
+        return ViscosityField(lambda p: np.full(len(p), float(value)),
                               float(value), float(value))
 
     @staticmethod
@@ -67,7 +66,7 @@ class ViscosityField:
         # xy + e^(x+y), increasing in both variables on the unit square
         def ev(p):
             return p[:, 0] * p[:, 1] + np.exp(p[:, 0] + p[:, 1])
-        return ViscosityField("group2", ev, 1.0, 1.0 + math.e ** 2)
+        return ViscosityField(ev, 1.0, 1.0 + math.e ** 2)
 
     @staticmethod
     def group3(gamma: float) -> "ViscosityField":
@@ -78,7 +77,7 @@ class ViscosityField:
         def ev(p):
             inside = (p[:, 0] <= 0.5) & (p[:, 1] <= 0.5)
             return np.where(inside, float(gamma), 1.0 + p[:, 0] + p[:, 1])
-        return ViscosityField("group3", ev, min(float(gamma), 1.5),
+        return ViscosityField(ev, min(float(gamma), 1.5),
                               max(float(gamma), 3.0))
 
     @staticmethod
@@ -101,12 +100,12 @@ class ViscosityField:
                 vals = np.where(ramp, mu0 + (mu1 - mu0) * (w + delta - t) / delta,
                                 vals)
             return vals
-        return ViscosityField("example1", ev, min(mu0, mu1), max(mu0, mu1))
+        return ViscosityField(ev, min(mu0, mu1), max(mu0, mu1))
 
     @staticmethod
     def custom(fn: Callable[[np.ndarray], np.ndarray], essinf: float,
                esssup: float) -> "ViscosityField":
-        return ViscosityField("custom", fn, float(essinf), float(esssup))
+        return ViscosityField(fn, float(essinf), float(esssup))
 
 
 def viscosity_for_group(group: int, gamma: float | None = None) -> ViscosityField:
@@ -330,7 +329,6 @@ class SaddleSystem:
     div_x: sp.csr_matrix
     div_y: sp.csr_matrix
     pressure_mass: sp.csr_matrix
-    mu: ViscosityField
 
     @property
     def velocity_count(self) -> int:
@@ -369,7 +367,7 @@ def assemble_saddle(mesh: StructuredMesh, mu: ViscosityField) -> SaddleSystem:
     bx, by = assemble_divergence(mesh)
     mp_raw = assemble_pressure_mass(mesh, mu)
     system = SaddleSystem(n=mesh.n, stiffness=A, div_x=bx, div_y=by,
-                          pressure_mass=(mesh.n ** 2) * mp_raw, mu=mu)
+                          pressure_mass=(mesh.n ** 2) * mp_raw)
     expected = saddle_dimension(mesh.n)
     if system.dimension != expected:
         raise RuntimeError(

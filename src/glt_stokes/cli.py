@@ -445,8 +445,10 @@ def _add_config(p, *names):
 
 def _config_from_args(args) -> ExperimentConfig:
     """The config of a `--config` JSON file, if any, overridden by the
-    options given, not yet validated; a file key that is not an
-    `ExperimentConfig` field raises ValueError naming it."""
+    options given, not yet validated.  A file key that is not an
+    `ExperimentConfig` field, or one the command reads no option for (and
+    no file-only default, as `compare` sets for `grid`), raises ValueError
+    naming it."""
     names = [f.name for f in fields(ExperimentConfig)]
     base = {}
     if getattr(args, "config", None):
@@ -456,6 +458,11 @@ def _config_from_args(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}; "
                              f"known: {names}")
+        read = [key for key in names if hasattr(args, key)]
+        unread = sorted(set(base) - set(read))
+        if unread:
+            raise ValueError(f"{args.config}: {args.command} does not read "
+                             f"config keys {unread}; it reads: {read}")
     cfg = ExperimentConfig(**base)
     for key in names:
         val = getattr(args, key, None)
@@ -500,6 +507,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("compare", help="spectrum vs symbol adherence CSV")
     _add_config(p, "n", "group", "gamma", "output_dir")
+    # the symbol sampling grid, which only a config file sets
+    p.set_defaults(grid=None)
     p.add_argument("--target", type=str, default="A",
                    choices=["A", "Bx", "By", "M"])
     p.add_argument("--out", type=str, default="compare.csv")
@@ -634,10 +643,11 @@ def main(argv=None) -> int:
                                  f"columns {columns}; not appending to it")
         row = run_solve_cell(cfg, preconditioned=not args.unpreconditioned)
         out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "a") as fh:
+        with open(out, "a", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             if new:
-                fh.write(columns + "\n")
-            fh.write(",".join(str(row[k]) for k in SOLVE_COLUMNS) + "\n")
+                writer.writerow(SOLVE_COLUMNS)
+            writer.writerow([str(row[k]) for k in SOLVE_COLUMNS])
         print(json.dumps(row, indent=1, default=str))
         return 0
 

@@ -11,6 +11,7 @@ stiffness block into its extended block-Toeplitz form.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -154,8 +155,14 @@ class BlockSymbol:
 # ---------------------------------------------------------------------------
 # Toeplitz generation
 
+def _shift(d: int, k: int) -> sp.dia_matrix:
+    """The d x d shift with ones at (i, i + k); zero for |k| >= d."""
+    return sp.eye(d, k=max(-d, min(k, d)))
+
+
 def toeplitz_from_symbol(sym: BlockSymbol, n) -> sp.csr_matrix:
-    """Block d-level Toeplitz matrix generated by the symbol.
+    """Block d-level Toeplitz matrix sum_k (J_k1 (x) ... (x) J_kd) (x) C_k
+    generated by the symbol, J_k the shift with ones at (i, i - k).
 
     Block (r, c) at multilevel offset k = r - c holds the coefficient C_k;
     offsets beyond the grid contribute nothing.
@@ -166,32 +173,11 @@ def toeplitz_from_symbol(sym: BlockSymbol, n) -> sp.csr_matrix:
     if any(d < 1 for d in dims):
         raise ValueError("grid dimensions must be positive")
     N = int(np.prod(dims))
-    s1, s2 = sym.s1, sym.s2
-
-    # flat index of multilevel cells, slowest level first
-    strides = np.cumprod((dims + (1,))[1:][::-1])[::-1]
-
-    rows_all, cols_all, vals_all = [], [], []
-    for k, mat in sym._float_cache.items():
-        ranges = [np.arange(max(0, kk), d + min(0, kk)) for kk, d in zip(k, dims)]
-        if any(len(r) == 0 for r in ranges):
-            continue
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        cell_r = sum(m.ravel() * s for m, s in zip(mesh, strides))
-        cell_c = sum((m.ravel() - kk) * s for m, kk, s in zip(mesh, k, strides))
-        rr, cc = np.nonzero(mat)
-        vv = mat[rr, cc]
-        rows_all.append((cell_r[:, None] * s1 + rr[None, :]).ravel())
-        cols_all.append((cell_c[:, None] * s2 + cc[None, :]).ravel())
-        vals_all.append(np.broadcast_to(vv, (len(cell_r), len(vv))).ravel())
-
-    if not rows_all:
-        return sp.csr_matrix((s1 * N, s2 * N))
-    T = sp.coo_matrix(
-        (np.concatenate(vals_all),
-         (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(s1 * N, s2 * N)).tocsr()
-    T.sum_duplicates()
+    T = sp.csr_matrix((sym.s1 * N, sym.s2 * N))
+    for k, C in sym.float_coefficients().items():
+        shift = functools.reduce(sp.kron, [_shift(d, -kk)
+                                           for kk, d in zip(k, dims)])
+        T = T + sp.kron(shift, C)
     return T
 
 
@@ -230,11 +216,7 @@ def tau_approx(band, N: int) -> np.ndarray:
     if N <= 2 * b:
         raise ValueError(f"need N > 2b, got N={N}, b={b}")
 
-    T = np.zeros((N, N))
-    for k in range(-b, b + 1):
-        if t[k + b] != 0.0:
-            idx = np.arange(max(0, k), N + min(0, k))
-            T[idx, idx - k] = t[k + b]
+    T = sum(t[k + b] * np.eye(N, k=-k) for k in range(-b, b + 1))
     for s in range(2, b + 1):
         rows, cols = corner_stripes(s, N)
         T[rows, cols] -= 0.5 * (t[b + s] + t[b - s])
@@ -273,25 +255,14 @@ def tau_from_symbol(sym: BlockSymbol, n: int) -> sp.csr_matrix:
     the same sum is returned without that structure.
     """
     N = n * n
-    rows, cols, vals = [], [], []
+    core = sp.csr_matrix((sym.s1 * N, sym.s2 * N))
     for m, S in _tau_classes(sym, n).items():
-        if m == 0:
-            i = j = np.arange(N)
-            sign = np.ones(N)
-        else:
-            band = np.arange(m, N)
-            hi, hj = corner_stripes(m, N)
-            i = np.concatenate([band, band - m, hi])
-            j = np.concatenate([band - m, band, hj])
-            sign = np.concatenate([np.ones(2 * len(band)), -np.ones(len(hi))])
-        rr, cc = np.nonzero(S)
-        rows.append((i[:, None] * sym.s1 + rr).ravel())
-        cols.append((j[:, None] * sym.s2 + cc).ravel())
-        vals.append((sign[:, None] * S[rr, cc]).ravel())
-    core = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(sym.s1 * N, sym.s2 * N)).tocsr()
-    core.eliminate_zeros()
+        tau_m = sp.eye(N)
+        if m > 0:
+            rows, cols = corner_stripes(m, N)
+            tau_m = _shift(N, m) + _shift(N, -m) - sp.coo_matrix(
+                (np.ones(len(rows)), (rows, cols)), shape=(N, N))
+        core = core + sp.kron(tau_m, S)
     return core
 
 
@@ -344,20 +315,11 @@ def tau_eigenvalues(band, N: int) -> np.ndarray:
 
 def block_toeplitz_defect(A, sym: BlockSymbol, n, tol: float = 1e-12) -> int:
     """Number of rows of A differing anywhere from the generated Toeplitz."""
-    dims = (int(n),) if np.isscalar(n) else tuple(int(x) for x in n)
-    T = toeplitz_from_symbol(sym, dims)
+    T = toeplitz_from_symbol(sym, n)
     A = sp.csr_matrix(A)
     if A.shape != T.shape:
         raise ValueError(f"size mismatch: matrix {A.shape} vs Toeplitz {T.shape}")
-    D = (A - T).tocsr()
-    if D.nnz == 0:
-        return 0
-    mags = np.abs(D.data)
-    rows_nnz = np.diff(D.indptr)
-    row_max = np.zeros(D.shape[0])
-    row_idx = np.repeat(np.arange(D.shape[0]), rows_nnz)
-    np.maximum.at(row_max, row_idx, mags)
-    return int(np.count_nonzero(row_max > tol))
+    return int(np.count_nonzero(abs(A - T).max(axis=1).toarray() > tol))
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +365,17 @@ def velocity_extension_map(n: int):
     return (jj[mask] * n + ii[mask]) * 8 + ss[mask], mask
 
 
-def extend_to_block_toeplitz(A, n: int) -> sp.csr_matrix:
-    """Embed the stiffness block into the extended 8n^2 index space,
-    zero-filling inserted rows/columns and dropping off-grid DOFs."""
+def _extension_matrix(n: int) -> sp.csr_matrix:
+    """The 0/1 matrix E of shape 8n^2 x nvel with E[flat, dof] = 1 for each
+    mappable DOF of `velocity_extension_map`: E A E^T extends a velocity
+    matrix A, E^T T E compresses an extended matrix T."""
     flat, mask = velocity_extension_map(n)
-    A = sp.coo_matrix(sp.csr_matrix(A)[mask][:, mask])
-    return sp.coo_matrix((A.data, (flat[A.row], flat[A.col])),
-                         shape=(8 * n * n, 8 * n * n)).tocsr()
+    return sp.csr_matrix((np.ones(len(flat)), (flat, np.flatnonzero(mask))),
+                         shape=(8 * n * n, len(mask)))
+
+
+def extend_to_block_toeplitz(A, n: int) -> sp.csr_matrix:
+    """Embed the stiffness block into the extended 8n^2 index space as
+    E A E^T, zero-filling inserted rows/columns and dropping off-grid DOFs."""
+    E = _extension_matrix(n)
+    return E @ sp.csr_matrix(A) @ E.T

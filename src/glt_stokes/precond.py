@@ -77,10 +77,9 @@ block width, and at a fixed width each panel goes through the same
 operations on any thread, so the Schur complement comes out bitwise the
 same on any worker count.  It is then symmetrized, deflated, factored and
 inverted in its one npres^2 array.  Under the default BLAS (one worker)
-the G2 n = 32 `build_saddle_preconditioner` takes 1.42-1.69 s, against
-2.23-2.72 s when one worker took 32-column tasks (10 alternating process
-pairs, medians of 3 builds; 0.97-1.15 s with single-threaded BLAS and 2
-workers).
+the G2 n = 32 `build_saddle_preconditioner` takes 1.42-1.69 s, and
+0.97-1.15 s with single-threaded BLAS and 2 workers (10 alternating
+process pairs, medians of 3 builds).
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.
@@ -95,12 +94,12 @@ n = 16 to 32 with single-threaded BLAS on 2 CPUs places that threshold:
 overlapping lost at n <= 16, lost more often than it won at n = 20, went
 either way at n = 22 and 24 (npres 1013 and 1201) and won from n = 26
 (npres 1405) on, reaching 1.8-2.6 -> 1.1-1.8 ms per apply at n = 32
-(apply_workers 1 against 2; 3.1-3.4 -> 1.8-1.9 ms with the full product of
-before).  The one-column product alone takes 0.85-0.99 ms at n = 32
-against 1.57-1.76 ms for the full `matmul`.  The apply submits to the pool
-directly: through `fan_out` it was 0.13-0.46 ms (6-25 %) slower, bitwise
-equal (G2, n = 32, OPENBLAS_NUM_THREADS=1, full product, medians of 300
-applies in 3 alternating process pairs: 2.30-2.51 against 1.84-2.38 ms).
+(apply_workers 1 against 2).  The one-column product alone takes
+0.85-0.99 ms at n = 32 against 1.57-1.76 ms for the full `matmul`.  The
+apply submits to the pool directly: through `fan_out` it was 0.13-0.46 ms
+(6-25 %) slower, bitwise equal (G2, n = 32, OPENBLAS_NUM_THREADS=1, full
+product, medians of 300 applies in 3 alternating process pairs: 2.30-2.51
+against 1.84-2.38 ms).
 
 Every assembled sparse SPD block is factored one way, by `SPDSolver`:
 sparse LU under the symmetric minimum-degree ordering of A + A^T with
@@ -129,8 +128,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cython_blas, cython_lapack
 
 from .assembly import SaddleSystem, ViscosityField, stiffness_diagonal
-from .glt_core import (dst1_matrix, tau_blocks, tau_from_symbol,
-                       velocity_extension_map)
+from .glt_core import (_extension_matrix, dst1_matrix, tau_blocks,
+                       tau_from_symbol, velocity_extension_map)
 from .mesh import StructuredMesh
 from .symbols import default_symbol_set
 
@@ -198,10 +197,11 @@ _TOP_SLOTS, _RIGHT_SLOTS = slice(6, 8), slice(3, 8, 2)
 
 
 def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
-    """Compressed tau-block core: the Kronecker sum
-    sum_m tau_N(m) (x) S_m of the stiffness symbol (`tau_from_symbol`)
-    restricted to the true DOF set, plus the stencil diagonal 16/3 on the
-    off-grid DOFs (outside the rigid cell grid).
+    """Compressed tau-block core E^T T E + 16/3 (I - E^T E): T the
+    Kronecker sum sum_m tau_N(m) (x) S_m of the stiffness symbol
+    (`tau_from_symbol`), E the 0/1 extension matrix of the true DOF set,
+    and the stencil diagonal 16/3 on the off-grid DOFs (outside the rigid
+    cell grid), the zero columns of E.
 
     The preconditioner never assembles it: `TauDSTSolver` applies the
     inverse of the same core from its DST-I blocks, and this assembled
@@ -211,19 +211,9 @@ def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
     block-diagonalized by the DST-I into positive definite 8x8 blocks, and
     the core is a direct sum of a compression of it and a positive diagonal.
     """
-    ext = tau_from_symbol(default_symbol_set().stiffness, n).tocoo()
-    flat, mask = velocity_extension_map(n)
-    dof = np.full(8 * n * n, -1, dtype=np.int64)
-    dof[flat] = np.flatnonzero(mask)
-    rows, cols = dof[ext.row], dof[ext.col]
-    keep = (rows >= 0) & (cols >= 0)
-    off_grid = np.flatnonzero(~mask)
-    return sp.coo_matrix(
-        (np.concatenate([ext.data[keep],
-                         np.full(len(off_grid), OFF_GRID_DIAGONAL)]),
-         (np.concatenate([rows[keep], off_grid]),
-          np.concatenate([cols[keep], off_grid]))),
-        shape=(nvel, nvel)).tocsr()
+    E = _extension_matrix(n)
+    core = E.T @ tau_from_symbol(default_symbol_set().stiffness, n) @ E
+    return (core + OFF_GRID_DIAGONAL * (sp.eye(nvel) - E.T @ E)).tocsr()
 
 
 class SPDSolver:

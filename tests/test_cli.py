@@ -387,22 +387,55 @@ def test_solve_command_refuses_a_table_file(tmp_path, capsys):
     assert out.read_text() == before
 
 
+# the ExperimentConfig fields `solve` takes an option for
+SOLVE_KEYS = ("n", "group", "gamma", "case", "tol", "restart", "maxit",
+              "seed", "output_dir")
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    # every ExperimentConfig field is a config key, and a key that is not,
-    # such as the strategy of an older file, is named
-    from dataclasses import fields
+    # every field `solve` reads is a config key of its file, and a key that
+    # is no field, such as the strategy of an older file, is named
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({f.name: getattr(ExperimentConfig(), f.name)
-                                    for f in fields(ExperimentConfig)}
-                                   | {"n": 3, "grid": [4, 4, 8, 8]}))
-    assert main(["solve", "--config", str(cfg_path),
-                 "--output-dir", str(tmp_path)]) == 0
+    cfg_path.write_text(json.dumps(
+        {key: getattr(ExperimentConfig(), key) for key in SOLVE_KEYS}
+        | {"n": 3, "output_dir": str(tmp_path)}))
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "results.csv").exists()
     for extra in ({"strategy": "frozen_sparse"}, {"velocity_path": "lu",
                                                   "zeta": 1}):
         cfg_path.write_text(json.dumps({"n": 3, **extra}))
         with pytest.raises(ValueError, match=repr(sorted(extra))[1:-1]):
             main(["solve", "--config", str(cfg_path),
                   "--output-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command,key,value", [
+    # spectrum reads no solver setting, so a bad tol is not validated but
+    # refused as a key it never reads
+    (["spectrum", "-n", "4"], "tol", -1),
+    (["solve", "-n", "3"], "grid", [4, 4, 8, 8]),
+    (["table", "--groups", "1", "--cases", "a", "--sizes", "3"], "n", 4),
+], ids=["spectrum-tol", "solve-grid", "table-n"])
+def test_config_file_rejects_keys_the_command_does_not_read(
+        command, key, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    with pytest.raises(ValueError, match=rf"{command[0]} does not read "
+                                         rf"config keys \['{key}'\]"):
+        main(command + ["--config", str(cfg_path)])
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_compare_config_file_sets_grid(tmp_path, capsys):
+    # compare samples the symbol on the file's grid, which no option sets
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 4, "grid": [4, 4, 5, 4]}))
+    assert main(["compare", "--config", str(cfg_path), "--output-dir",
+                 str(tmp_path)]) == 0
+    side = json.loads((tmp_path / "compare.csv.json").read_text())
+    assert side["pool_size"] == 16 * 20 * 8
+    assert '"grid": [4, 4, 5, 4]' in (tmp_path / "compare.csv").read_text()
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from glt_stokes.glt_core import (BlockSymbol, block_toeplitz_defect,
                                  velocity_slot_assignment)
 from glt_stokes.mesh import build_mesh
 from glt_stokes.spectra import zero_distribution_fraction
-from glt_stokes.symbols import default_symbol_set
+from glt_stokes.symbols import StokesSymbolSet, default_symbol_set
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +42,33 @@ def test_two_level_block_layout():
     Fm1 = np.array([[-10, 0, 0], [0, -10, 0], [0, 0, -10]], dtype=float)
     expect = np.block([[F0, Fm1], [F1, F0]])
     assert np.array_equal(T, expect)
+
+
+def _block_definition(sym, dims):
+    """Dense block multilevel Toeplitz matrix, one block at a time: block
+    (r, c) of the cell grid holds C_{r - c}, and zero where the symbol has
+    no such offset."""
+    cells = list(np.ndindex(*dims))
+    coeffs = sym.float_coefficients()
+    T = np.zeros((len(cells) * sym.s1, len(cells) * sym.s2))
+    for a, r in enumerate(cells):
+        for b, c in enumerate(cells):
+            k = tuple(int(x) for x in np.subtract(r, c))
+            if k in coeffs:
+                T[a * sym.s1:(a + 1) * sym.s1,
+                  b * sym.s2:(b + 1) * sym.s2] = coeffs[k]
+    return T
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(StokesSymbolSet)])
+def test_every_symbol_matches_block_definition(name):
+    # grids smaller than an offset, where the generator must skip terms
+    sym = default_symbol_set().by_name(name)
+    grids = ([(1, 1), (1, 3), (2, 3), (3, 3)] if sym.levels == 2
+             else [(1,), (2,), (5,)])
+    for dims in grids:
+        T = toeplitz_from_symbol(sym, dims if sym.levels == 2 else dims[0])
+        assert np.array_equal(T.toarray(), _block_definition(sym, dims)), dims
 
 
 def test_hermitian_symbol_gives_hermitian_matrix():
@@ -216,6 +244,28 @@ def test_tau_core_classes_are_tau_of_flat_bands(n):
                              for m in range(-b, b + 1)])
             expect = tau_approx(0.5 * (band + band[::-1]), N)
             assert np.abs(core[r::8, c::8] - expect).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["stiffness", "stiffness_pre"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_tau_core_is_its_defining_sum_where_stripes_overlap(name, n):
+    # N = n^2 <= 2b: band and corner stripes of the same or of different
+    # offsets m land on one entry, whose coefficients the core sums
+    sym = default_symbol_set().by_name(name)
+    N = n * n
+    flat = {}
+    for k, C in sym.float_coefficients().items():
+        flat[k[0] * n + k[1]] = flat.get(k[0] * n + k[1], 0.0) + C
+    S = {m: flat[0] if m == 0 else 0.5 * (flat.get(m, 0.0) + flat.get(-m, 0.0))
+         for m in {abs(m) for m in flat}}
+    core = tau_from_symbol(sym, n).toarray()
+    for i in range(N):
+        for j in range(N):
+            expect = S[0] * (i == j) + sum(
+                S[m] * ((i - j == m) + (j - i == m) - (i + j == m - 2)
+                        - (i + j == 2 * N - m)) for m in S if m > 0)
+            assert np.array_equal(core[8 * i:8 * i + 8, 8 * j:8 * j + 8],
+                                  expect)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,30 @@ def test_all_names_used_elsewhere(module):
             if name not in used] == []
 
 
+def _attribute_reads(path):
+    """Every attribute a Python file reads (loads) by name."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_dataclass_fields_read_somewhere():
+    # a dataclass field nothing reads as an attribute is state to delete
+    root = BENCH.parent
+    reads = set().union(*(_attribute_reads(path)
+                          for folder in ("src", "tests", "bench")
+                          for path in (root / folder).rglob("*.py")))
+    unread = []
+    for path in sorted((root / "src").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                unread += [f"{cls.name}.{node.target.id}" for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and node.target.id not in reads]
+    assert unread == []
+
+
 def _load_bench_module(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}",
                                                   BENCH / f"{name}.py")
