@@ -2,9 +2,10 @@
 
 Assembles the viscosity-weighted vector-Laplacian stiffness block, the two
 divergence blocks, and the 1/viscosity-weighted pressure mass matrix on the
-crisscross mesh.  Element integrals of the quadratic basis gradients are
-exact rationals (the integrands have degree two); the viscosity enters by a
-one-point centroid rule per triangle.
+crisscross mesh.  The element tables are exact rationals: each integrand is
+a product of two polynomials of degree one, which the edge-midpoint rule
+(weights |T|/3, exact for degree two) integrates exactly.  The viscosity
+enters by a one-point centroid rule per triangle.
 
 Normalization: divergence blocks are scaled by n so their entries are the
 mesh-size-free rationals (+-1/6, +-1/12); the saddle system pairs them with
@@ -38,6 +39,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # viscosity fields
 
+def _check_parameter(name: str, value: float, zero_ok: bool = False) -> float:
+    """`value` as a float; ValueError naming `name` unless it is finite and
+    positive (or zero, when `zero_ok`)."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        kind = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ViscosityField:
     """Positive viscosity with computable essential bounds.
@@ -56,10 +67,8 @@ class ViscosityField:
 
     @staticmethod
     def constant(value: float = 1.0) -> "ViscosityField":
-        if value <= 0:
-            raise ValueError("viscosity must be positive")
-        return ViscosityField(lambda p: np.full(len(p), float(value)),
-                              float(value), float(value))
+        value = _check_parameter("viscosity", value)
+        return ViscosityField(lambda p: np.full(len(p), value), value, value)
 
     @staticmethod
     def group2() -> "ViscosityField":
@@ -71,14 +80,12 @@ class ViscosityField:
     @staticmethod
     def group3(gamma: float) -> "ViscosityField":
         """Piecewise field: gamma on the closed square [0,1/2]^2, else 1+x+y."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        gamma = _check_parameter("gamma", gamma)
 
         def ev(p):
             inside = (p[:, 0] <= 0.5) & (p[:, 1] <= 0.5)
-            return np.where(inside, float(gamma), 1.0 + p[:, 0] + p[:, 1])
-        return ViscosityField(ev, min(float(gamma), 1.5),
-                              max(float(gamma), 3.0))
+            return np.where(inside, gamma, 1.0 + p[:, 0] + p[:, 1])
+        return ViscosityField(ev, min(gamma, 1.5), max(gamma, 3.0))
 
     @staticmethod
     def example1(mu0: float, mu1: float, w: float, delta: float) -> "ViscosityField":
@@ -87,25 +94,19 @@ class ViscosityField:
 
         mu1 inside |x| < w, mu0 outside |x| > w+delta, linear in between.
         """
-        if mu0 <= 0 or mu1 <= 0:
-            raise ValueError("viscosities must be positive")
-        if w <= 0 or delta < 0:
-            raise ValueError("need w > 0 and delta >= 0")
+        mu0, mu1, w = (_check_parameter(name, value) for name, value in
+                       (("mu0", mu0), ("mu1", mu1), ("w", w)))
+        delta = _check_parameter("delta", delta, zero_ok=True)
 
         def ev(p):
             t = np.abs(2.0 * p[:, 0] - 1.0)
-            vals = np.where(t < w, float(mu1), float(mu0))
+            vals = np.where(t < w, mu1, mu0)
             if delta > 0:
                 ramp = (t >= w) & (t <= w + delta)
                 vals = np.where(ramp, mu0 + (mu1 - mu0) * (w + delta - t) / delta,
                                 vals)
             return vals
         return ViscosityField(ev, min(mu0, mu1), max(mu0, mu1))
-
-    @staticmethod
-    def custom(fn: Callable[[np.ndarray], np.ndarray], essinf: float,
-               esssup: float) -> "ViscosityField":
-        return ViscosityField(fn, float(essinf), float(esssup))
 
 
 def viscosity_for_group(group: int, gamma: float | None = None) -> ViscosityField:
@@ -134,88 +135,50 @@ def viscosity_for_group(group: int, gamma: float | None = None) -> ViscosityFiel
 
 
 def _barycentric_gradients(verts):
-    """Exact gradients of the three barycentric coordinates."""
+    """Exact gradients of the three barycentric coordinates, one row each
+    of an object array of Fractions, and the area."""
     (x0, y0), (x1, y1), (x2, y2) = [tuple(map(Fraction, v)) for v in verts]
     det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     area = det / 2
-    grads = [
+    grads = np.array([
         ((y1 - y2) / det, (x2 - x1) / det),
         ((y2 - y0) / det, (x0 - x2) / det),
         ((y0 - y1) / det, (x1 - x0) / det),
-    ]
+    ], dtype=object)
     return grads, area
 
 
-def _p2_gradient_terms(grads):
-    """Each P2 gradient as constant + linear-in-barycentric vector terms.
-
-    Returns per basis function a pair (u, V): gradient = u + sum_i V[i]*lam_i
-    with u, V[i] exact 2-vectors.  Local order: vertices 0,1,2 then midpoints
-    of edges (0,1), (1,2), (2,0).
-    """
-    zero = (Fraction(0), Fraction(0))
-    terms = []
-    for i in range(3):
-        g = grads[i]
-        u = (-g[0], -g[1])
-        V = [zero, zero, zero]
-        V[i] = (4 * g[0], 4 * g[1])
-        terms.append((u, V))
-    for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        V = [zero, zero, zero]
-        V[i] = (4 * grads[j][0], 4 * grads[j][1])
-        V[j] = (4 * grads[i][0], 4 * grads[i][1])
-        terms.append(((Fraction(0), Fraction(0)), V))
-    return terms
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1]
-
-
 def _element_tables(verts):
-    """Exact (stiffness 6x6, div_x 3x6, div_y 3x6, mass 3x3) on one triangle.
+    """Exact (stiffness 6x6, div_x 3x6, div_y 3x6, mass 3x3) on one triangle,
+    as object arrays of Fractions.
 
-    Uses int(lam_i) = A/3, int(lam_i lam_j) = A(1+delta_ij)/12.
+    Local P2 order: vertices 0, 1, 2, then midpoints of edges (0,1), (1,2),
+    (2,0).  Every integrand is a product of two polynomials of degree one
+    (P2 gradients, P1 values), so the edge-midpoint rule, weights |T|/3 at
+    the three edge midpoints and exact for degree two, gives each entry
+    exactly.
     """
     grads, area = _barycentric_gradients(verts)
-    terms = _p2_gradient_terms(grads)
-
-    K = [[Fraction(0)] * 6 for _ in range(6)]
-    for a in range(6):
-        ua, Va = terms[a]
-        for b in range(a, 6):
-            ub, Vb = terms[b]
-            val = _dot(ua, ub) * area
-            for i in range(3):
-                val += (_dot(ua, Vb[i]) + _dot(Va[i], ub)) * area / 3
-                for j in range(3):
-                    val += _dot(Va[i], Vb[j]) * area * (1 + (i == j)) / 12
-            K[a][b] = val
-            K[b][a] = val
-
-    D = [[[Fraction(0)] * 6 for _ in range(3)] for _ in range(2)]
-    for comp in range(2):
-        for p in range(3):
-            for a in range(6):
-                ua, Va = terms[a]
-                val = ua[comp] * area / 3
-                for i in range(3):
-                    val += Va[i][comp] * area * (1 + (p == i)) / 12
-                D[comp][p][a] = val
-
-    M = [[area * (1 + (p == q)) / 12 for q in range(3)] for p in range(3)]
-    return K, D[0], D[1], M
-
-
-def _as_float(table):
-    return np.array([[float(v) for v in row] for row in table])
+    edges = ((0, 1), (1, 2), (2, 0))
+    K = D = M = 0
+    for i, j in edges:
+        # barycentric coordinates of the midpoint of edge (i, j)
+        lam = np.array([Fraction(0)] * 3, dtype=object)
+        lam[[i, j]] = Fraction(1, 2)
+        # gradients of the six P2 basis functions there, one row each
+        g = np.array([(4 * lam[v] - 1) * grads[v] for v in range(3)]
+                     + [4 * (lam[a] * grads[b] + lam[b] * grads[a])
+                        for a, b in edges])
+        K = K + area / 3 * (g @ g.T)
+        D = D + area / 3 * lam[:, None, None] * g[None]
+        M = M + area / 3 * np.outer(lam, lam)
+    return K, D[..., 0], D[..., 1], M
 
 
 _K, _DX, _DY, _M = zip(*map(_element_tables, _TRIANGLE_OFFSETS / 4))
-_STIFFNESS_TABLE, _MASS_TABLE = _as_float(_K[0]), _as_float(_M[0])
-_DIVX_TABLES = [_as_float(t) for t in _DX]
-_DIVY_TABLES = [_as_float(t) for t in _DY]
+_STIFFNESS_TABLE, _MASS_TABLE = _K[0].astype(float), _M[0].astype(float)
+_DIVX_TABLES = [t.astype(float) for t in _DX]
+_DIVY_TABLES = [t.astype(float) for t in _DY]
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +216,7 @@ def assemble_stiffness(mesh: StructuredMesh, mu: ViscosityField) -> sp.csr_matri
     rows, cols, vals = _element_triplets(
         mesh.tri_velocity, mesh.tri_velocity, _STIFFNESS_TABLE,
         _centroid_viscosity(mesh, mu))
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(nvel, nvel)).tocsr()
-    A.sum_duplicates()
-    return A
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nvel, nvel)).tocsr()
 
 
 def stiffness_diagonal(mesh: StructuredMesh, mu: ViscosityField) -> np.ndarray:
@@ -295,7 +256,6 @@ def assemble_divergence(mesh: StructuredMesh) -> tuple[sp.csr_matrix, sp.csr_mat
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))),
             shape=(npres, nvel)).tocsr()
-        B.sum_duplicates()
         # exact-rational sums can cancel to rounding dust; drop it
         B.data[np.abs(B.data) < 1e-15] = 0.0
         B.eliminate_zeros()
@@ -310,9 +270,7 @@ def assemble_pressure_mass(mesh: StructuredMesh, mu: ViscosityField) -> sp.csr_m
     rows, cols, vals = _element_triplets(
         mesh.triangles, mesh.triangles, _MASS_TABLE,
         1.0 / (mu_t * mesh.n ** 2))
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(npres, npres)).tocsr()
-    M.sum_duplicates()
-    return M
+    return sp.coo_matrix((vals, (rows, cols)), shape=(npres, npres)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -345,12 +303,10 @@ class SaddleSystem:
     def full_matrix(self) -> sp.csr_matrix:
         """The symmetric saddle matrix [[A,0,Bx^T],[0,A,By^T],[Bx,By,0]]."""
         A = self.stiffness
-        Z = sp.csr_matrix((self.velocity_count, self.velocity_count))
-        Zp = sp.csr_matrix((self.pressure_count, self.pressure_count))
         return sp.bmat([
-            [A, Z, self.div_x.T],
-            [Z, A, self.div_y.T],
-            [self.div_x, self.div_y, Zp],
+            [A, None, self.div_x.T],
+            [None, A, self.div_y.T],
+            [self.div_x, self.div_y, None],
         ], format="csr")
 
     def nullspace_vector(self) -> np.ndarray:

@@ -67,6 +67,7 @@ class ExperimentConfig:
             raise ValueError(f"group must be one of {GROUPS}, got {self.group}")
         if self.group == 3 and self.gamma is None:
             raise ValueError("group 3 requires --gamma")
+        self.viscosity()  # refuses a gamma that is not finite and positive
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         if not self.tol > 0:

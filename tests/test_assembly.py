@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from glt_stokes import assembly
 from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_pressure_mass, assemble_saddle,
                                  assemble_stiffness, stiffness_diagonal,
                                  viscosity_for_group)
-from glt_stokes.mesh import build_mesh, saddle_dimension
+from glt_stokes.mesh import _TRIANGLE_OFFSETS, build_mesh, saddle_dimension
 
 ONE = ViscosityField.constant(1.0)
 
@@ -15,6 +16,54 @@ ONE = ViscosityField.constant(1.0)
 @pytest.fixture(scope="module")
 def mesh4():
     return build_mesh(4)
+
+
+def _tables_by_interior_rule(verts):
+    """(stiffness, div_x, div_y, mass) of one triangle, entry by entry, by
+    the interior three-point rule: barycentric points (2/3, 1/6, 1/6) and
+    their permutations, weights |T|/3, exact for degree two."""
+    (x0, y0), (x1, y1), (x2, y2) = [[Fraction(c) for c in v] for v in verts]
+    # the gradients of lam_1, lam_2 are the rows of the inverse Jacobian
+    # of (lam_1, lam_2) -> x0 + lam_1 (x1 - x0) + lam_2 (x2 - x0)
+    a, b, c, d = x1 - x0, x2 - x0, y1 - y0, y2 - y0
+    det = a * d - b * c
+    g1, g2 = (d / det, -b / det), (-c / det, a / det)
+    grad = [(-g1[0] - g2[0], -g1[1] - g2[1]), g1, g2]
+    weight = abs(det) / 6
+    edges = ((0, 1), (1, 2), (2, 0))
+    K = [[Fraction(0)] * 6 for _ in range(6)]
+    D = [[[Fraction(0)] * 6 for _ in range(3)] for _ in range(2)]
+    M = [[Fraction(0)] * 3 for _ in range(3)]
+    for k in range(3):
+        lam = [Fraction(1, 6)] * 3
+        lam[k] = Fraction(2, 3)
+        phi = [[(4 * lam[v] - 1) * grad[v][x] for x in range(2)]
+               for v in range(3)]
+        phi += [[4 * (lam[i] * grad[j][x] + lam[j] * grad[i][x])
+                 for x in range(2)] for i, j in edges]
+        for r in range(6):
+            for s in range(6):
+                K[r][s] += weight * (phi[r][0] * phi[s][0]
+                                     + phi[r][1] * phi[s][1])
+        for p in range(3):
+            for s in range(6):
+                for x in range(2):
+                    D[x][p][s] += weight * lam[p] * phi[s][x]
+            for q in range(3):
+                M[p][q] += weight * lam[p] * lam[q]
+    return K, D[0], D[1], M
+
+
+@pytest.mark.parametrize("orientation", range(4))
+def test_element_tables_exact(orientation):
+    # the four model triangles' tables equal, as exact rationals, those of
+    # a second rule exact for the degree-two integrands
+    expected = _tables_by_interior_rule(_TRIANGLE_OFFSETS[orientation] / 4)
+    for got, ref in zip((assembly._K, assembly._DX, assembly._DY,
+                         assembly._M), expected):
+        got = got[orientation].tolist()
+        assert all(isinstance(v, Fraction) for row in got for v in row)
+        assert got == ref
 
 
 def test_stiffness_symmetry_and_spd(mesh4):
@@ -72,9 +121,28 @@ def test_stiffness_linear_in_viscosity(mesh4):
 
 
 def test_stiffness_rejects_nonpositive_viscosity(mesh4):
-    bad = ViscosityField.custom(lambda p: p[:, 0] - 10.0, -10.0, -9.0)
+    bad = ViscosityField(lambda p: p[:, 0] - 10.0, -10.0, -9.0)
     with pytest.raises(ValueError):
         assemble_stiffness(mesh4, bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_viscosity_constructors_reject_bad_parameters(bad):
+    # each once ran quietly: a NaN or infinite field, a NaN table from
+    # `symbol --gamma nan`, or example1 with w = nan giving mu = mu0
+    # everywhere while claiming the bounds [mu0, mu1]
+    for name, make in (
+            ("viscosity", lambda: ViscosityField.constant(bad)),
+            ("gamma", lambda: ViscosityField.group3(bad)),
+            ("gamma", lambda: viscosity_for_group(3, bad)),
+            ("mu0", lambda: ViscosityField.example1(bad, 10.0, 0.1, 0.0)),
+            ("mu1", lambda: ViscosityField.example1(1.0, bad, 0.1, 0.0)),
+            ("w", lambda: ViscosityField.example1(1.0, 10.0, bad, 0.0))):
+        with pytest.raises(ValueError, match=name):
+            make()
+    if bad != 0.0:
+        with pytest.raises(ValueError, match="delta"):
+            ViscosityField.example1(1.0, 10.0, 0.1, bad)
 
 
 def test_divergence_value_multiset(mesh4):

@@ -111,6 +111,9 @@ def test_config_validation():
         ExperimentConfig(group=5).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(group=3).validate()  # gamma missing
+    for gamma in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma"):
+            ExperimentConfig(group=3, gamma=gamma).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(case="z").validate()
     with pytest.raises(TypeError):
@@ -123,6 +126,18 @@ def test_config_validation():
 def test_config_rejects_bad_solver_settings(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+def test_bad_gamma_refused_before_any_cell(tmp_path, gamma):
+    # a bad gamma once ran the table and wrote an error row, and made
+    # `symbol` print NaN
+    with pytest.raises(ValueError, match="gamma"):
+        main(["table", "--groups", "3", "--gammas", gamma, "--cases", "a",
+              "--sizes", "4", "--output-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="gamma"):
+        main(["symbol", "--name", "g0", "--group", "3", "--gamma", gamma])
 
 
 def test_solve_command_rejects_negative_tol(tmp_path):

@@ -26,10 +26,11 @@ def test_all_names_resolve(module):
 
 @functools.cache
 def _identifiers(path):
-    """Every name a Python file uses: its names, attributes and imports."""
+    """Every name a Python file reads: the names it loads, its attributes
+    and its imports."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -49,6 +50,34 @@ def test_all_names_used_elsewhere(module):
         if path.resolve() != Path(module.__file__).resolve()))
     assert [name for name in getattr(module, "__all__", [])
             if name not in used] == []
+
+
+def _private_definitions(path):
+    """The module-level `_name`s (dunders aside) a Python file defines as a
+    function, a class or an assigned constant."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [leaf.id for target in targets
+                      for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_private_names_read_somewhere():
+    # a module-level private name that no file reads is dead code to delete
+    root = BENCH.parent
+    used = set().union(*(_identifiers(path)
+                         for folder in ("src", "tests", "bench")
+                         for path in (root / folder).rglob("*.py")))
+    unread = [f"{path.stem}.{name}"
+              for path in sorted((root / "src").rglob("*.py"))
+              for name in _private_definitions(path) if name not in used]
+    assert unread == []
 
 
 def _attribute_reads(path):

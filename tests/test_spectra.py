@@ -574,13 +574,12 @@ FIELDS = {
     # depends on |2x - 1| only: both reflections, four classes
     "strip": (ViscosityField.example1(1.0, 100.0, 0.5, 0.0), 4),
     # symmetric under x -> 1 - x only
-    "x-mirror": (ViscosityField.custom(
+    "x-mirror": (ViscosityField(
         lambda p: 1.0 + np.abs(2.0 * p[:, 0] - 1.0) + p[:, 1], 1.0, 3.0), 2),
     # symmetric under y -> 1 - y only
-    "1+x": (ViscosityField.custom(lambda p: 1.0 + p[:, 0], 1.0, 2.0), 2),
+    "1+x": (ViscosityField(lambda p: 1.0 + p[:, 0], 1.0, 2.0), 2),
     # no reflection
-    "1+x+y": (ViscosityField.custom(lambda p: 1.0 + p[:, 0] + p[:, 1],
-                                    1.0, 3.0), 1),
+    "1+x+y": (ViscosityField(lambda p: 1.0 + p[:, 0] + p[:, 1], 1.0, 3.0), 1),
 }
 
 
