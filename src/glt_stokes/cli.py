@@ -34,7 +34,7 @@ from .mesh import (StructuredMesh, build_mesh, reflection_permutations,
                    saddle_dimension)
 from .precond import (SPDSolver, build_saddle_preconditioner,
                       env_blas_threads, fan_out, workers)
-from .solvers import gmres, minres
+from .solvers import check_solver_settings, gmres, minres
 from .spectra import (DEFAULT_GRID, mirror_class_sizes, pencil_class_sizes,
                       pool_quantiles, sample_saddle_symbol, sample_symbol,
                       singular_values, solved_frequency_count,
@@ -42,8 +42,8 @@ from .spectra import (DEFAULT_GRID, mirror_class_sizes, pencil_class_sizes,
                       weyl_distance)
 from .symbols import default_symbol_set
 
-GROUPS = (1, 2, 3)
 CASES = ("a", "b", "c")
+_EXAMPLE1_MAXIT = 40000  # the MINRES step cap of `run_example1`
 
 
 @dataclass
@@ -60,22 +60,12 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self):
-        """Raise ValueError on a bad setting."""
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {self.group}")
-        if self.group == 3 and self.gamma is None:
-            raise ValueError("group 3 requires --gamma")
-        self.viscosity()  # refuses a gamma that is not finite and positive
+        """Raise ValueError on a bad setting, naming it."""
+        saddle_dimension(self.n)  # refuses n < 1
+        self.viscosity()  # refuses an unknown group and a bad group-3 gamma
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be at least 1, got {self.restart}")
-        if self.maxit < 0:
-            raise ValueError(f"maxit must be non-negative, got {self.maxit}")
+        check_solver_settings(self.tol, self.maxit, self.restart)
         return self
 
     def viscosity(self) -> ViscosityField:
@@ -293,10 +283,10 @@ def example1_conformity(n: int, w: float, delta: float) -> None:
 
 
 def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
-                 out_path: Path, tol: float = 1e-12,
-                 maxit: int = 40000) -> list[dict]:
+                 out_path: Path, tol: float = 1e-12) -> list[dict]:
     """Strip-viscosity benchmark: condition number of the mass-based
-    block preconditioner and MINRES iterations, per (mu1, delta, n).
+    block preconditioner and MINRES iterations (at most `_EXAMPLE1_MAXIT`),
+    per (mu1, delta, n); every input is checked before the first row.
 
     The preconditioner uses the exact stiffness block, so its spectrum
     reduces exactly to the pressure-size Schur pencil.  Next to the CSV,
@@ -306,17 +296,21 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
     and stop reason, and `mass_min_pivot`, the smallest LDL^T pivot of the
     preconditioner diag(A, A, W) (its definiteness certificate).
     """
+    fields = {(mu1, delta): ViscosityField.example1(mu0, mu1, w, delta)
+              for delta in delta_list for mu1 in mu1_list}
+    meshes = {n: build_mesh(n) for n in n_list}
+    for delta in delta_list:
+        for n in n_list:
+            example1_conformity(n, w, delta)
+    check_solver_settings(tol, _EXAMPLE1_MAXIT)
     columns = ["mu0", "mu1", "w", "delta", "n", "dim", "lambda_max",
                "lambda_min_nonzero", "condition_number", "minres_iterations",
                "minres_converged", "minres_residual"]
     rows, records = [], []
     for delta in delta_list:
         for n in n_list:
-            example1_conformity(n, w, delta)
-            mesh = build_mesh(n)
             for mu1 in mu1_list:
-                mu = ViscosityField.example1(mu0, mu1, w, delta)
-                system = assemble_saddle(mesh, mu)
+                system = assemble_saddle(meshes[n], fields[mu1, delta])
                 M = system.full_matrix()
                 A = system.stiffness
                 P = sp.bmat([[A, None, None],
@@ -329,7 +323,7 @@ def run_example1(mu0: float, mu1_list, w: float, delta_list, n_list,
                 b = np.ones(system.dimension)
                 psolve = SPDSolver(P)
                 stats = minres(M, b, psolve.solve, nullspace=ns, tol=tol,
-                               maxit=maxit)
+                               maxit=_EXAMPLE1_MAXIT)
                 rows.append(dict(zip(columns, [
                     mu0, mu1, w, delta, n, system.dimension,
                     f"{lam_max:.6e}", f"{lam_min:.6e}", f"{cond:.6e}",
@@ -444,6 +438,14 @@ def _add_config(p, *names):
                        else type(getattr(ExperimentConfig, name)))
 
 
+def _list_of(kind):
+    """An argparse type: a comma-separated list of `kind` values."""
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"{kind.__name__} list"  # the type argparse's error names
+    return parse
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The config of a `--config` JSON file, if any, overridden by the
     options given, not yet validated.  A file key that is not an
@@ -528,18 +530,18 @@ def main(argv=None) -> int:
     # no abbreviations: --group, --case or --gamma would read as a list
     p = sub.add_parser("table", help="full iteration table", allow_abbrev=False)
     _add_config(p, "tol", "restart", "maxit", "seed", "output_dir")
-    p.add_argument("--groups", type=str, default="1,2,3")
-    p.add_argument("--cases", type=str, default="a,b,c")
-    p.add_argument("--sizes", type=str, default="8,16,32")
-    p.add_argument("--gammas", type=str, default="1,10,100")
+    p.add_argument("--groups", type=_list_of(int), default="1,2,3")
+    p.add_argument("--cases", type=_list_of(str), default="a,b,c")
+    p.add_argument("--sizes", type=_list_of(int), default="8,16,32")
+    p.add_argument("--gammas", type=_list_of(float), default="1,10,100")
     p.add_argument("--out", type=str, default="results.csv")
 
     p = sub.add_parser("example1", help="strip-viscosity benchmark")
     p.add_argument("--mu0", type=float, default=1.0)
-    p.add_argument("--mu1", type=str, default="1,100,10000,1000000")
+    p.add_argument("--mu1", type=_list_of(float), default="1,100,10000,1000000")
     p.add_argument("--w", type=float, default=0.1)
-    p.add_argument("--delta", type=str, default="0")
-    p.add_argument("--sizes", type=str, default="20")
+    p.add_argument("--delta", type=_list_of(float), default="0")
+    p.add_argument("--sizes", type=_list_of(int), default="20")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", type=str, default="example1.csv")
 
@@ -564,18 +566,16 @@ def main(argv=None) -> int:
         system = assemble_saddle(build_mesh(cfg.n), cfg.viscosity())
         prefix = Path(args.export)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        scipy.io.mmwrite(str(prefix) + "_A.mtx", system.stiffness,
-                         symmetry="symmetric")
-        scipy.io.mmwrite(str(prefix) + "_Bx.mtx", system.div_x)
-        scipy.io.mmwrite(str(prefix) + "_By.mtx", system.div_y)
-        scipy.io.mmwrite(str(prefix) + "_Mp.mtx", system.pressure_mass,
-                         symmetry="symmetric")
-        scipy.io.mmwrite(str(prefix) + "_full.mtx", system.full_matrix(),
-                         symmetry="symmetric")
+        blocks = {"A": system.stiffness, "Bx": system.div_x, "By": system.div_y,
+                  "Mp": system.pressure_mass, "full": system.full_matrix()}
+        for name, block in blocks.items():
+            scipy.io.mmwrite(f"{prefix}_{name}.mtx", block, symmetry=(
+                None if name in ("Bx", "By") else "symmetric"))
         print(f"wrote {prefix}_{{A,Bx,By,Mp,full}}.mtx")
         return 0
 
     if args.command == "symbol":
+        mu = viscosity_for_group(args.group, args.gamma)
         syms = default_symbol_set()
         if args.dump:
             tables = {name: syms.by_name(name).to_json()
@@ -591,7 +591,6 @@ def main(argv=None) -> int:
         else:
             val = sym.eval(thetas[syms.slice_angle(args.name)])
         if sym in (syms.stiffness, syms.stiffness_pre, syms.g0, syms.g1):
-            mu = viscosity_for_group(args.group, args.gamma)
             val = float(mu(np.array([[args.x, args.y]]))[0]) * val
         print(json.dumps({"re": val.real.tolist(), "im": val.imag.tolist()},
                          indent=1))
@@ -654,33 +653,24 @@ def main(argv=None) -> int:
 
     if args.command == "table":
         cfg = _config_from_args(args)
-        groups = [int(g) for g in args.groups.split(",")]
-        cases = args.cases.split(",")
-        sizes = [int(s) for s in args.sizes.split(",")]
-        gammas = [float(g) for g in args.gammas.split(",")]
         configs = [replace(cfg, n=n, group=g, gamma=gamma, case=case).validate()
-                   for g in groups
-                   for gamma in (gammas if g == 3 else [None])
-                   for case in cases for n in sizes]
+                   for g in args.groups
+                   for gamma in (args.gammas if g == 3 else [None])
+                   for case in args.cases for n in args.sizes]
         out = Path(cfg.output_dir) / args.out
-        meta = {"groups": groups, "cases": cases, "sizes": sizes,
-                "gammas": gammas, "tol": cfg.tol,
+        meta = {"groups": args.groups, "cases": args.cases,
+                "sizes": args.sizes, "gammas": args.gammas, "tol": cfg.tol,
                 "restart": cfg.restart, "maxit": cfg.maxit, "seed": cfg.seed}
         rows = run_group_table(configs, out, meta)
         print(f"wrote {out} with {len(rows)} cells")
         return 0
 
-    if args.command == "example1":
-        mu1_list = [float(v) for v in args.mu1.split(",")]
-        delta_list = [float(v) for v in args.delta.split(",")]
-        n_list = [int(v) for v in args.sizes.split(",")]
-        out = Path(args.out)
-        rows = run_example1(args.mu0, mu1_list, args.w, delta_list, n_list,
-                            out, tol=args.tol)
-        print(f"wrote {out} with {len(rows)} rows")
-        return 0
-
-    raise SystemExit(f"unhandled command {args.command}")
+    # example1, the last command
+    out = Path(args.out)
+    rows = run_example1(args.mu0, args.mu1, args.w, args.delta, args.sizes,
+                        out, tol=args.tol)
+    print(f"wrote {out} with {len(rows)} rows")
+    return 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ __all__ = [
     "extend_to_block_toeplitz",
 ]
 
+_DEFECT_TOL = 1e-12  # the entry tolerance of `block_toeplitz_defect`
+
 
 # ---------------------------------------------------------------------------
 # block symbols
@@ -313,13 +315,13 @@ def tau_eigenvalues(band, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structural verification helpers
 
-def block_toeplitz_defect(A, sym: BlockSymbol, n, tol: float = 1e-12) -> int:
+def block_toeplitz_defect(A, sym: BlockSymbol, n) -> int:
     """Number of rows of A differing anywhere from the generated Toeplitz."""
     T = toeplitz_from_symbol(sym, n)
     A = sp.csr_matrix(A)
     if A.shape != T.shape:
         raise ValueError(f"size mismatch: matrix {A.shape} vs Toeplitz {T.shape}")
-    return int(np.count_nonzero(abs(A - T).max(axis=1).toarray() > tol))
+    return int(np.count_nonzero(abs(A - T).max(axis=1).toarray() > _DEFECT_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -70,16 +70,18 @@ code on a pool thread sees one worker and runs its own fan-outs inline,
 so fan-outs never nest on the shared pool and cannot deadlock waiting for
 one another.
 
-The panels are independent, and the sparse solves and products they make
-release the GIL.  Every task takes PANEL columns (the last one the rest),
-whatever `workers()` reads: the GEMMs of `TauDSTSolver` round with the
-block width, and at a fixed width each panel goes through the same
-operations on any thread, so the Schur complement comes out bitwise the
-same on any worker count.  It is then symmetrized, deflated, factored and
-inverted in its one npres^2 array.  Under the default BLAS (one worker)
-the G2 n = 32 `build_saddle_preconditioner` takes 1.42-1.69 s, and
-0.97-1.15 s with single-threaded BLAS and 2 workers (10 alternating
-process pairs, medians of 3 builds).
+The panels are independent, and their solves and products release the GIL
+(`TauDSTSolver`'s array products, `SPDSolver`'s SuperLU solves and scipy's
+sparse products: the README times them on two threads).  Every task takes
+PANEL columns (the last one the rest), whatever `workers()` reads: the GEMMs
+of `TauDSTSolver` round with the block width, and at a fixed width each
+panel goes through the same operations on any thread, so the Schur
+complement comes out bitwise the same on any worker count.  It is then
+symmetrized, deflated, factored and inverted in its one npres^2 array.
+Under the default BLAS (one worker) the G2 n = 32
+`build_saddle_preconditioner` takes 1.42-1.69 s, and 0.97-1.15 s with
+single-threaded BLAS and 2 workers (10 alternating process pairs, medians of
+3 builds).
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.

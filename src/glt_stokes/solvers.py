@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-__all__ = ["SolveStats", "gmres", "minres"]
+__all__ = ["SolveStats", "check_solver_settings", "gmres", "minres"]
 
 
 @dataclass
@@ -53,6 +53,16 @@ def as_operator(M) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: M @ v
 
 
+def check_solver_settings(tol: float, maxit: int, restart: int = 1) -> None:
+    """Raise ValueError naming the first setting a solve cannot honour."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if restart < 1:  # a cycle that takes no step would never end the solve
+        raise ValueError(f"restart must be at least 1, got {restart}")
+    if maxit < 0:
+        raise ValueError(f"maxit must be non-negative, got {maxit}")
+
+
 def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
           maxit: int = 1000) -> SolveStats:
     """Left-preconditioned restarted GMRES with zero initial guess.
@@ -65,13 +75,8 @@ def gmres(M, b: np.ndarray, P=None, restart: int = 20, tol: float = 1e-5,
     `converged` means the test held on the returned iterate.  The true
     relative residual ||b - Mx|| / ||b|| is reported beside it and never
     used to stop.  An Arnoldi breakdown or maxit steps end the iteration too.
-    A restart below 1 (a cycle that takes no step) or a negative maxit is
-    rejected.
     """
-    if restart < 1:
-        raise ValueError(f"restart must be at least 1, got {restart}")
-    if maxit < 0:
-        raise ValueError(f"maxit must be non-negative, got {maxit}")
+    check_solver_settings(tol, maxit, restart)
     t0 = time.perf_counter()
     matvec = as_operator(M)
     pinv = as_operator(P) if P is not None else (lambda v: v)
@@ -161,6 +166,7 @@ def minres(M, b: np.ndarray, P=None, nullspace: np.ndarray | None = None,
     `preconditioned_residual` come from the P^{-1}-norm residual of the
     returned iterate, recomputed with the kernel projected out.
     """
+    check_solver_settings(tol, maxit)
     t0 = time.perf_counter()
     matvec = as_operator(M)
     pinv = as_operator(P) if P is not None else (lambda v: v)

@@ -64,7 +64,7 @@ densely.  For the strip field that is four quarter-size pencils, about a
 sixteenth of the dense eigensolve and a quarter of the solves; a field
 that neither reflection keeps is solved as one full-size pencil.  The
 classes go through `precond.fan_out`, so when BLAS leaves CPUs idle they
-run on the package's thread pool, the GIL-free dense solves included.
+overlap on the package's pool: their solves and products release the GIL.
 
 The Weyl distance is a maximum over sample points of the difference of two
 empirical distribution functions; it searches the large symbol pool only
@@ -108,6 +108,7 @@ __all__ = [
 # 18^4 ~ 1.05e5 symbol evaluation points
 DEFAULT_GRID = (18, 18, 18, 18)
 DENSE_LIMIT = 20000
+_OUTLIER_SLACK = 1e-10  # the relative slack of `outlier_check`
 
 
 def _max_abs(M: sp.spmatrix) -> float:
@@ -483,8 +484,7 @@ def weyl_distance(matrix_values, symbol_samples) -> float:
     return float(max(at_a, at_b))
 
 
-def outlier_check(eigs_mu, eigs_one, mu: ViscosityField,
-                  slack: float = 1e-10) -> bool:
+def outlier_check(eigs_mu, eigs_one, mu: ViscosityField) -> bool:
     """Sorted-eigenvalue sandwich essinf(mu) l_j(A(1)) <= l_j(A(mu)) <=
     esssup(mu) l_j(A(1)) with relative slack."""
     lam = np.asarray(eigs_mu, dtype=float)
@@ -493,7 +493,7 @@ def outlier_check(eigs_mu, eigs_one, mu: ViscosityField,
         raise ValueError(f"length mismatch: {lam.shape} vs {one.shape}")
     lo = mu.essinf * one
     hi = mu.esssup * one
-    tol = slack * np.maximum(np.abs(hi), np.abs(lo))
+    tol = _OUTLIER_SLACK * np.maximum(np.abs(hi), np.abs(lo))
     return bool(np.all(lam >= lo - tol) and np.all(lam <= hi + tol))
 
 

@@ -136,8 +136,61 @@ def test_bad_gamma_refused_before_any_cell(tmp_path, gamma):
         main(["table", "--groups", "3", "--gammas", gamma, "--cases", "a",
               "--sizes", "4", "--output-dir", str(tmp_path)])
     assert not list(tmp_path.iterdir())
-    with pytest.raises(ValueError, match="gamma"):
-        main(["symbol", "--name", "g0", "--group", "3", "--gamma", gamma])
+    # the divergence symbols carry no viscosity, and once printed their
+    # table whatever --gamma read
+    for name in ("g0", "div_x"):
+        with pytest.raises(ValueError, match="gamma"):
+            main(["symbol", "--name", name, "--group", "3", "--gamma", gamma])
+
+
+def test_unknown_group_refused_before_any_work(tmp_path):
+    # the group rule is `viscosity_for_group`'s alone
+    with pytest.raises(ValueError, match="group"):
+        main(["table", "--groups", "1,5", "--cases", "a", "--sizes", "4",
+              "--output-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="group"):
+        main(["symbol", "--name", "div_x", "--group", "5"])
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["table", "--sizes", "8,x"], "--sizes"),
+    (["table", "--gammas", "1,,10"], "--gammas"),
+    (["example1", "--mu1", "1,y"], "--mu1"),
+    (["example1", "--sizes", "20.5"], "--sizes"),
+])
+def test_list_options_are_usage_errors_naming_the_option(argv, option, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+    # the lists were split after parsing, so a bad item raised a bare
+    # ValueError that named no option
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {option}: invalid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--w", "nan", "--sizes", "4", "--mu1", "10"], r"\bw must be finite"),
+    (["--mu1", "1,-5", "--sizes", "20"], "mu1 must be finite"),
+    (["--sizes", "0", "--delta", "0.1"], "grid parameter must be >= 1"),
+    (["--sizes", "20,7"], "multiple"),
+    (["--sizes", "20", "--mu1", "10", "--tol", "0"], "tol must be positive"),
+])
+def test_example1_checks_every_input_before_any_work(argv, message, tmp_path,
+                                                     monkeypatch):
+    # w = nan reached round() in the conformity check, n = 0 divided by
+    # zero there, and tol = 0 ran MINRES into "preconditioner lost positive
+    # definiteness"; now every input is checked before the first assembly
+    def assemble(*args):
+        raise AssertionError("example1 started work on a bad input")
+
+    monkeypatch.setattr(cli, "assemble_saddle", assemble)
+    with pytest.raises(ValueError, match=message):
+        main(["example1", *argv, "--out", str(tmp_path / "ex1.csv")])
+    assert not list(tmp_path.iterdir())
 
 
 def test_solve_command_rejects_negative_tol(tmp_path):

@@ -52,6 +52,62 @@ def test_all_names_used_elsewhere(module):
             if name not in used] == []
 
 
+def _defaulted_parameters(path):
+    """(function, parameter, positional index or None) of every parameter
+    with a default of a function or method a Python file defines, dunders
+    aside; a method's index counts from the argument after self or cls."""
+    tree = ast.parse(path.read_text())
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    params = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = id(node) in methods and not any(
+            ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+        first = len(positional) - len(args.defaults)
+        params += [(node.name, arg.arg, i - bound)
+                   for i, arg in enumerate(positional) if i >= first]
+        params += [(node.name, arg.arg, None)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None]
+    return params
+
+
+@functools.cache
+def _calls(path):
+    """(called name, positional count, keyword names) of every call in a
+    Python file; a `*` argument counts as every position, and a `**`
+    argument as every keyword (the name None)."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.append((name, float("inf") if starred else len(node.args),
+                          {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_defaulted_parameters_passed_somewhere():
+    # a default that no call overrides is a knob nothing sets: a constant
+    # to write into the function body
+    root = BENCH.parent
+    calls = [call for folder in ("src", "tests", "bench")
+             for path in (root / folder).rglob("*.py") for call in _calls(path)]
+    unset = [f"{path.stem}.{func}.{param}"
+             for path in sorted((root / "src").rglob("*.py"))
+             for func, param, index in _defaulted_parameters(path)
+             if not any(name == func and (param in keys or None in keys
+                                          or (index is not None
+                                              and npos > index))
+                        for name, npos, keys in calls)]
+    assert unset == []
+
+
 def _private_definitions(path):
     """The module-level `_name`s (dunders aside) a Python file defines as a
     function, a class or an assigned constant."""

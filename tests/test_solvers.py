@@ -128,6 +128,28 @@ def test_gmres_rejects_bad_restart_and_maxit(restart, maxit):
     assert not calls
 
 
+@pytest.mark.parametrize("solve,settings,name", [
+    (minres, {"tol": 0.0, "maxit": 7}, "tol"),
+    (minres, {"tol": float("nan")}, "tol"),
+    (minres, {"maxit": -3}, "maxit"),
+    (gmres, {"tol": float("nan")}, "tol"),
+])
+def test_solvers_reject_settings_they_cannot_honour(solve, settings, name):
+    # MINRES at tol = 0 once ran to maxit and returned converged=True with
+    # stop reason "maxit", and took a negative maxit; a NaN tol, which no
+    # residual meets, ran either solver to maxit.  Each is now refused
+    # before the first matvec
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return 2.0 * v
+
+    with pytest.raises(ValueError, match=name):
+        solve(matvec, np.ones(5), **settings)
+    assert not calls
+
+
 def test_gmres_stops_on_preconditioned_residual():
     # G3(100), n = 8, case b: the preconditioned test is met while the true
     # residual is still about 5e-2; the solve stops there, with no short
