@@ -32,8 +32,8 @@ from .assembly import (ViscosityField, assemble_divergence, assemble_saddle,
                        assemble_stiffness, viscosity_for_group)
 from .mesh import (StructuredMesh, build_mesh, reflection_permutations,
                    saddle_dimension)
-from .precond import (SPDSolver, build_saddle_preconditioner,
-                      env_blas_threads, fan_out, workers)
+from .precond import (SPDSolver, blas_threads, build_saddle_preconditioner,
+                      fan_out, workers)
 from .solvers import check_solver_settings, gmres, minres
 from .spectra import (DEFAULT_GRID, mirror_class_sizes, pencil_class_sizes,
                       pool_quantiles, sample_saddle_symbol, sample_symbol,
@@ -43,6 +43,7 @@ from .spectra import (DEFAULT_GRID, mirror_class_sizes, pencil_class_sizes,
 from .symbols import default_symbol_set
 
 CASES = ("a", "b", "c")
+TARGETS = ("A", "Bx", "By", "M")  # the spectrum targets
 _EXAMPLE1_MAXIT = 40000  # the MINRES step cap of `run_example1`
 
 
@@ -105,6 +106,8 @@ def rhs_for_case(case: str, mesh: StructuredMesh, dim: int,
     a: all ones; b: the product x*y sampled at each DOF's coordinates;
     c: independent uniform [0,1] entries from the seeded generator.
     """
+    if case not in CASES:
+        raise ValueError(f"case must be one of {CASES}, got {case!r}")
     if case == "a":
         return np.ones(dim)
     if case == "b":
@@ -112,9 +115,7 @@ def rhs_for_case(case: str, mesh: StructuredMesh, dim: int,
         pc = mesh.pressure_coords()
         bv = vc[:, 0] * vc[:, 1]
         return np.concatenate([bv, bv, pc[:, 0] * pc[:, 1]])
-    if case == "c":
-        return np.random.default_rng(seed).uniform(0.0, 1.0, dim)
-    raise ValueError(f"unknown case {case!r}")
+    return np.random.default_rng(seed).uniform(0.0, 1.0, dim)
 
 
 def group_label(cfg: ExperimentConfig):
@@ -208,15 +209,15 @@ SIDECAR_KEYS = ("stop_reason", "cycles", "phase_seconds", "velocity_min_pivot",
 
 def run_group_table(configs: list[ExperimentConfig], out_path: Path,
                     meta: dict | None = None) -> list[dict]:
-    """PGMRES iteration table; cells run through `precond.fan_out` (inline
-    with the default threaded BLAS), rows written in config order.  Failed
+    """PGMRES iteration table; cells run through `precond.fan_out` (on the
+    pool when `workers()` > 1), rows written in config order.  Failed
     cells are recorded with converged=false.
 
     Next to the CSV, `<out>.json` holds one record per cell: its group,
-    case and n, the `SIDECAR_KEYS` diagnostics, the BLAS thread count the
-    environment asks for (`env_blas_threads()`, null when it asks for
-    none), the GMRES and whole-cell wall times, and the error text of a
-    failed cell (null otherwise).
+    case and n, the `SIDECAR_KEYS` diagnostics, the BLAS thread count in
+    force (`precond.blas_threads()`: 1, or null where scipy's OpenBLAS
+    could not be pinned), the GMRES and whole-cell wall times, and the
+    error text of a failed cell (null otherwise).
     """
     def cell(cfg):
         t0 = time.perf_counter()
@@ -251,10 +252,9 @@ def run_group_table(configs: list[ExperimentConfig], out_path: Path,
         header.append(f"# config: {json.dumps(meta, sort_keys=True)}")
     _write_csv(out_path, header, columns,
                [[row[c] for c in columns] for row in rows])
-    blas_threads = env_blas_threads()
     sidecar = [{"group": row["group"], "case": row["case"], "n": row["n"],
                 **{key: row.get(key) for key in SIDECAR_KEYS},
-                "blas_threads": blas_threads,
+                "blas_threads": blas_threads(),
                 "gmres_wall_s": (float(row["wall_time_s"])
                                  if row["wall_time_s"] else None),
                 "cell_wall_s": row["cell_wall_s"],
@@ -364,6 +364,8 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField,
     full-size block (`mirror_class_sizes`).  A singular value target is
     one block.
     """
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     rv, rp = reflection_permutations(mesh.n, "swap")
     nvel = mesh.velocity_count
     if target == "A":
@@ -379,18 +381,16 @@ def target_spectrum(target: str, mesh: StructuredMesh, mu: ViscosityField,
         return (values, [len(values)],
                 lambda: sample_symbol(default_symbol_set().by_name(target),
                                       None, folded), folded)
-    if target == "M":
-        M = assemble_saddle(mesh, mu).full_matrix()
-        mirror = np.concatenate([rv + nvel, rv, rp + 2 * nvel])
-        return (symmetric_eigenvalues(M, mirror), mirror_class_sizes(M, mirror),
-                lambda: sample_saddle_symbol(mu, grid), grid)
-    raise ValueError(f"unknown target {target!r}; pick A, Bx, By or M")
+    M = assemble_saddle(mesh, mu).full_matrix()
+    mirror = np.concatenate([rv + nvel, rv, rp + 2 * nvel])
+    return (symmetric_eigenvalues(M, mirror), mirror_class_sizes(M, mirror),
+            lambda: sample_saddle_symbol(mu, grid), grid)
 
 
 def emit_adherence_data(target: str, cfg: ExperimentConfig,
                         out_path: Path) -> float:
     """Rank-aligned matrix spectrum vs symbol quantiles, plus the KS
-    distance; targets: A, Bx, By, M.
+    distance of one of the `TARGETS`.
 
     The quantiles are read off the sorted symbol pool (`pool_quantiles`).
     Next to the CSV, `<out>.json` holds the seconds of the matrix spectrum
@@ -504,16 +504,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("spectrum", help="dense spectrum of one block")
     _add_config(p, "n", "group", "gamma", "output_dir")
-    p.add_argument("--target", type=str, default="A",
-                   choices=["A", "Bx", "By", "M"])
+    p.add_argument("--target", type=str, default="A", choices=TARGETS)
     p.add_argument("--out", type=str, default="spectrum.csv")
 
     p = sub.add_parser("compare", help="spectrum vs symbol adherence CSV")
     _add_config(p, "n", "group", "gamma", "output_dir")
     # the symbol sampling grid, which only a config file sets
     p.set_defaults(grid=None)
-    p.add_argument("--target", type=str, default="A",
-                   choices=["A", "Bx", "By", "M"])
+    p.add_argument("--target", type=str, default="A", choices=TARGETS)
     p.add_argument("--out", type=str, default="compare.csv")
 
     p = sub.add_parser("precond-spectrum",

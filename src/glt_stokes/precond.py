@@ -56,19 +56,20 @@ ctypes on scipy's Cython BLAS table, which releases the GIL
 (`scipy.linalg.blas.dsymv` holds it); `cython_routine` loads it, and the
 LAPACK eigensolvers of `spectra`, from the same tables.
 
-Every thread decision of the package follows one rule, `workers()`: the
-CPUs this process may use divided by the BLAS threads the environment asks
-for (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else all CPUs, OpenBLAS's
-own default), and 1 off the main thread.  With the default threaded BLAS
-that is one worker and everything runs inline.  Work that fans out (the
-Schur panels, the mirror halves and the strip-pencil classes of
-`spectra`, the cells of the `table` command) goes through `fan_out`,
-which runs inline when `workers()` is 1 or it has fewer than two tasks,
-and otherwise on the process's one thread pool, made on first use with
-`workers()` threads.  Only the main thread ever submits to that pool, and
-code on a pool thread sees one worker and runs its own fan-outs inline,
-so fan-outs never nest on the shared pool and cannot deadlock waiting for
-one another.
+Every thread decision of the package follows one rule, `workers()`.
+Importing the package sets numpy's and scipy's bundled OpenBLAS copies to
+one thread each (`_pin_blas`), so a process computes under the same BLAS
+setting whatever its environment holds, and `workers()` is the CPUs in the
+process's affinity mask, and 1 off the main thread.  A BLAS copy that
+exports no thread setter is left as it is, and `workers()` then reads 1.
+Work that fans out (the Schur panels, the mirror halves and the
+strip-pencil classes of `spectra`, the cells of the `table` command) goes
+through `fan_out`, which runs inline when `workers()` is 1 or it has fewer
+than two tasks, and otherwise on the process's one thread pool, made on
+first use with `workers()` threads.  Only the main thread ever submits to
+that pool, and code on a pool thread sees one worker and runs its own
+fan-outs inline, so fan-outs never nest on the shared pool and cannot
+deadlock waiting for one another.
 
 The panels are independent, and their solves and products release the GIL
 (`TauDSTSolver`'s array products, `SPDSolver`'s SuperLU solves and scipy's
@@ -78,20 +79,20 @@ of `TauDSTSolver` round with the block width, and at a fixed width each
 panel goes through the same operations on any thread, so the Schur
 complement comes out bitwise the same on any worker count.  It is then
 symmetrized, deflated, factored and inverted in its one npres^2 array.
-Under the default BLAS (one worker) the G2 n = 32
-`build_saddle_preconditioner` takes 1.42-1.69 s, and 0.97-1.15 s with
-single-threaded BLAS and 2 workers (10 alternating process pairs, medians of
-3 builds).
+On 2 CPUs the G2 n = 32 `build_saddle_preconditioner` takes 1.01-1.37 s
+(medians of 3 builds in 6 processes with no BLAS variable), against
+1.66-2.24 s under two OpenBLAS threads and one worker, as such a process
+ran before the pin.
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.
-Both release the GIL, so when BLAS leaves a CPU idle the pressure half
-runs on the pool while the calling thread does the velocity solve.  Each
-half does the same operations on the same arrays as in the serial order,
-so the result is bitwise the same.  The overlap needs `workers()` > 1 (so
-never with the default threaded BLAS, and never off the main thread) and
-at least OVERLAP_PRESSURE pressure unknowns, below which a round trip to
-the pool costs more than it saves.  A sweep of G2 and G3(100) applies at
+Both release the GIL, so on more than one CPU the pressure half runs on
+the pool while the calling thread does the velocity solve.  Each half
+does the same operations on the same arrays as in the serial order, so
+the result is bitwise the same.  The overlap needs `workers()` > 1 (so
+never on one CPU and never off the main thread) and at least
+OVERLAP_PRESSURE pressure unknowns, below which a round trip to the pool
+costs more than it saves.  A sweep of G2 and G3(100) applies at
 n = 16 to 32 with single-threaded BLAS on 2 CPUs places that threshold:
 overlapping lost at n <= 16, lost more often than it won at n = 20, went
 either way at n = 22 and 24 (npres 1013 and 1201) and won from n = 26
@@ -144,7 +145,7 @@ __all__ = [
     "schur_panels",
     "workers",
     "fan_out",
-    "env_blas_threads",
+    "blas_threads",
     "usable_cpus",
     "symmetrize",
     "build_saddle_preconditioner",
@@ -157,9 +158,9 @@ __all__ = [
 # and of B_y^T at a time to the velocity solves, on any worker count.  Both
 # solvers slow down per column as the block widens.  The panel phase of G2 at
 # n = 32, widths 8, 16 and 32, medians of 3 builds in each of 3 processes on
-# 2 CPUs: 1.29-1.34, 1.21-1.28 and 2.07-2.22 s under the default BLAS (two
-# OpenBLAS threads, one worker); 0.75-0.99, 0.69-0.81 and 0.87-1.10 s with
-# single-threaded BLAS and 2 workers.
+# 2 CPUs: 1.29-1.34, 1.21-1.28 and 2.07-2.22 s under two OpenBLAS threads and
+# one worker; 0.75-0.99, 0.69-0.81 and 0.87-1.10 s with single-threaded BLAS
+# and 2 workers.
 PANEL = 16
 
 # Square tiles of the in-place passes over a dense npres x npres array.
@@ -477,22 +478,33 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
     return solver
 
 
-def _env_threads(name: str) -> int | None:
-    """A positive integer thread count from the environment, or None when
-    the variable is unset or holds anything else ("0", "2.5", "4,2")."""
-    try:
-        value = int(os.environ.get(name, ""))
-    except ValueError:
-        return None
-    return value if value > 0 else None
+def _pin_blas() -> tuple:
+    """Set numpy's and scipy's bundled OpenBLAS copies to one thread each,
+    through the setter that each exports, looked up by name in an extension
+    module that links it: numpy's ILP64 copy (names ending in 64_) in
+    `numpy.linalg._umath_linalg`, scipy's in its Cython BLAS table.  Returns
+    each copy's thread-count getter, None for a copy that exports no setter
+    and is left as it is."""
+    getters = []
+    for module, suffix in ((np.linalg._umath_linalg, "64_"), (cython_blas, "")):
+        lib = ctypes.CDLL(module.__file__)
+        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if setter is None:
+            getters.append(None)
+        else:
+            setter(1)
+            getters.append(getattr(lib, f"scipy_openblas_get_num_threads{suffix}"))
+    return tuple(getters)
 
 
-def env_blas_threads() -> int | None:
-    """The BLAS thread count the environment asks for: OPENBLAS_NUM_THREADS,
-    else OMP_NUM_THREADS, each skipped when unset or not a positive
-    integer; None when neither gives one."""
-    return (_env_threads("OPENBLAS_NUM_THREADS")
-            or _env_threads("OMP_NUM_THREADS"))
+_BLAS_GETTERS = _pin_blas()  # once, when the package is imported
+
+
+def blas_threads() -> int | None:
+    """The thread count of scipy's OpenBLAS copy (1, as pinned at import),
+    or None where that copy exports no setter and is left unpinned."""
+    getter = _BLAS_GETTERS[1]
+    return None if getter is None else getter()
 
 
 def usable_cpus() -> int:
@@ -504,24 +516,21 @@ def usable_cpus() -> int:
 
 
 def workers() -> int:
-    """Threads for every fan-out: the CPUs this process may use divided by
-    the BLAS thread count, at least 1; always 1 off the main thread.
-
-    The BLAS thread count is `env_blas_threads()`, and with neither
-    variable set it is all CPUs, as OpenBLAS assumes.
-    """
-    if threading.current_thread() is not threading.main_thread():
+    """Threads for every fan-out: the CPUs this process may use, since BLAS
+    runs one thread; 1 off the main thread, and 1 where a BLAS copy exports
+    no setter and keeps its own threads."""
+    if (threading.current_thread() is not threading.main_thread()
+            or None in _BLAS_GETTERS):
         return 1
-    cpus = usable_cpus()
-    return max(1, cpus // (env_blas_threads() or cpus))
+    return usable_cpus()
 
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
     """The process's one thread pool, made on first use with `workers()`
-    threads as read then; a later change of the environment or the CPU
-    affinity changes `workers()` but not the pool.  Only the main thread
-    submits to it, so the first use needs no lock."""
+    threads as read then; a later change of the CPU affinity changes
+    `workers()` but not the pool.  Only the main thread submits to it, so
+    the first use needs no lock."""
     return ThreadPoolExecutor(max_workers=workers(),
                               thread_name_prefix="glt-stokes")
 
@@ -751,8 +760,8 @@ class SaddlePreconditioner:
         its own rows of the result, which is bitwise that of the serial
         order.  An exception in either half reaches the caller once both
         are done.  Below OVERLAP_PRESSURE (set from the sweep in the module
-        docstring), with the default threaded BLAS and off the main thread
-        the halves run in turn.
+        docstring), with one worker and off the main thread the halves run
+        in turn.
         """
         nvel = self.velocity_count
         npres = len(self.schur_inverse)

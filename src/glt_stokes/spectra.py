@@ -36,18 +36,17 @@ LAPACK dsyevd or dsygvd itself, through ctypes on scipy's Cython LAPACK
 table (`precond.cython_routine`, the loader the Schur product shares), in
 place on a Fortran-ordered block (`_eigensolve`): no copy of the block is
 made, and the call releases the GIL.  The two mirror halves go
-through `precond.fan_out`.  When BLAS leaves a CPU idle (`workers()` > 1)
+through `precond.fan_out`.  On more than one CPU (`workers()` > 1)
 the calling thread forms both blocks and their work arrays, and the two
 solves run at once on the pool.  The pool threads only run LAPACK:
 forming the blocks there left their temporaries resident in glibc's
 per-thread heaps, 10-14 MB more peak memory in the `spectra-n16`
 benchmark.  The peak then holds two blocks, as much as one block and the
-copy that `np.linalg.eigvalsh` makes of it.  With the default threaded
-BLAS (one worker) each block is formed just before its solve and freed
-after it, so the peak holds one.  The eigenvalues are bit for bit those of
-`scipy.linalg.eigh`, which calls the same routines, and, on the mirror
-halves of A and M at n = 4 to 16, those of `np.linalg.eigvalsh`, which
-calls numpy's own OpenBLAS build.
+copy that `np.linalg.eigvalsh` makes of it.  With one worker each block
+is formed just before its solve and freed after it, so the peak holds
+one.  The eigenvalues are bit for bit those of `scipy.linalg.eigh`, which
+calls the same routines, and, on the mirror halves of A and M at n = 4 to
+16, those of `np.linalg.eigvalsh`, which calls numpy's own OpenBLAS build.
 
 The strip-viscosity condition numbers reduce the mass-preconditioned
 saddle spectrum to a pressure-size Schur pencil (B A^{-1} B^T, W), and the
@@ -63,7 +62,7 @@ through the panel loop `schur_panels`, then symmetrized and solved
 densely.  For the strip field that is four quarter-size pencils, about a
 sixteenth of the dense eigensolve and a quarter of the solves; a field
 that neither reflection keeps is solved as one full-size pencil.  The
-classes go through `precond.fan_out`, so when BLAS leaves CPUs idle they
+classes go through `precond.fan_out`, so on more than one CPU they
 overlap on the package's pool: their solves and products release the GIL.
 
 The Weyl distance is a maximum over sample points of the difference of two
@@ -91,7 +90,6 @@ from .symbols import saddle_symbol
 __all__ = [
     "symmetric_eigenvalues",
     "singular_values",
-    "zero_distribution_fraction",
     "sample_symbol",
     "sample_saddle_symbol",
     "solved_frequency_count",
@@ -317,14 +315,6 @@ def singular_values(R) -> np.ndarray:
         raise ValueError(f"dense SVD refused beyond {DENSE_LIMIT}")
     A = R.toarray() if sp.issparse(R) else np.asarray(R, dtype=float)
     return np.sort(np.linalg.svd(A, compute_uv=False))
-
-
-def zero_distribution_fraction(M, eps: float) -> float:
-    """Fraction of the `singular_values` of M exceeding eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    sv = singular_values(M)
-    return float(np.count_nonzero(sv > eps)) / len(sv) if len(sv) else 0.0
 
 
 def _two_column_singular_values(F: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +292,7 @@ def test_failed_cell_row_reads_back_as_one_row(tmp_path):
 
 
 def test_table_json_sidecar(tmp_path, monkeypatch):
+    # the environment is not read: the sidecar reports the pinned count
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     out = tmp_path / "results.csv"
     cfgs = [ExperimentConfig(n=3, group=1, case="a"),
@@ -312,13 +316,13 @@ def test_table_json_sidecar(tmp_path, monkeypatch):
         # workers() is 1
         assert rec["schur_workers"] == 1
         assert rec["apply_workers"] == 1
-        assert rec["blas_threads"] == 3
+        assert rec["blas_threads"] == 1
         assert rec["gmres_wall_s"] == float(row["wall_time_s"])
         assert rec["cell_wall_s"] >= rec["gmres_wall_s"]
     failed = records[2]
     assert "case must be one of" in failed["error"]
     assert failed["stop_reason"] is None and failed["gmres_wall_s"] is None
-    assert failed["apply_workers"] is None and failed["blas_threads"] == 3
+    assert failed["apply_workers"] is None and failed["blas_threads"] == 1
     assert failed["cell_wall_s"] >= 0
     # the diagnostics stay out of the CSV
     assert body.splitlines()[2] == ("group,case,n,dim,strategy,iterations,"
@@ -326,20 +330,51 @@ def test_table_json_sidecar(tmp_path, monkeypatch):
                                     "published,iterations_per_n")
 
 
-@pytest.mark.parametrize("openblas,omp,expected", [
-    (None, None, None), ("2", "4", 2), ("abc", "4", 4), ("0", None, None)])
-def test_table_sidecar_blas_threads(tmp_path, monkeypatch, openblas, omp,
-                                    expected):
-    for name, value in (("OPENBLAS_NUM_THREADS", openblas),
-                        ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(name, raising=False)
-        else:
-            monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("pinned,expected", [(True, 1), (False, None)])
+def test_table_sidecar_blas_threads(tmp_path, monkeypatch, pinned, expected):
+    # the count in force in scipy's OpenBLAS copy, null where it has no
+    # thread setter and is left unpinned
+    if not pinned:
+        monkeypatch.setattr(precond, "_BLAS_GETTERS",
+                            (precond._BLAS_GETTERS[0], None))
     out = tmp_path / "results.csv"
     run_group_table([ExperimentConfig(n=3, group=1, case="a")], out)
     records = json.loads((tmp_path / "results.csv.json").read_text())
     assert records[0]["blas_threads"] == expected
+
+
+_THREE_COMMANDS = """
+from glt_stokes.cli import main
+main(["table", "--groups", "2", "--cases", "a,c", "--sizes", "8,16",
+      "--out", "table.csv"])
+main(["spectrum", "-n", "8", "--group", "3", "--gamma", "100",
+      "--target", "M", "--out", "spectrum.csv"])
+main(["precond-spectrum", "-n", "8", "--group", "2", "--out", "psv.csv"])
+"""
+
+
+def test_csvs_independent_of_blas_thread_variables(tmp_path):
+    # the package pins BLAS to one thread at import, so no thread variable
+    # moves a byte of a CSV; the BLAS thread count is fixed at start-up,
+    # hence one interpreter per setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in (None, "1", "2"):
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        cwd = tmp_path / str(threads)
+        cwd.mkdir()
+        run = subprocess.run([sys.executable, "-c", _THREE_COMMANDS], cwd=cwd,
+                             env=env, capture_output=True, text=True,
+                             timeout=600)
+        assert run.returncode == 0, run.stderr
+        outputs.append({name: (cwd / name).read_bytes()
+                        for name in ("table.csv", "spectrum.csv", "psv.csv")})
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_example1_conformity_errors():
@@ -530,9 +565,7 @@ def _table_with(monkeypatch, count, path):
     """The table of two cases at n = 3 and 4 for G1 and G3(100) with
     `workers()` = count, and the threads its cells ran on."""
     monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(2)), raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(3 - count))
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+                        lambda pid: set(range(count)), raising=False)
     assert workers() == count
     threads, cell = [], run_solve_cell
 

@@ -15,7 +15,6 @@ from glt_stokes.glt_core import (BlockSymbol, block_toeplitz_defect,
                                  velocity_extension_map,
                                  velocity_slot_assignment)
 from glt_stokes.mesh import build_mesh
-from glt_stokes.spectra import zero_distribution_fraction
 from glt_stokes.symbols import StokesSymbolSet, default_symbol_set
 
 
@@ -337,14 +336,3 @@ def test_slot_offsets_within_cell(n):
     assert np.array_equal(nodes, build_mesh(n).velocity_nodes)
 
 
-# ---------------------------------------------------------------------------
-# zero distribution
-
-def test_zero_fraction_trivial():
-    assert zero_distribution_fraction(np.zeros((4, 4)), 0.5) == 0.0
-    assert zero_distribution_fraction(np.eye(6), 0.5) == 1.0
-
-
-def test_zero_fraction_requires_positive_eps():
-    with pytest.raises(ValueError):
-        zero_distribution_fraction(np.eye(3), 0.0)

@@ -52,6 +52,40 @@ def test_all_names_used_elsewhere(module):
             if name not in used] == []
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(path):
+    """The scope (`module.function`, or `module` at module level) of every
+    use of os.environ or os.getenv in a Python file, as an attribute of
+    `os` or imported from it."""
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in _ENVIRONMENT
+                    and ast.unparse(child.value) == "os") or (
+                    isinstance(child, ast.ImportFrom) and child.module == "os"
+                    and {a.name for a in child.names} & _ENVIRONMENT):
+                reads.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return reads
+
+
+def test_src_reads_no_environment():
+    # an output or a thread decision must not depend on the process
+    # environment, so the package reads none of it
+    reads = [scope for path in sorted((BENCH.parent / "src").rglob("*.py"))
+             for scope in _environment_reads(path)]
+    assert reads == []
+
+
 def _defaulted_parameters(path):
     """(function, parameter, positional index or None) of every parameter
     with a default of a function or method a Python file defines, dunders

@@ -198,9 +198,9 @@ print(st.iterations, st.stop_reason)
 
 @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
 def test_gmres_count_independent_of_blas_threads():
-    # G2, n = 16, case c: the count must not move with the rounding of
-    # one- against two-threaded BLAS products; the BLAS thread count is
-    # fixed at start-up, hence one interpreter per setting
+    # G2, n = 16, case c: the count must not move with the BLAS thread
+    # variable, which the package overrides with one thread at import; the
+    # variable is read at start-up, hence one interpreter per setting
     src = str(Path(__file__).resolve().parents[1] / "src")
     counts = []
     for threads in ("1", "2"):

@@ -421,13 +421,14 @@ def test_pencil_solves_equal_scipy_eigh(monkeypatch):
         assert np.array_equal(got, sla.eigh(a, b, eigvals_only=True))
 
 
-def _two_worker_settings(monkeypatch):
-    """Pretend to run on 2 CPUs; the (OPENBLAS_NUM_THREADS, workers())
-    settings that give 1 and 2 workers there."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(2)), raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    return (("2", 1), ("1", 2))
+def _one_then_two_cpus(monkeypatch):
+    """Pretend to run on 1 CPU, then on 2; yields the `workers()` count,
+    1 and then 2."""
+    for count in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, count=count: set(range(count)),
+                            raising=False)
+        yield count
 
 
 def test_mirror_halves_threads_bitwise(monkeypatch, fresh_pool):
@@ -446,8 +447,7 @@ def test_mirror_halves_threads_bitwise(monkeypatch, fresh_pool):
         return on_thread
     monkeypatch.setattr(spectra, "_eigensolve", spy)
     runs = []
-    for blas, count in _two_worker_settings(monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    for count in _one_then_two_cpus(monkeypatch):
         assert workers() == count
         threads.clear()
         runs.append([symmetric_eigenvalues(S, mirror)
@@ -618,8 +618,7 @@ def test_saddle_pencil_class_threads_bitwise(monkeypatch, fresh_pool):
     # the four strip classes on two threads give the serial eigenvalues
     system = assemble_saddle(build_mesh(6), FIELDS["strip"][0])
     runs = []
-    for blas, count in _two_worker_settings(monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    for count in _one_then_two_cpus(monkeypatch):
         assert workers() == count
         runs.append(saddle_pencil_eigenvalues(system))
     assert precond._pool()._max_workers == 2
