@@ -12,11 +12,7 @@ from .assembly import (
     assemble_stiffness,
     viscosity_for_group,
 )
-from .glt_core import (
-    BlockSymbol,
-    tau_approx,
-    toeplitz_from_symbol,
-)
+from .glt_core import BlockSymbol
 from .mesh import StructuredMesh, build_mesh, saddle_dimension
 from .precond import SaddlePreconditioner, build_saddle_preconditioner
 from .solvers import SolveStats, gmres, minres
@@ -40,8 +36,6 @@ __all__ = [
     "assemble_saddle",
     "assemble_stiffness",
     "BlockSymbol",
-    "tau_approx",
-    "toeplitz_from_symbol",
     "StokesSymbolSet",
     "build_symbol_set",
     "default_symbol_set",

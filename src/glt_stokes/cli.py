@@ -62,7 +62,7 @@ class ExperimentConfig:
 
     def validate(self):
         """Raise ValueError on a bad setting, naming it."""
-        saddle_dimension(self.n)  # refuses n < 1
+        saddle_dimension(self.n)  # refuses a non-integer n and n < 1
         self.viscosity()  # refuses an unknown group and a bad group-3 gamma
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
@@ -446,11 +446,35 @@ def _list_of(kind):
     return parse
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_type_error(key: str, value) -> str | None:
+    """What a config-file value of field `key` must be, if `value` is not
+    that; else None.  The rule follows the type of the field's default: an
+    int field takes an int, a float field an int or a float (never a
+    bool), gamma (None by default) a number or null, a str field a string
+    and grid (a tuple) four positive ints."""
+    number = _is_int(value) or isinstance(value, float)
+    ok, want = {
+        int: (_is_int(value), "an integer"),
+        float: (number, "a number"),
+        type(None): (number or value is None, "a number or null"),
+        str: (isinstance(value, str), "a string"),
+        tuple: (isinstance(value, list) and len(value) == 4
+                and all(_is_int(v) and v > 0 for v in value),
+                "a list of four positive integers"),
+    }[type(getattr(ExperimentConfig, key))]
+    return None if ok else want
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The config of a `--config` JSON file, if any, overridden by the
     options given, not yet validated.  A file key that is not an
-    `ExperimentConfig` field, or one the command reads no option for (and
-    no file-only default, as `compare` sets for `grid`), raises ValueError
+    `ExperimentConfig` field, one the command reads no option for (and no
+    file-only default, as `compare` sets for `grid`), or one whose value
+    lacks its field's type (`_config_type_error`), raises ValueError
     naming it."""
     names = [f.name for f in fields(ExperimentConfig)]
     base = {}
@@ -466,6 +490,11 @@ def _config_from_args(args) -> ExperimentConfig:
         if unread:
             raise ValueError(f"{args.config}: {args.command} does not read "
                              f"config keys {unread}; it reads: {read}")
+        for key, value in base.items():
+            want = _config_type_error(key, value)
+            if want:
+                raise ValueError(f"{args.config}: config key {key!r} must be "
+                                 f"{want}, got {value!r}")
     cfg = ExperimentConfig(**base)
     for key in names:
         val = getattr(args, key, None)

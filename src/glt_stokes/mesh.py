@@ -76,6 +76,15 @@ class StructuredMesh:
         return "\n".join(lines) + "\n"
 
 
+def _check_grid(n) -> None:
+    """Raise ValueError unless the grid parameter n is an integer >= 1; a
+    bool is not taken for one."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"grid parameter must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"grid parameter must be >= 1, got {n}")
+
+
 def velocity_interior_count(n: int) -> int:
     """Interior P2 nodes per velocity component on the crisscross mesh."""
     return 8 * n * n - 4 * n + 1
@@ -91,8 +100,7 @@ def saddle_dimension(n: int) -> int:
 
     Two velocity components plus pressure: 18n^2 - 6n + 3.
     """
-    if n < 1:
-        raise ValueError(f"grid parameter must be >= 1, got {n}")
+    _check_grid(n)
     return 2 * velocity_interior_count(n) + pressure_count(n)
 
 
@@ -183,8 +191,7 @@ def reflection_permutations(n: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
     if axis not in _MIRRORS:
         raise ValueError(f"unknown reflection axis {axis!r}; "
                          f"pick one of {tuple(_MIRRORS)}")
-    if n < 1:
-        raise ValueError(f"grid parameter must be >= 1, got {n}")
+    _check_grid(n)
     return tuple(_mirror_permutation(np.column_stack(lattice(n)),
                                      _MIRRORS[axis], 4 * n)
                  for lattice in (velocity_lattice, pressure_lattice))
@@ -198,8 +205,7 @@ def build_mesh(n: int) -> StructuredMesh:
     enumerations are y-major lexicographic, so a node's number is read off
     a lattice index array.
     """
-    if n < 1:
-        raise ValueError(f"grid parameter must be >= 1, got {n}")
+    _check_grid(n)
     size = 4 * n + 1
 
     ix, iy = pressure_lattice(n)

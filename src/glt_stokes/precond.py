@@ -9,8 +9,10 @@ sine-algebra member with eigenvalues 2cos(m theta_j) (J^m + J^-m minus
 its Hankel corner stripes).  That is, every scalar 8x8 entry class is
 replaced by the tau approximation of its symmetrized flat band.  For
 n >= 3 (N > 2b, b = n + 1 the flat bandwidth) the DST-I in the cell index
-block-diagonalizes the sum into N positive definite 8x8 blocks; below
-that the corner stripes overlap, and the builders reject n <= 2.
+block-diagonalizes the sum into N positive definite 8x8 blocks, which
+`tau_block_core` computes from the symmetrized coefficients without the
+sum; below that the corner stripes overlap, and the builders reject
+n <= 2.
 The core is compressed to the true DOF set and scaled symmetrically by
 the nodal viscosity sampling D^{1/2} (.) D^{1/2}, where the sampling is
 the assembled-to-unit diagonal ratio (the per-node average of the
@@ -38,11 +40,11 @@ _FFT_MIN_CELLS cells and an FFT from it on.  Its work arrays are laid out
 (cell, slot, column), so the DOFs go in and out by row copies and each
 block product is one batched matrix product.  A sparse right-hand side,
 such as a panel of B^T columns, is transformed forward by the DST-I rows
-at the few cells it touches.  `tau_block_core` assembles the same core;
-`SPDSolver` on it is the reference the tests compare the DST solves
-against (the largest entry of the difference is 1.3e-14 to 3.3e-14 of the
-largest of the LU solve at n = 32 and 2.5e-14 to 1.0e-13 at n = 64, in the
-five viscosity groups).
+at the few cells it touches.  `tests/oracles.py` assembles the same core
+as a sparse matrix; `SPDSolver` on it is the reference the tests compare
+the DST solves against (the largest entry of the difference is 1.3e-14
+to 3.3e-14 of the largest of the LU solve at n = 32 and 2.5e-14 to
+1.0e-13 at n = 64, in the five viscosity groups).
 
 The pressure block is the explicit Schur complement of the preconditioner,
 built in panels of pressure columns and deflated on the constant-pressure
@@ -131,8 +133,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cython_blas, cython_lapack
 
 from .assembly import SaddleSystem, ViscosityField, stiffness_diagonal
-from .glt_core import (_extension_matrix, dst1_matrix, tau_blocks,
-                       tau_from_symbol, velocity_extension_map)
+from .glt_core import BlockSymbol, dst1_matrix, velocity_extension_map
 from .mesh import StructuredMesh
 from .symbols import default_symbol_set
 
@@ -199,24 +200,45 @@ OFF_GRID_DIAGONAL = 16.0 / 3.0
 _TOP_SLOTS, _RIGHT_SLOTS = slice(6, 8), slice(3, 8, 2)
 
 
-def tau_block_core(n: int, nvel: int) -> sp.csr_matrix:
-    """Compressed tau-block core E^T T E + 16/3 (I - E^T E): T the
-    Kronecker sum sum_m tau_N(m) (x) S_m of the stiffness symbol
-    (`tau_from_symbol`), E the 0/1 extension matrix of the true DOF set,
-    and the stencil diagonal 16/3 on the off-grid DOFs (outside the rigid
-    cell grid), the zero columns of E.
+def _tau_classes(sym: BlockSymbol, n: int) -> dict:
+    """The symmetrized flat coefficients {m: S_m, m >= 0} of a Hermitian
+    two-level symbol over the flattened n x n cell grid.
 
-    The preconditioner never assembles it: `TauDSTSolver` applies the
-    inverse of the same core from its DST-I blocks, and this assembled
-    core, scaled and factored by `SPDSolver`, is the reference its tests
-    compare against.  For n >= 3 (N = n^2 > 2b, b = n + 1 the flat
-    bandwidth) each tau_N(m) is a sine-algebra member, the sum is
-    block-diagonalized by the DST-I into positive definite 8x8 blocks, and
-    the core is a direct sum of a compression of it and a positive diagonal.
+    m = k1*n + k2 is the flat offset of the symbol offset k; F_m sums the
+    coefficients whose offsets land on m (they collide only for small n),
+    S_0 = F_0 and S_m = (F_m + F_-m)/2.
     """
-    E = _extension_matrix(n)
-    core = E.T @ tau_from_symbol(default_symbol_set().stiffness, n) @ E
-    return (core + OFF_GRID_DIAGONAL * (sp.eye(nvel) - E.T @ E)).tocsr()
+    flat: dict = {}
+    for k, C in sym.float_coefficients().items():
+        m = k[0] * n + k[1]
+        flat[m] = flat.get(m, 0.0) + C
+    zero = np.zeros((sym.s1, sym.s2))
+    return {m: flat[0] if m == 0
+            else 0.5 * (flat.get(m, zero) + flat.get(-m, zero))
+            for m in sorted({abs(m) for m in flat})}
+
+
+def tau_block_core(n: int) -> np.ndarray:
+    """The tau core of the stiffness symbol as its N = n^2 diagonal 8x8
+    blocks S_0 + sum_m 2cos(m theta_j) S_m, theta_j = j pi/(N+1),
+    j = 1..N, under the orthonormal DST-I in the cell index, as an
+    (N, 8, 8) array; S_m are the symmetrized flat coefficients of
+    `_tau_classes`.
+
+    They are the blocks only for N > 2b (b = n + 1 the flat bandwidth, so
+    n >= 3); the core sum_m tau_N(m) (x) S_m is never built.  The integer
+    m*j is reduced modulo 2(N+1) before the cosine, so no angle grows
+    with N.
+    """
+    N = n * n
+    sym = default_symbol_set().stiffness
+    j = np.arange(1, N + 1)
+    blocks = np.zeros((N, sym.s1, sym.s2))
+    for m, S in _tau_classes(sym, n).items():
+        weight = (np.ones(N) if m == 0
+                  else 2.0 * np.cos((m * j % (2 * N + 2)) * np.pi / (N + 1)))
+        blocks += weight[:, None, None] * S
+    return blocks
 
 
 class SPDSolver:
@@ -254,11 +276,11 @@ class SPDSolver:
 
 class TauDSTSolver:
     """Inverse of the scaled tau core D^{1/2} (T_SS (+) (16/3) I_off) D^{1/2}
-    (the assembled `tau_block_core`), applied through the DST-I blocks of T
-    without assembling it.
+    (assembled only as the tests' reference, in `tests/oracles.py`),
+    applied through the DST-I blocks of T without assembling it.
 
     T = Q Lambda Q is the extended tau core on the 8N slots (N = n^2 cells),
-    Q = DST-I (x) I_8 and Lambda = diag(B_j) its `tau_blocks`; S are the DOF
+    Q = DST-I (x) I_8 and Lambda = diag(B_j) its `tau_block_core`; S the DOF
     slots and Z the 5n - 1 zero-filled ones: slots 3, 5 and 7 at the right
     column of cells {(p+1)n - 1}, slots 6 and 7 at the top row
     {N - n, ..., N - 1}, the two sets sharing cell N - 1 (checked at every
@@ -465,12 +487,12 @@ def build_velocity_preconditioner(mesh: StructuredMesh, mu: ViscosityField,
 
     The solver's `phase_seconds` times the two phases of the build:
     "velocity_core" (the scaling, from the stiffness diagonals, and the DST
-    blocks) and "velocity_factor" (the block factors, the 2n - 1 DST-I rows
-    of G and X_ZZ^{-1} by cosine transforms).
+    blocks of `tau_block_core`) and "velocity_factor" (the block factors,
+    the 2n - 1 DST-I rows of G and X_ZZ^{-1} by cosine transforms).
     """
     t0 = time.perf_counter()
     d = viscosity_scaling(mesh, mu, stiffness)
-    blocks = tau_blocks(default_symbol_set().stiffness, mesh.n)
+    blocks = tau_block_core(mesh.n)
     t1 = time.perf_counter()
     solver = TauDSTSolver(mesh.n, blocks, d)
     solver.phase_seconds = {"velocity_core": t1 - t0,

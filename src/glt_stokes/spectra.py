@@ -95,7 +95,6 @@ __all__ = [
     "solved_frequency_count",
     "pool_quantiles",
     "weyl_distance",
-    "outlier_check",
     "saddle_pencil_eigenvalues",
     "pencil_class_sizes",
     "mirror_class_sizes",
@@ -106,7 +105,6 @@ __all__ = [
 # 18^4 ~ 1.05e5 symbol evaluation points
 DEFAULT_GRID = (18, 18, 18, 18)
 DENSE_LIMIT = 20000
-_OUTLIER_SLACK = 1e-10  # the relative slack of `outlier_check`
 
 
 def _max_abs(M: sp.spmatrix) -> float:
@@ -472,19 +470,6 @@ def weyl_distance(matrix_values, symbol_samples) -> float:
     at_b = np.abs(np.searchsorted(a, b[ends], side="right") / len(a)
                   - (ends + 1) / len(b)).max()
     return float(max(at_a, at_b))
-
-
-def outlier_check(eigs_mu, eigs_one, mu: ViscosityField) -> bool:
-    """Sorted-eigenvalue sandwich essinf(mu) l_j(A(1)) <= l_j(A(mu)) <=
-    esssup(mu) l_j(A(1)) with relative slack."""
-    lam = np.asarray(eigs_mu, dtype=float)
-    one = np.asarray(eigs_one, dtype=float)
-    if lam.shape != one.shape:
-        raise ValueError(f"length mismatch: {lam.shape} vs {one.shape}")
-    lo = mu.essinf * one
-    hi = mu.esssup * one
-    tol = _OUTLIER_SLACK * np.maximum(np.abs(hi), np.abs(lo))
-    return bool(np.all(lam >= lo - tol) and np.all(lam <= hi + tol))
 
 
 def _pencil_classes(system):

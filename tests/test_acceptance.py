@@ -14,16 +14,16 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
 from glt_stokes.cli import PUBLISHED_ITERATIONS, rhs_for_case
-from glt_stokes.glt_core import (block_toeplitz_defect,
-                                 extend_to_block_toeplitz, tau_approx,
-                                 toeplitz_from_symbol, velocity_extension_map)
+from glt_stokes.glt_core import velocity_extension_map
 from glt_stokes.mesh import build_mesh, saddle_dimension
 from glt_stokes.precond import build_saddle_preconditioner
 from glt_stokes.solvers import gmres, minres
-from glt_stokes.spectra import (outlier_check, sample_symbol,
-                                singular_values, symmetric_eigenvalues,
+from glt_stokes.spectra import (sample_symbol, singular_values,
+                                symmetric_eigenvalues,
                                 wathen_condition_number, weyl_distance)
 from glt_stokes.symbols import default_symbol_set
+from oracles import (block_toeplitz_defect, extend_to_block_toeplitz,
+                     outlier_check, tau_approx, toeplitz_from_symbol)
 
 ONE = ViscosityField.constant(1.0)
 GROUP_INSTANCES = ((1, None), (2, None), (3, 1.0), (3, 10.0), (3, 100.0))

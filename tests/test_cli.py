@@ -530,6 +530,31 @@ def test_config_file_rejects_keys_the_command_does_not_read(
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "n", True),
+    ("compare", "grid", [6.5, 6, 6, 6]),
+    ("spectrum", "n", 8.0),
+    ("solve", "tol", "1e-5"),
+    ("solve", "maxit", 10.5),
+], ids=["n-bool", "grid-float", "n-float", "tol-string", "maxit-float"])
+def test_config_file_values_have_their_field_types(command, key, value,
+                                                   tmp_path, monkeypatch):
+    # n = true ran as n = 1, a fractional grid wrote a CSV, and a float n,
+    # a string tol or a float maxit failed with a TypeError, the last inside
+    # GMRES after the preconditioner build; now each is refused before any
+    # work, naming its key
+    def build_mesh(*args):
+        raise AssertionError(f"{command} started work on a bad config value")
+
+    monkeypatch.setattr(cli, "build_mesh", build_mesh)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        main([command, "--config", str(cfg_path)])
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_compare_config_file_sets_grid(tmp_path, capsys):
     # compare samples the symbol on the file's grid, which no option sets
     cfg_path = tmp_path / "cfg.json"

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glt_stokes.assembly import ViscosityField, assemble_stiffness
-from glt_stokes.glt_core import (BlockSymbol, block_toeplitz_defect,
-                                 dst1_matrix, extend_to_block_toeplitz,
-                                 tau_approx, tau_blocks, tau_eigenvalues,
-                                 tau_from_symbol, toeplitz_from_symbol,
+from glt_stokes.glt_core import (BlockSymbol, dst1_matrix,
                                  velocity_extension_map,
                                  velocity_slot_assignment)
 from glt_stokes.mesh import build_mesh
+from glt_stokes.precond import tau_block_core
 from glt_stokes.symbols import StokesSymbolSet, default_symbol_set
+from oracles import (block_toeplitz_defect, extend_to_block_toeplitz,
+                     tau_approx, tau_eigenvalues, tau_from_symbol,
+                     toeplitz_from_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ def test_tau_core_block_diagonal_under_dst(n):
     B = Q @ tau_from_symbol(default_symbol_set().stiffness, n).toarray() @ Q
     scale = np.abs(B).max()
     theta = np.arange(1, N + 1) * np.pi / (N + 1)
-    blocks = tau_blocks(default_symbol_set().stiffness, n)
+    blocks = tau_block_core(n)
     assert blocks.shape == (N, 8, 8)
     off = B.copy()
     for j in range(N):

@@ -38,10 +38,13 @@ def test_saddle_dimension_closed_form():
 
 
 def test_invalid_n_rejected():
-    with pytest.raises(ValueError):
-        build_mesh(0)
-    with pytest.raises(ValueError):
-        saddle_dimension(0)
+    # a bool or a non-integer n is refused like n < 1, not read as 1 or 2
+    for n, message in ((0, ">= 1, got 0"), (True, "an integer, got True"),
+                       (2.5, "an integer, got 2.5")):
+        for fn in (build_mesh, saddle_dimension):
+            with pytest.raises(ValueError,
+                               match=f"grid parameter must be {message}"):
+                fn(n)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -83,8 +86,9 @@ def test_reflection_permutations_mirror_every_dof(n, axis):
 def test_reflection_permutations_reject_bad_input():
     with pytest.raises(ValueError):
         reflection_permutations(4, "z")
-    with pytest.raises(ValueError):
-        reflection_permutations(0, "x")
+    for n in (0, True, 2.5):
+        with pytest.raises(ValueError, match="grid parameter must be"):
+            reflection_permutations(n, "x")
 
 
 def test_lexicographic_dof_order():

@@ -3,6 +3,7 @@ import functools
 import importlib
 import importlib.util
 import pkgutil
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -24,12 +25,11 @@ def test_all_names_resolve(module):
     assert [name for name in names if not hasattr(module, name)] == []
 
 
-@functools.cache
-def _identifiers(path):
-    """Every name a Python file reads: the names it loads, its attributes
+def _identifiers_of(tree):
+    """Every name a syntax tree reads: the names it loads, its attributes
     and its imports."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -37,6 +37,12 @@ def _identifiers(path):
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
     return names
+
+
+@functools.cache
+def _identifiers(path):
+    """Every name a Python file reads (`_identifiers_of` its tree)."""
+    return _identifiers_of(ast.parse(path.read_text()))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -50,6 +56,43 @@ def test_all_names_used_elsewhere(module):
         if path.resolve() != Path(module.__file__).resolve()))
     assert [name for name in getattr(module, "__all__", [])
             if name not in used] == []
+
+
+def _program_entry_names():
+    """The names the program is entered by from outside `src/`: its
+    console entry point and the hooks of bench/recorder.py (`Class.method`
+    counting both parts)."""
+    root = BENCH.parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    recorder = _load_bench_module("recorder")
+    hooks = {**recorder.SETUP_HOOKS, **recorder.TRACE_HOOKS}
+    return ({target.rpartition(":")[2] for target in scripts.values()}
+            | {part for _, attr in hooks for part in attr.split(".")})
+
+
+def test_src_definitions_reached_outside_tests():
+    # a checker or a reference that only tests call lives in tests/, so a
+    # module-level function or class of src/ must be named by other code
+    # of src/ (the package's re-exports aside), by bench/*.py, by a bench
+    # hook or by the console entry point
+    root = BENCH.parent
+    sources = sorted(p for p in (root / "src").rglob("*.py")
+                     if p.name != "__init__.py")
+    bench = set().union(*map(_identifiers, BENCH.glob("*.py")))
+    outside = bench | _program_entry_names()
+    unreached = []
+    for path in sources:
+        body = ast.parse(path.read_text()).body
+        reads = [_identifiers_of(stmt) for stmt in body]
+        others = set().union(*(_identifiers(p) for p in sources if p != path))
+        for i, node in enumerate(body):
+            # the module's own other statements count, its own body not
+            own = set().union(*reads[:i], *reads[i + 1:])
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in outside | others | own):
+                unreached.append(f"{path.stem}.{node.name}")
+    assert unreached == []
 
 
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

@@ -16,7 +16,7 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
 from glt_stokes.cli import rhs_for_case
-from glt_stokes.glt_core import dst1_matrix, tau_blocks, velocity_extension_map
+from glt_stokes.glt_core import dst1_matrix, velocity_extension_map
 from glt_stokes.mesh import build_mesh
 from glt_stokes import assembly, precond
 from glt_stokes.precond import (PANEL, TILE, SPDSolver,
@@ -26,7 +26,7 @@ from glt_stokes.precond import (PANEL, TILE, SPDSolver,
                                 tau_block_core, viscosity_scaling, workers)
 from glt_stokes.solvers import gmres
 from glt_stokes.spectra import singular_values
-from glt_stokes.symbols import default_symbol_set
+from oracles import assembled_tau_core
 
 ONE = ViscosityField.constant(1.0)
 # the largest n whose tau solver takes the dense DST-I matrix, not the FFT
@@ -106,10 +106,10 @@ TENTPOLE_GROUPS = [(1, None), (2, None), (3, 100.0)]
 
 
 def _lu_reference(mesh, mu):
-    """`SPDSolver` on D^{1/2} tau_block_core D^{1/2}: the assembled tau core
+    """`SPDSolver` on D^{1/2} assembled_tau_core D^{1/2}: the tau core
     that `TauDSTSolver` inverts, factored by sparse LU."""
     D = sp.diags(np.sqrt(viscosity_scaling(mesh, mu)))
-    P = (D @ tau_block_core(mesh.n, mesh.velocity_count) @ D).tocsc()
+    P = (D @ assembled_tau_core(mesh.n, mesh.velocity_count) @ D).tocsc()
     return SPDSolver(0.5 * (P + P.T))
 
 
@@ -129,7 +129,7 @@ def _assert_same_solves(dst, lu, seed):
 def test_dst_solver_matches_lu(n, group, gamma):
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
-    dst = TauDSTSolver(n, tau_blocks(default_symbol_set().stiffness, n),
+    dst = TauDSTSolver(n, tau_block_core(n),
                        viscosity_scaling(mesh, mu))
     assert dst.min_pivot > 0
     _assert_same_solves(dst, _lu_reference(mesh, mu), n + group)
@@ -155,6 +155,24 @@ def test_velocity_path_follows_size():
     for n in (1, 2):
         with pytest.raises(ValueError, match=f"n = {n}"):
             build_velocity_preconditioner(build_mesh(n), mu)
+
+
+def test_builds_reach_the_tau_core_by_its_module_name(setup8, monkeypatch):
+    # the bench times the tau core by rebinding `precond.tau_block_core`,
+    # so each builder must call it through that name, once, with n
+    mesh, mu, system = setup8
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return tau_block_core(*args, **kwargs)
+
+    monkeypatch.setattr(precond, "tau_block_core", spy)
+    build_velocity_preconditioner(mesh, mu)
+    assert calls == [((mesh.n,), {})]
+    calls.clear()
+    build_saddle_preconditioner(mesh, mu, system)
+    assert calls == [((mesh.n,), {})]
 
 
 def test_dense_dst_side_never_imports_scipy_fft():
@@ -185,7 +203,7 @@ def test_dense_dst_side_never_imports_scipy_fft():
 def test_saddle_preconditioner_on_dst_path_keeps_lu_count():
     # G2, n = 32, case a: the saddle preconditioner takes the DST path, and
     # GMRES takes the 88 iterations of the same preconditioner built on
-    # SPDSolver over the scaled tau_block_core (the criterion 9a cell)
+    # SPDSolver over the scaled assembled_tau_core (the criterion 9a cell)
     n = 32
     mesh = build_mesh(n)
     mu = viscosity_for_group(2)
@@ -213,7 +231,7 @@ def test_dst_solver_sparse_rhs_matches_dense(n, group, gamma):
     # 8k cells; a dense copy of either takes the FFT
     mesh = build_mesh(n)
     mu = viscosity_for_group(group, gamma)
-    dst = TauDSTSolver(n, tau_blocks(default_symbol_set().stiffness, n),
+    dst = TauDSTSolver(n, tau_block_core(n),
                        viscosity_scaling(mesh, mu))
     bx_t = assemble_divergence(mesh)[0].T.tocsc()
     random = sp.random(dst.size, 3, density=0.2, format="csc",
@@ -289,7 +307,7 @@ def test_dst_solver_rejects_small_n(n):
 def test_dst_solver_rejects_indefinite_block():
     n = 4
     mesh = build_mesh(n)
-    blocks = tau_blocks(default_symbol_set().stiffness, n)
+    blocks = tau_block_core(n)
     blocks[5] -= 10.0 * np.eye(8)
     with pytest.raises(ValueError, match="not positive definite"):
         TauDSTSolver(n, blocks, viscosity_scaling(mesh, ONE))
@@ -300,7 +318,7 @@ def test_dst_solver_rejects_bad_scaling():
     # its first bad index instead of turning into nan or inf downstream
     n = 4
     mesh = build_mesh(n)
-    blocks = tau_blocks(default_symbol_set().stiffness, n)
+    blocks = tau_block_core(n)
     good = viscosity_scaling(mesh, viscosity_for_group(2))
     for length in (len(good) - 1, len(good) + 1):
         with pytest.raises(ValueError, match=f"expected {len(good)} scaling"):
@@ -340,7 +358,7 @@ def test_cosine_gram_matches_explicit_x_zz(n):
     # the zero-filled slots, one GEMM per slot pair, on both DST sides
     N = n * n
     mesh = build_mesh(n)
-    dst = TauDSTSolver(n, tau_blocks(default_symbol_set().stiffness, n),
+    dst = TauDSTSolver(n, tau_block_core(n),
                        viscosity_scaling(mesh, viscosity_for_group(3, 100.0)))
     flat, _ = velocity_extension_map(n)
     zero = np.ones(8 * N, dtype=bool)
@@ -365,7 +383,7 @@ def test_tau_core_difference_structure():
     n = 8
     mesh = build_mesh(n)
     A = assemble_stiffness(mesh, ONE)
-    core = tau_block_core(n, mesh.velocity_count)
+    core = assembled_tau_core(n, mesh.velocity_count)
     D = (core - A).tocsr()
     D.data[np.abs(D.data) < 1e-14] = 0.0
     D.eliminate_zeros()

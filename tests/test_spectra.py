@@ -18,12 +18,13 @@ from glt_stokes.glt_core import BlockSymbol
 from glt_stokes.mesh import build_mesh, reflection_permutations
 from glt_stokes import precond, spectra
 from glt_stokes.precond import SPDSolver, schur_panels, symmetrize, workers
-from glt_stokes.spectra import (outlier_check, pencil_class_sizes,
-                                pool_quantiles, sample_saddle_symbol,
-                                sample_symbol, saddle_pencil_eigenvalues,
-                                singular_values, solved_frequency_count,
+from glt_stokes.spectra import (pencil_class_sizes, pool_quantiles,
+                                sample_saddle_symbol, sample_symbol,
+                                saddle_pencil_eigenvalues, singular_values,
+                                solved_frequency_count,
                                 symmetric_eigenvalues, weyl_distance)
 from glt_stokes.symbols import default_symbol_set, saddle_symbol
+from oracles import outlier_check
 
 ONE = ViscosityField.constant(1.0)
 
