@@ -12,7 +12,6 @@ from .assembly import (
     assemble_stiffness,
     viscosity_for_group,
 )
-from .glt_core import BlockSymbol
 from .mesh import StructuredMesh, build_mesh, saddle_dimension
 from .precond import SaddlePreconditioner, build_saddle_preconditioner
 from .solvers import SolveStats, gmres, minres
@@ -22,7 +21,12 @@ from .spectra import (
     symmetric_eigenvalues,
     weyl_distance,
 )
-from .symbols import StokesSymbolSet, build_symbol_set, default_symbol_set
+from .symbols import (
+    BlockSymbol,
+    StokesSymbolSet,
+    build_symbol_set,
+    default_symbol_set,
+)
 
 __all__ = [
     "StructuredMesh",

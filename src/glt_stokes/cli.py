@@ -67,6 +67,8 @@ class ExperimentConfig:
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         check_solver_settings(self.tol, self.maxit, self.restart)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def viscosity(self) -> ViscosityField:
@@ -561,7 +563,7 @@ def main(argv=None) -> int:
     p.add_argument("--cases", type=_list_of(str), default="a,b,c")
     p.add_argument("--sizes", type=_list_of(int), default="8,16,32")
     p.add_argument("--gammas", type=_list_of(float), default="1,10,100")
-    p.add_argument("--out", type=str, default="results.csv")
+    p.add_argument("--out", type=str, default="table.csv")
 
     p = sub.add_parser("example1", help="strip-viscosity benchmark")
     p.add_argument("--mu0", type=float, default=1.0)

@@ -10,7 +10,11 @@ the remaining even or odd lattice points.  The P2 nodes are exactly the
 lattice points with ix + iy even, so every enumeration is read off a
 (4n+1)^2 lattice index array.  The reflections of the square that keep
 the mesh, (x, y) -> (y, x), x -> 1 - x and y -> 1 - y, are DOF
-permutations matched on the same integer lattice keys.
+permutations matched on the same integer lattice keys.  The cell and slot
+of each interior velocity node, and the embedding of the grid-mappable
+ones into the extended 8n^2 block-Toeplitz index space that the tau
+preconditioner works in, are read off the same lattice by index
+arithmetic.
 """
 
 from __future__ import annotations
@@ -131,6 +135,46 @@ def velocity_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
     iy, ix = np.nonzero((ix > 0) & (ix < lim) & (iy > 0) & (iy < lim)
                         & ((ix + iy) % 2 == 0))
     return ix, iy
+
+
+# Interior velocity nodes carry integer coordinates (ix, iy) over 4n.  Each
+# node belongs to a cell (j, i) and one of eight local slots; the slot grid
+# makes the interior stiffness stencil exactly Toeplitz.  The first
+# odd-level node column (ix = 1 at levels iy = 3 mod 4) belongs to cell
+# i = -1 and falls outside the rigid grid; it is reported unmapped.
+
+# the x residue mod 4 of slot 2t at level t = (iy - 1) mod 4; the other
+# node of that level is slot 2t + 1, two lattice steps to the right
+_FIRST_SLOT_RESIDUE = np.array([1, 2, 3, 2], dtype=np.int64)
+
+
+def velocity_slot_assignment(n: int):
+    """Cell/slot coordinates for every interior velocity node in lex order.
+
+    Returns (cells_j, cells_i, slots): integer arrays where slots run 0..7
+    and cells may be -1 for off-grid nodes at the left edge.
+    """
+    ix, iy = velocity_lattice(n)
+    cells_j, level = np.divmod(iy - 1, 4)
+    r0 = _FIRST_SLOT_RESIDUE[level]
+    second = (ix % 4 != r0).astype(np.int64)
+    cells_i = (ix - r0 - 2 * second) // 4
+    return cells_j, cells_i, 2 * level + second
+
+
+def velocity_extension_map(n: int):
+    """Embedding of the grid-mappable interior velocity DOFs into the
+    extended 8n^2 block-Toeplitz index space.
+
+    Returns (flat, mappable_mask): the mask flags DOFs with in-range cells
+    (the unmapped DOFs are exactly the n leftmost off-grid nodes), and
+    flat[i] is the distinct slot index (cell * 8 + slot) of the i-th
+    mappable DOF, so T[flat][:, flat] compresses an extended matrix T onto
+    them.
+    """
+    jj, ii, ss = velocity_slot_assignment(n)
+    mask = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+    return (jj[mask] * n + ii[mask]) * 8 + ss[mask], mask
 
 
 def _numbering(iy: np.ndarray, ix: np.ndarray, size: int) -> np.ndarray:

@@ -35,7 +35,8 @@ it factors the N DST-I blocks, removes the 5n - 1 zero-filled slots of the
 compression by the capacitance identity, whose 5n - 1 square matrix X_ZZ
 it forms by cosine transforms of the inverse blocks (the tau algebra is
 Toeplitz-plus-Hankel in them), and applies the inverse with two
-DST-Is of length n^2 per call, a product with the dense DST-I matrix below
+DST-Is of length n^2 per call, a product with the dense DST-I matrix
+(`dst1_matrix`, the matrix or its rows read off one period of sines) below
 _FFT_MIN_CELLS cells and an FFT from it on.  Its work arrays are laid out
 (cell, slot, column), so the DOFs go in and out by row copies and each
 block product is one batched matrix product.  A sparse right-hand side,
@@ -82,9 +83,7 @@ panel goes through the same operations on any thread, so the Schur
 complement comes out bitwise the same on any worker count.  It is then
 symmetrized, deflated, factored and inverted in its one npres^2 array.
 On 2 CPUs the G2 n = 32 `build_saddle_preconditioner` takes 1.01-1.37 s
-(medians of 3 builds in 6 processes with no BLAS variable), against
-1.66-2.24 s under two OpenBLAS threads and one worker, as such a process
-ran before the pin.
+(medians of 3 builds in 6 processes with no BLAS variable).
 
 An apply has two independent halves: the two-column velocity solve and
 the product of the projected pressure residual with the Schur inverse.
@@ -133,9 +132,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cython_blas, cython_lapack
 
 from .assembly import SaddleSystem, ViscosityField, stiffness_diagonal
-from .glt_core import BlockSymbol, dst1_matrix, velocity_extension_map
-from .mesh import StructuredMesh
-from .symbols import default_symbol_set
+from .mesh import StructuredMesh, velocity_extension_map
+from .symbols import BlockSymbol, default_symbol_set
 
 __all__ = [
     "SaddlePreconditioner",
@@ -151,6 +149,7 @@ __all__ = [
     "symmetrize",
     "build_saddle_preconditioner",
     "tau_block_core",
+    "dst1_matrix",
     "viscosity_scaling",
     "cython_routine",
 ]
@@ -159,9 +158,8 @@ __all__ = [
 # and of B_y^T at a time to the velocity solves, on any worker count.  Both
 # solvers slow down per column as the block widens.  The panel phase of G2 at
 # n = 32, widths 8, 16 and 32, medians of 3 builds in each of 3 processes on
-# 2 CPUs: 1.29-1.34, 1.21-1.28 and 2.07-2.22 s under two OpenBLAS threads and
-# one worker; 0.75-0.99, 0.69-0.81 and 0.87-1.10 s with single-threaded BLAS
-# and 2 workers.
+# 2 CPUs with single-threaded BLAS and 2 workers: 0.75-0.99, 0.69-0.81 and
+# 0.87-1.10 s.
 PANEL = 16
 
 # Square tiles of the in-place passes over a dense npres x npres array.
@@ -198,6 +196,18 @@ OFF_GRID_DIAGONAL = 16.0 / 3.0
 # The slots of `TauDSTSolver`'s zero-filled slots Z at the top row of cells
 # and at their right column; slots 0, 1, 2 and 4 are filled at every cell.
 _TOP_SLOTS, _RIGHT_SLOTS = slice(6, 8), slice(3, 8, 2)
+
+
+def dst1_matrix(N: int, rows=None) -> np.ndarray:
+    """Orthonormal DST-I matrix, S[j,k] ~ sin((j+1)(k+1) pi / (N+1)), or
+    its rows `rows` (0-based).  (j+1)(k+1) is reduced modulo 2(N+1) and
+    read off one period of sines, so no angle grows with N: the
+    orthogonality defect at N = 1024 is 1.8e-15, 4.0e-14 unreduced."""
+    j = np.arange(1, N + 1)
+    i = j if rows is None else np.asarray(rows) + 1
+    period = np.arange(2 * N + 2)
+    sines = np.sqrt(2.0 / (N + 1)) * np.sin(period * (np.pi / (N + 1)))
+    return sines[np.outer(i, j) % len(period)]
 
 
 def _tau_classes(sym: BlockSymbol, n: int) -> dict:
@@ -393,8 +403,7 @@ class TauDSTSolver:
         # Lambda^{-1} G^T c reads only Z's slot columns of Lambda^{-1}
         self._lam_inv_z = np.ascontiguousarray(lam_inv[:, :, group_slots])
         # kept inverted: one product per apply in place of two triangular
-        # solves, which took 2-7 ms against 0.3 ms of a 16-column apply at
-        # n = 32 under two OpenBLAS threads
+        # solves
         self._X_ZZ_inv = _spd_inverse(_cosine_gram(lam_inv, z_cells, z_slots),
                                       "X_ZZ")
 

@@ -81,11 +81,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import ViscosityField
-from .glt_core import BlockSymbol
 from .mesh import reflection_permutations
 from .precond import (SPDSolver, cython_routine, fan_out, schur_panels,
                       symmetrize)
-from .symbols import saddle_symbol
+from .symbols import BlockSymbol, saddle_symbol
 
 __all__ = [
     "symmetric_eigenvalues",

@@ -1,10 +1,12 @@
-"""Concrete spectral symbols of the crisscross Taylor-Hood blocks.
+"""Block symbols and the concrete symbols of the crisscross Taylor-Hood
+blocks.
 
-The stiffness block of one velocity component is, up to an O(n) boundary
-defect, a permuted compression of the 2-level block Toeplitz matrix with
-the 8x8 Hermitian symbol built here; the two divergence blocks carry 8x2
-rectangular symbols.  All coefficients are exact rationals with
-denominators dividing 12.
+A `BlockSymbol` is a matrix-valued trigonometric polynomial with exact
+rational coefficients.  The stiffness block of one velocity component is,
+up to an O(n) boundary defect, a permuted compression of the 2-level
+block Toeplitz matrix with the 8x8 Hermitian symbol built here; the two
+divergence blocks carry 8x2 rectangular symbols.  All coefficients are
+exact rationals with denominators dividing 12.
 
 One table is typed per block: the raw per-triangle stiffness stencil
 (`stiffness_pre`, whose entries are single-element values) and the two
@@ -25,13 +27,128 @@ from fractions import Fraction
 
 import numpy as np
 
-from .glt_core import BlockSymbol
-
 __all__ = [
+    "BlockSymbol",
     "StokesSymbolSet",
     "build_symbol_set",
     "saddle_symbol",
 ]
+
+
+def _to_fraction_matrix(mat, s1, s2):
+    out = np.empty((s1, s2), dtype=object)
+    for r in range(s1):
+        for c in range(s2):
+            v = mat[r][c]
+            out[r, c] = v if isinstance(v, Fraction) else Fraction(v)
+    return out
+
+
+class BlockSymbol:
+    """Matrix-valued trigonometric polynomial sum_k C_k e^{i k.theta}.
+
+    Coefficients are s1 x s2 matrices of exact rationals indexed by integer
+    frequency offsets k (d-tuples, d = number of levels).  Evaluation
+    converts to complex floats; all structural identities are checked on
+    the rationals.
+    """
+
+    def __init__(self, s1: int, s2: int, levels: int, coeffs: dict,
+                 hermitian: bool = False):
+        self.s1 = int(s1)
+        self.s2 = int(s2)
+        self.levels = int(levels)
+        self.coeffs = {}
+        for k, mat in coeffs.items():
+            key = (k,) if np.isscalar(k) else tuple(int(x) for x in k)
+            if len(key) != self.levels:
+                raise ValueError(f"offset {key} does not match {levels} levels")
+            m = _to_fraction_matrix(mat, s1, s2)
+            if any(v != 0 for v in m.ravel()):
+                self.coeffs[key] = m
+        self.hermitian = bool(hermitian)
+        self._float_cache = {k: np.array([[float(v) for v in row] for row in m],
+                                         dtype=float)
+                             for k, m in self.coeffs.items()}
+        if hermitian:
+            self._check_hermitian()
+
+    def _check_hermitian(self):
+        if self.s1 != self.s2:
+            raise ValueError("hermitian symbol must be square")
+        for k, m in self.coeffs.items():
+            mk = self.coeffs.get(tuple(-x for x in k))
+            if mk is None or not np.array_equal(m.T, mk):
+                raise ValueError(f"coefficient at {k} breaks Hermitian symmetry")
+
+    def offsets(self):
+        return sorted(self.coeffs.keys())
+
+    def float_coefficients(self) -> dict:
+        """Offsets to float coefficient matrices (read-only view)."""
+        return self._float_cache
+
+    def coefficient(self, k) -> np.ndarray:
+        key = (k,) if np.isscalar(k) else tuple(int(x) for x in k)
+        m = self.coeffs.get(key)
+        if m is None:
+            return np.full((self.s1, self.s2), Fraction(0), dtype=object)
+        return m.copy()
+
+    def eval(self, *theta) -> np.ndarray:
+        """Evaluate at one frequency point; returns complex (s1, s2)."""
+        if len(theta) != self.levels:
+            raise ValueError(f"expected {self.levels} angles, got {len(theta)}")
+        return self.eval_grid(np.asarray(theta, dtype=float)[None, :])[0]
+
+    def eval_grid(self, thetas: np.ndarray) -> np.ndarray:
+        """Evaluate at (N, levels) points; returns complex (N, s1, s2).
+        Only nonzero coefficient entries are multiplied and added: a zero
+        one would add a signed zero to a sum that starts at +0."""
+        th = np.atleast_2d(np.asarray(thetas, dtype=float))
+        out = np.zeros((len(th), self.s1, self.s2), dtype=complex)
+        for k, m in self._float_cache.items():
+            phase = np.exp(1j * (th @ np.asarray(k, dtype=float)))
+            for r, c in zip(*np.nonzero(m)):
+                out[:, r, c] += phase * m[r, c]
+        return out
+
+    def map_entries(self, fn) -> "BlockSymbol":
+        """New symbol with fn applied to every rational coefficient; it
+        keeps the `hermitian` flag, whose check it reruns."""
+        coeffs = {}
+        for k, m in self.coeffs.items():
+            out = np.empty_like(m)
+            for idx, v in np.ndenumerate(m):
+                out[idx] = fn(v)
+            coeffs[k] = out
+        return BlockSymbol(self.s1, self.s2, self.levels, coeffs,
+                           hermitian=self.hermitian)
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockSymbol):
+            return NotImplemented
+        if (self.s1, self.s2, self.levels) != (other.s1, other.s2, other.levels):
+            return False
+        keys = set(self.coeffs) | set(other.coeffs)
+        return all(np.array_equal(self.coefficient(k), other.coefficient(k))
+                   for k in keys)
+
+    def to_json(self) -> dict:
+        """Schema {s1, s2, levels, coeffs: [{k, re, im}]}; exact
+        numerator/denominator tables ride along, so no rational is lost."""
+        entries = []
+        for k, m in self.coeffs.items():
+            entries.append({
+                "k": list(k),
+                "re": [[float(v) for v in row] for row in m],
+                "im": [[0.0] * self.s2 for _ in range(self.s1)],
+                "num": [[v.numerator for v in row] for row in m],
+                "den": [[v.denominator for v in row] for row in m],
+            })
+        return {"s1": self.s1, "s2": self.s2, "levels": self.levels,
+                "hermitian": self.hermitian, "coeffs": entries}
+
 
 F = Fraction
 

@@ -20,9 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from glt_stokes.assembly import ViscosityField
-from glt_stokes.glt_core import BlockSymbol, velocity_extension_map
+from glt_stokes.mesh import velocity_extension_map
 from glt_stokes.precond import OFF_GRID_DIAGONAL, _tau_classes
-from glt_stokes.symbols import default_symbol_set
+from glt_stokes.symbols import BlockSymbol, default_symbol_set
 
 _DEFECT_TOL = 1e-12  # the entry tolerance of `block_toeplitz_defect`
 _OUTLIER_SLACK = 1e-10  # the relative slack of `outlier_check`

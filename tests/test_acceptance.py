@@ -14,8 +14,8 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
 from glt_stokes.cli import PUBLISHED_ITERATIONS, rhs_for_case
-from glt_stokes.glt_core import velocity_extension_map
-from glt_stokes.mesh import build_mesh, saddle_dimension
+from glt_stokes.mesh import (build_mesh, saddle_dimension,
+                             velocity_extension_map)
 from glt_stokes.precond import build_saddle_preconditioner
 from glt_stokes.solvers import gmres, minres
 from glt_stokes.spectra import (sample_symbol, singular_values,

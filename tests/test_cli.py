@@ -119,6 +119,8 @@ def test_config_validation():
             ExperimentConfig(group=3, gamma=gamma).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(case="z").validate()
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(seed=-1).validate()
     with pytest.raises(TypeError):
         ExperimentConfig(strategy="magic")
 
@@ -154,6 +156,22 @@ def test_unknown_group_refused_before_any_work(tmp_path):
     assert not list(tmp_path.iterdir())
     with pytest.raises(ValueError, match="group"):
         main(["symbol", "--name", "div_x", "--group", "5"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "-n", "4", "--case", "c"],
+    ["table", "--groups", "1", "--cases", "a,c", "--sizes", "4"],
+], ids=["solve", "table"])
+def test_negative_seed_refused_before_any_work(argv, tmp_path, monkeypatch):
+    # a negative seed once built the system and died in numpy without
+    # naming the seed, and made the table write an error row for case c
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the seed was checked")
+
+    monkeypatch.setattr(cli, "assemble_saddle", no_assembly)
+    with pytest.raises(ValueError, match="seed"):
+        main(argv + ["--seed", "-1", "--output-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -278,7 +296,7 @@ def test_failed_cell_row_reads_back_as_one_row(tmp_path):
     # the n = 2 cell's error text holds a comma; the row is quoted so a
     # CSV reader sees the header's 11 fields, and the n = 3 row is unquoted
     assert main(["table", "--sizes", "2,3", "--groups", "1", "--cases", "a",
-                 "--output-dir", str(tmp_path)]) == 0
+                 "--output-dir", str(tmp_path), "--out", "results.csv"]) == 0
     text = (tmp_path / "results.csv").read_text()
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     header, failed, solved = csv.reader(lines)
@@ -478,16 +496,31 @@ def test_solve_command_appends(tmp_path, capsys):
 
 
 def test_solve_command_refuses_a_table_file(tmp_path, capsys):
-    # table and solve both default to results.csv; solve used to append its
+    # a table CSV at solve's default path; solve used to append its
     # 10-field row under the table's 11-column header
     assert main(["table", "--groups", "1", "--cases", "a", "--sizes", "3",
-                 "--output-dir", str(tmp_path)]) == 0
+                 "--output-dir", str(tmp_path), "--out", "results.csv"]) == 0
     out = tmp_path / "results.csv"
     before = out.read_text()
     with pytest.raises(SystemExit, match="results.csv"):
         main(["solve", "-n", "3", "--group", "1", "--case", "a",
               "--output-dir", str(tmp_path)])
     assert out.read_text() == before
+
+
+def test_table_default_keeps_the_solve_rows(tmp_path, monkeypatch, capsys):
+    # table once defaulted to solve's results.csv and rewrote the rows
+    # that solve runs had appended there
+    monkeypatch.chdir(tmp_path)
+    for case in ("a", "c"):
+        assert main(["solve", "-n", "3", "--group", "1", "--case", case]) == 0
+    before = (tmp_path / "results.csv").read_text()
+    assert len(before.splitlines()) == 3
+    assert main(["table", "--groups", "1", "--cases", "a",
+                 "--sizes", "3"]) == 0
+    assert (tmp_path / "results.csv").read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "results.csv", "table.csv", "table.csv.json"]
 
 
 # the ExperimentConfig fields `solve` takes an option for
@@ -638,7 +671,7 @@ def test_config_rejects_tau_below_three(tmp_path, capsys):
     row = run_solve_cell(ExperimentConfig(n=2), preconditioned=False)
     assert row["strategy"] == "none" and row["dim"] == 63
     assert main(["table", "--groups", "1", "--cases", "a", "--sizes", "3",
-                 "--output-dir", str(tmp_path)]) == 0
+                 "--output-dir", str(tmp_path), "--out", "results.csv"]) == 0
     rows = (tmp_path / "results.csv").read_text().splitlines()
     assert len(rows) == 5 and rows[-1].startswith("1,a,3,147,tau_block,")
     assert rows[-1].split(",")[7] == "True"

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glt_stokes.assembly import ViscosityField, assemble_stiffness
-from glt_stokes.glt_core import (BlockSymbol, dst1_matrix,
-                                 velocity_extension_map,
-                                 velocity_slot_assignment)
-from glt_stokes.mesh import build_mesh
-from glt_stokes.precond import tau_block_core
-from glt_stokes.symbols import StokesSymbolSet, default_symbol_set
+from glt_stokes.mesh import (build_mesh, velocity_extension_map,
+                             velocity_slot_assignment)
+from glt_stokes.precond import dst1_matrix, tau_block_core
+from glt_stokes.symbols import BlockSymbol, StokesSymbolSet, default_symbol_set
 from oracles import (block_toeplitz_defect, extend_to_block_toeplitz,
                      tau_approx, tau_eigenvalues, tau_from_symbol,
                      toeplitz_from_symbol)

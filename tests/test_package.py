@@ -95,6 +95,32 @@ def test_src_definitions_reached_outside_tests():
     assert unreached == []
 
 
+# the package's modules in import order: each imports only earlier ones
+MODULE_ORDER = ("mesh", "assembly", "symbols", "solvers", "precond",
+                "spectra", "cli")
+
+
+def test_imports_follow_the_module_order():
+    # an import of a later module, at the top or inside a function, is a
+    # layering inversion (or a cycle) to remove; the package __init__
+    # re-exports every module and is exempt, and a name the package itself
+    # defines (cli's `from . import __version__`) is no module
+    package = BENCH.parent / "src" / "glt_stokes"
+    assert sorted(p.stem for p in package.glob("*.py")
+                  if p.name != "__init__.py") == sorted(MODULE_ORDER)
+    upward = []
+    for rank, name in enumerate(MODULE_ORDER):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            targets = ([node.module.split(".")[0]] if node.module
+                       else [alias.name for alias in node.names])
+            upward += [f"{name} imports {target}" for target in targets
+                       if target in MODULE_ORDER[rank:]]
+    assert upward == []
+
+
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 

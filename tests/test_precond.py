@@ -16,13 +16,12 @@ from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
 from glt_stokes.cli import rhs_for_case
-from glt_stokes.glt_core import dst1_matrix, velocity_extension_map
-from glt_stokes.mesh import build_mesh
+from glt_stokes.mesh import build_mesh, velocity_extension_map
 from glt_stokes import assembly, precond
 from glt_stokes.precond import (PANEL, TILE, SPDSolver,
                                 TauDSTSolver, build_saddle_preconditioner,
                                 build_schur, build_velocity_preconditioner,
-                                fan_out, schur_panels, symmetrize,
+                                dst1_matrix, fan_out, schur_panels, symmetrize,
                                 tau_block_core, viscosity_scaling, workers)
 from glt_stokes.solvers import gmres
 from glt_stokes.spectra import singular_values

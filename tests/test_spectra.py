@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from glt_stokes.assembly import (ViscosityField, assemble_divergence,
                                  assemble_saddle, assemble_stiffness,
                                  viscosity_for_group)
-from glt_stokes.glt_core import BlockSymbol
 from glt_stokes.mesh import build_mesh, reflection_permutations
 from glt_stokes import precond, spectra
 from glt_stokes.precond import SPDSolver, schur_panels, symmetrize, workers
@@ -23,7 +22,8 @@ from glt_stokes.spectra import (pencil_class_sizes, pool_quantiles,
                                 saddle_pencil_eigenvalues, singular_values,
                                 solved_frequency_count,
                                 symmetric_eigenvalues, weyl_distance)
-from glt_stokes.symbols import default_symbol_set, saddle_symbol
+from glt_stokes.symbols import (BlockSymbol, default_symbol_set,
+                                saddle_symbol)
 from oracles import outlier_check
 
 ONE = ViscosityField.constant(1.0)

@@ -5,9 +5,9 @@ import pytest
 
 from glt_stokes import spectra, symbols
 from glt_stokes.assembly import viscosity_for_group
-from glt_stokes.glt_core import BlockSymbol
-from glt_stokes.symbols import (StokesSymbolSet, build_symbol_set,
-                                default_symbol_set, saddle_symbol)
+from glt_stokes.symbols import (BlockSymbol, StokesSymbolSet,
+                                build_symbol_set, default_symbol_set,
+                                saddle_symbol)
 
 F = Fraction
 
